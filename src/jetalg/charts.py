@@ -13,13 +13,21 @@ every y_j-exponent is < d_j (substituting the relation for the last generator
 first, which cannot reintroduce later generators), and the denominator is the
 implicit power g^s.  Numerator/denominator pairs are not cancelled; equality
 is decided by cross-multiplication, valid because A is a domain.
+
+Numerators are ``multipoly.Poly`` values: integer numerators over one
+positive content denominator, canonical (the content denominator is coprime
+to the numerators and no zero numerator is stored).  The rational content
+lives there, separate from the power g^s.  Reduction works on the integer
+numerators directly, bringing the powers of q_j it substitutes to one common
+denominator per pass.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .multipoly import Poly, poly_div_exact, mi_unit
+from .multipoly import Poly, _make, mi_adder, poly_div_exact, pow_by_squaring
 
 
 class ChartError(Exception):
@@ -207,26 +215,35 @@ class ChartSpec:
         """Reduce a polynomial modulo the relations: afterwards every
         generator exponent is below its degree.  Processing generators from
         the last to the first terminates because each rhs only involves
-        earlier variables."""
+        earlier variables.  Works on the integer numerators: the powers of
+        q_j used in one pass are brought to one common denominator."""
         if not self.gens:
             return poly
-        terms = poly.terms
+        nums, den = poly.nums, poly.den
+        plus = mi_adder(len(self.allvars))
         for j in range(self.ngens - 1, -1, -1):
             idx = self.gen_index(j)
             d = self.gens[j].degree
-            if all(m[idx] < d for m in terms):
+            high = [(m, c) for m, c in nums.items() if m[idx] >= d]
+            if not high:
                 continue
-            out = {}
-            for m, c in terms.items():
+            qpows = {e: self._q_power(j, e) for e in {m[idx] // d for m, _ in high}}
+            scale = math.lcm(*(q.den for q in qpows.values()))
+            out = {m: c * scale for m, c in nums.items() if m[idx] < d}
+            get = out.get
+            for m, c in high:
                 e = m[idx]
-                if e < d:
-                    _acc(out, m, c)
-                    continue
+                q = qpows[e // d]
+                f = c * (scale // q.den)
                 base = m[:idx] + (e % d,) + m[idx + 1:]
-                for m2, c2 in self._q_power(j, e // d).terms.items():
-                    _acc(out, tuple(a + b for a, b in zip(base, m2)), c * c2)
-            terms = {m: c for m, c in out.items() if c}
-        return Poly(self.allvars, terms)
+                for m2, c2 in q.nums.items():
+                    mm = plus(base, m2)
+                    out[mm] = get(mm, 0) + f * c2
+            nums = {m: c for m, c in out.items() if c}
+            den *= scale
+        if nums is poly.nums:
+            return poly
+        return _make(self.allvars, nums, den)
 
     def _q_power(self, j, e):
         key = (j, e)
@@ -298,14 +315,6 @@ def validate_chart(chart):
     chart.validate()
 
 
-def _acc(d, key, c):
-    new = d.get(key, Fraction(0)) + c
-    if new:
-        d[key] = new
-    elif key in d:
-        del d[key]
-
-
 class RingElem:
     """num / g^s on a chart; num is stored relation-reduced."""
 
@@ -345,11 +354,9 @@ class RingElem:
         if other is None:
             return NotImplemented
         s = max(self.s, other.s)
-        num = (
-            self.num * self.chart.g_pow(s - self.s)
-            + other.num * self.chart.g_pow(s - other.s)
-        )
-        return RingElem(self.chart, num, s)
+        a = self.num if self.s == s else self.num * self.chart.g_pow(s - self.s)
+        b = other.num if other.s == s else other.num * self.chart.g_pow(s - other.s)
+        return RingElem(self.chart, a + b, s)
 
     __radd__ = __add__
 
@@ -378,10 +385,7 @@ class RingElem:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = self.chart.one()
-        for _ in range(e):
-            out = out * self
-        return out
+        return pow_by_squaring(self.chart.one(), self, e)
 
     def __eq__(self, other):
         other = self._coerce(other)

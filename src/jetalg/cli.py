@@ -78,6 +78,11 @@ def _parse_monomial(src, n):
     return m
 
 
+def _check_index(index, n):
+    if not 0 <= index < n:
+        raise ValueError(f"--index {index} out of range: the overlap has {n} coordinate(s)")
+
+
 def _parse_diffop(src, chart):
     from .envalg import DiffOp
     terms = {}
@@ -274,6 +279,7 @@ def cmd_transition(args):
     m = _parse_monomial(args.monomial, tp.overlap.nparams)
     if mi_degree(m) < 1:
         raise ValueError("the monomial must have positive total degree")
+    _check_index(args.index, tp.overlap.nparams)
     ce = transition_l(tp, m, args.index, args.order)
     lines = [f"image of X^{list(m)} d/dX_{args.index}: {ce}"]
     agree = None
@@ -298,6 +304,8 @@ def cmd_cocycle(args):
         monos = [_parse_monomial(args.monomial, n)]
     else:
         monos = [m for m in mi_range(n, min(3, args.order)) if mi_degree(m) >= 1]
+    if args.index is not None:
+        _check_index(args.index, n)
     indices = [args.index] if args.index is not None else list(range(n))
     lines = []
     ok = True
@@ -313,6 +321,8 @@ def cmd_cocycle(args):
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     chart_labels = list(args.chart) if args.chart else list(DEFAULT_CHARTS)
     charts = [_resolve_chart(label) for label in chart_labels]
     atlas_label = args.atlas if args.atlas else DEFAULT_ATLAS

@@ -28,6 +28,7 @@ from fractions import Fraction
 from .charts import ChartMismatch, RingElem
 from .multipoly import (
     grlex_key, mi_binomial, mi_degree, mi_factorial, mi_range, mi_unit, mi_zero,
+    pow_by_squaring,
 )
 
 
@@ -115,10 +116,7 @@ class Jet:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = jet_scalar(self.chart.one(), self.order)
-        for _ in range(e):
-            out = out * self
-        return out
+        return pow_by_squaring(jet_scalar(self.chart.one(), self.order), self, e)
 
     # -- structure maps
 

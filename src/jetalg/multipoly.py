@@ -1,17 +1,24 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are exponent tuples (multi-indices) keyed into a dict with
-``fractions.Fraction`` coefficients.  The zero coefficient is never stored, so
-two equal polynomials have identical dicts and equality is plain dict
-equality.  The monomial order used everywhere (printing, leading terms,
-division) is graded lexicographic: compare total degree first, then the
-exponent tuple.
+A polynomial is stored as integer numerators over one content denominator:
+``nums`` maps exponent tuples (multi-indices) to nonzero ``int``s and ``den``
+is a positive ``int``, the polynomial being ``sum(nums[m] * x^m) / den``.  The
+form is canonical: ``den > 0``, ``gcd(den, *nums.values()) == 1`` and no zero
+numerator is stored, so two equal polynomials have identical ``nums`` and
+``den`` and equality is plain dict-and-int equality.  The ``tuple -> Fraction``
+view ``terms`` is built lazily for display, serialization and callers that
+want rational coefficients; arithmetic never touches it.  The monomial order
+used everywhere (printing, leading terms, division) is graded lexicographic:
+compare total degree first, then the exponent tuple.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 
 
 # ---------------------------------------------------------------------------
@@ -114,24 +121,61 @@ def _as_fraction(c):
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+def _mi_add_any(a, b):
+    return tuple(map(add, a, b))
+
+
+# Unrolled exponent-tuple addition for the common variable counts: a 20x20
+# term product over two variables runs about twice as fast with it as with
+# the generic form.
+_MI_ADD_UNROLLED = (
+    None,
+    lambda a, b: (a[0] + b[0],),
+    lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+)
+
+
+def mi_adder(n):
+    """A function adding two multi-indices of length n."""
+    return _MI_ADD_UNROLLED[n] if 0 < n < len(_MI_ADD_UNROLLED) else _mi_add_any
+
+
+def pow_by_squaring(one, base, e):
+    """base ** e for an integer e >= 0 by binary exponentiation, starting
+    from the unit ``one``; shared by Poly, RingElem and Jet."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
 class Poly:
-    """Polynomial in the declared variables, dict of multi-index -> Fraction.
+    """Polynomial in the declared variables: ``nums`` (dict of multi-index ->
+    nonzero int) over the positive content denominator ``den``, in the
+    canonical form described in the module docstring.
 
     Instances are treated as immutable; all operations return new objects.
-    Mixing polynomials over different variable lists raises ValueError.
+    Mixing polynomials over different variable lists raises ValueError.  The
+    constructor checks caller input; results of arithmetic are built by the
+    trusted ``_make``.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den", "_terms")
 
     def __init__(self, vars, terms=()):
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable names")
         clean = {}
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         for m, c in items:
             m = tuple(m)
             if len(m) != len(vars):
@@ -146,8 +190,12 @@ class Poly:
                     clean[m] = new
                 elif acc is not None:
                     del clean[m]
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        # The lcm of reduced denominators is coprime to the numerators'
+        # content, so this is already canonical.
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        _set_vars(self, vars)
+        _set_nums(self, {m: c.numerator * (den // c.denominator) for m, c in clean.items()})
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -161,7 +209,12 @@ class Poly:
     @classmethod
     def const(cls, vars, c):
         vars = tuple(vars)
-        return cls(vars, {mi_zero(len(vars)): _as_fraction(c)})
+        if len(set(vars)) != len(vars):
+            raise ValueError("duplicate variable names")
+        c = _as_fraction(c)
+        if not c:
+            return _make(vars, {})
+        return _make(vars, {mi_zero(len(vars)): c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, vars):
@@ -172,36 +225,49 @@ class Poly:
         vars = tuple(vars)
         if name not in vars:
             raise ValueError(f"unknown variable {name!r}")
-        return cls(vars, {mi_unit(len(vars), vars.index(name)): Fraction(1)})
+        if len(set(vars)) != len(vars):
+            raise ValueError("duplicate variable names")
+        return _make(vars, {mi_unit(len(vars), vars.index(name)): 1})
 
     # -- queries
 
+    @property
+    def terms(self):
+        """Read-only view multi-index -> Fraction, built on first use."""
+        try:
+            return self._terms
+        except AttributeError:
+            d = self.den
+            view = MappingProxyType({m: Fraction(c, d) for m, c in self.nums.items()})
+            _set_terms(self, view)
+            return view
+
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def coeff(self, m):
-        return self.terms.get(tuple(m), Fraction(0))
+        return Fraction(self.nums.get(tuple(m), 0), self.den)
 
     def degree(self):
         """Total degree; the zero polynomial has degree -1."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.nums)
 
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
 
     def leading(self):
         """(multi-index, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=grlex_key)
-        return m, self.terms[m]
+        m = max(self.nums, key=grlex_key)
+        return m, Fraction(self.nums[m], self.den)
 
     def support_vars(self):
         """Indices of variables that actually occur."""
         used = set()
-        for m in self.terms:
+        for m in self.nums:
             for i, e in enumerate(m):
                 if e:
                     used.add(i)
@@ -210,81 +276,91 @@ class Poly:
     # -- arithmetic
 
     def _check(self, other):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError(f"variable lists differ: {self.vars} vs {other.vars}")
 
-    def __add__(self, other):
+    def _coerce(self, other):
+        """other as a Poly over the same variables, or None."""
+        if isinstance(other, Poly):
+            self._check(other)
+            return other
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
-        if not isinstance(other, Poly):
+            return Poly.const(self.vars, other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            new = out.get(m, Fraction(0)) + c
-            if new:
-                out[m] = new
-            elif m in out:
-                del out[m]
-        return Poly(self.vars, out)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
+        return _make(self.vars, {m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
-        if not isinstance(other, Poly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Poly(self.vars, {m: c * v for m, v in self.terms.items()})
         if not isinstance(other, Poly):
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
             return NotImplemented
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                new = out.get(m, Fraction(0)) + c1 * c2
-                if new:
-                    out[m] = new
-                elif m in out:
-                    del out[m]
-        return Poly(self.vars, out)
+        a, b = self.nums, other.nums
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return _make(self.vars, {})
+        plus = mi_adder(len(self.vars))
+        if len(b) == 1:
+            # shifting by one monomial keeps distinct exponents distinct
+            ((m2, c2),) = b.items()
+            out = {plus(m1, m2): c1 * c2 for m1, c1 in a.items()}
+        else:
+            out = {}
+            get = out.get
+            for m2, c2 in b.items():
+                for m1, c1 in a.items():
+                    m = plus(m1, m2)
+                    out[m] = get(m, 0) + c1 * c2
+            if 0 in out.values():
+                out = {m: c for m, c in out.items() if c}
+        return _make(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scale(self, c):
+        if not c:
+            return _make(self.vars, {})
+        if isinstance(c, int):
+            n, d = c, 1
+        else:
+            n, d = c.numerator, c.denominator
+        return _make(self.vars, {m: v * n for m, v in self.nums.items()}, self.den * d)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = Poly.one(self.vars)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return pow_by_squaring(Poly.one(self.vars), self, e)
 
     def partial(self, i):
         """Partial derivative with respect to variable index i."""
         if not 0 <= i < len(self.vars):
             raise IndexError(f"variable index {i} out of range")
         out = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                dm = m[:i] + (m[i] - 1,) + m[i + 1:]
-                out[dm] = out.get(dm, Fraction(0)) + c * m[i]
-        return Poly(self.vars, out)
+        for m, c in self.nums.items():
+            e = m[i]
+            if e:
+                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        return _make(self.vars, out, self.den)
 
     def extended(self, newvars):
         """The same polynomial viewed over a longer variable list; the old
@@ -293,7 +369,7 @@ class Poly:
         if newvars[: len(self.vars)] != self.vars:
             raise ValueError("old variable list must be a prefix of the new one")
         pad = (0,) * (len(newvars) - len(self.vars))
-        return Poly(newvars, {m + pad: c for m, c in self.terms.items()})
+        return _make(newvars, {m + pad: c for m, c in self.nums.items()}, self.den)
 
     # -- equality / display
 
@@ -302,10 +378,10 @@ class Poly:
             other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     def _mono_str(self, m):
         parts = []
@@ -317,7 +393,7 @@ class Poly:
         return "*".join(parts)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         pieces = []
         for i, (m, c) in enumerate(self.sorted_terms()):
@@ -339,32 +415,97 @@ class Poly:
         return f"Poly({str(self)!r})"
 
 
+_new_poly = object.__new__
+_set_vars = Poly.vars.__set__
+_set_nums = Poly.nums.__set__
+_set_den = Poly.den.__set__
+_set_terms = Poly._terms.__set__
+
+
+def _make(vars, nums, den=1):
+    """Trusted constructor for results whose invariants hold by construction:
+    every key of nums is an exponent tuple of length len(vars), every value
+    a nonzero int, and den > 0.  Divides out gcd(den, *nums) in one call so
+    the result is canonical.  Package-private: charts.reduce uses it too."""
+    if den != 1:
+        if not nums:
+            den = 1
+        else:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: c // g for m, c in nums.items()}
+    p = _new_poly(Poly)
+    _set_vars(p, vars)
+    _set_nums(p, nums)
+    _set_den(p, den)
+    return p
+
+
+def _combine(p, q, sign):
+    """p + sign * q, sign being 1 or -1, over the common denominator."""
+    a, da = p.nums, p.den
+    b, db = q.nums, q.den
+    if da == db:
+        out = dict(a)
+        fb = sign
+        den = da
+    else:
+        g = math.gcd(da, db)
+        fa = db // g
+        fb = sign * (da // g)
+        den = da * fa
+        out = {m: c * fa for m, c in a.items()}
+    get = out.get
+    for m, c in b.items():
+        v = get(m, 0) + c * fb
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return _make(p.vars, out, den)
+
+
 def poly_div_exact(num, den):
     """Exact division num / den by greedy leading-term elimination.
 
     Returns the quotient Poly, or None when den does not divide num in the
     free polynomial ring.  Correct for exact divisors because graded-lex
-    leading terms are multiplicative.
+    leading terms are multiplicative.  The elimination runs on the integer
+    numerators: the remainder is ints over a running scale, which grows only
+    when the leading numerator of den does not divide the remainder's.
     """
     num._check(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    quot = {}
-    rem = dict(num.terms)
-    dm, dc = den.leading()
+    dnums = den.nums
+    dm = max(dnums, key=grlex_key)
+    dc = dnums[dm]
+    plus = mi_adder(len(num.vars))
+    rem = dict(num.nums)
+    scale = 1
+    steps = []  # (quotient exponent, numerator, scale it is over)
     while rem:
         m = max(rem, key=grlex_key)
-        c = rem[m]
         if not all(a >= b for a, b in zip(m, dm)):
             return None
         qm = tuple(a - b for a, b in zip(m, dm))
-        qc = c / dc
-        quot[qm] = quot.get(qm, Fraction(0)) + qc
-        for m2, c2 in den.terms.items():
-            mm = tuple(a + b for a, b in zip(qm, m2))
-            new = rem.get(mm, Fraction(0)) - qc * c2
-            if new:
-                rem[mm] = new
-            elif mm in rem:
+        c = rem[m]
+        g = math.gcd(c, dc)
+        k, mult = c // g, dc // g
+        if mult < 0:
+            k, mult = -k, -mult
+        if mult != 1:
+            rem = {mm: cc * mult for mm, cc in rem.items()}
+            scale *= mult
+        steps.append((qm, k, scale))
+        get = rem.get
+        for m2, c2 in dnums.items():
+            mm = plus(qm, m2)
+            v = get(mm, 0) - k * c2
+            if v:
+                rem[mm] = v
+            else:
                 del rem[mm]
-    return Poly(num.vars, quot)
+    quot = {qm: k * (scale // s) * den.den for qm, k, s in steps}
+    return _make(num.vars, quot, scale * num.den)

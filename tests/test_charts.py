@@ -1,14 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetalg.charts import (
     ChartMismatch, MissingInvertibleGenerator, NonMonicRelation,
     NotInvertible, ZeroDenominator, validate_chart,
 )
 from jetalg.fileio import loads_chart
+from jetalg.multipoly import Poly
 
 from conftest import make_sampler
+from polyref import ref_reduce
 
 
 def chart_from(data):
@@ -156,3 +160,52 @@ def test_scalar_coefficients(loc_x):
     x = loc_x.param(0)
     half = x * Fraction(1, 2)
     assert half + half == x
+
+
+# -- reduce against the Fraction-dict reference
+
+RATIONAL_TOWER = {
+    "name": "tower", "params": ["x"],
+    "gens": [{"name": "y", "degree": 2, "rhs": "x^3/2 - x/3 + 1"},
+             {"name": "z", "degree": 3, "rhs": "x*y/3 + 2/5"}],
+    "denominator": "y*z",
+}
+
+
+def _relations(chart):
+    return [(chart.gen_index(j), gs.degree, dict(gs.rhs.terms))
+            for j, gs in reversed(list(enumerate(chart.gens)))]
+
+
+def _raw_dicts(nvars, max_gen_exp):
+    coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+    mono = st.tuples(st.integers(0, 3), *[st.integers(0, max_gen_exp)] * (nvars - 1))
+    return st.dictionaries(mono, coeffs, max_size=5).map(
+        lambda d: {m: c for m, c in d.items() if c})
+
+
+@settings(deadline=None, max_examples=60)
+@given(_raw_dicts(2, 7))
+def test_reduce_matches_reference_on_elliptic(elliptic, a):
+    got = elliptic.reduce(Poly(elliptic.allvars, a))
+    assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+    assert dict(got.terms) == ref_reduce(a, _relations(elliptic))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_raw_dicts(3, 5))
+def test_reduce_matches_reference_with_rational_relations(a):
+    tower = chart_from(RATIONAL_TOWER)
+    got = tower.reduce(Poly(tower.allvars, a))
+    assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+    assert dict(got.terms) == ref_reduce(a, _relations(tower))
+
+
+def test_power_is_repeated_product(elliptic):
+    e = (elliptic.gen(0) * Fraction(1, 2) + elliptic.param(0)) * elliptic.inv_denominator()
+    expected = elliptic.one()
+    for n in range(7):
+        got = e ** n
+        assert got == expected
+        assert (got.num, got.s) == (expected.num, expected.s)
+        expected = expected * e

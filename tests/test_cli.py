@@ -1,16 +1,24 @@
 """Command-line interface: every subcommand, exit codes, and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from jetalg.cli import main
+
+P1_ATLAS_FILE = str(Path(__file__).resolve().parent.parent / "charts" / "p1_atlas.json")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
 
 
 def run_json(capsys, *argv):
@@ -156,6 +164,22 @@ def test_transition_missing_pair_exits_2(capsys):
     assert code == 2
 
 
+def test_transition_index_out_of_range_exits_2(capsys):
+    code, err = run_err(capsys, "transition", "--atlas", P1_ATLAS_FILE,
+                        "--pair", "std:inf", "--monomial", "1",
+                        "--index", "5", "--order", "2")
+    assert code == 2
+    assert err.startswith("error: --index 5 out of range")
+
+
+def test_cocycle_index_out_of_range_exits_2(capsys):
+    code, err = run_err(capsys, "cocycle", "--atlas", P1_ATLAS_FILE,
+                        "--triple", "std,inf,shift", "--index", "3",
+                        "--order", "2")
+    assert code == 2
+    assert err.startswith("error: --index 3 out of range")
+
+
 def test_cocycle_command(capsys):
     code, out = run(capsys, "cocycle", "--atlas", "p1",
                     "--triple", "std,inf,shift", "--order", "3")
@@ -180,6 +204,13 @@ def test_verify_unknown_suite_exits_2(capsys):
         main(["verify", "--suite", "nonsense"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_verify_nonpositive_samples_exits_2(capsys):
+    code, err = run_err(capsys, "verify", "--suite", "taylor", "--chart",
+                        "loc_x", "--samples", "-1")
+    assert code == 2
+    assert err.startswith("error: --samples must be >= 1")
 
 
 def test_verify_deterministic(capsys, tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from jetalg.jets import (
@@ -160,3 +162,11 @@ def test_order_superadditivity_sampled(loc_x):
 def test_truncation_consistency(loc_x):
     f = loc_x.inv_denominator()
     assert jet_of(f, 3).truncated(2) == jet_of(f, 2)
+
+
+def test_jet_power_is_repeated_product(elliptic):
+    j = jet_of(elliptic.gen(0) + elliptic.param(0) * Fraction(1, 3), 3)
+    expected = jet_scalar(elliptic.one(), 3)
+    for n in range(7):
+        assert j ** n == expected
+        expected = expected * j

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,12 @@ from hypothesis import given, settings, strategies as st
 from jetalg.multipoly import (
     Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree, mi_factorial,
     mi_le, mi_range, mi_sub, poly_div_exact,
+)
+from jetalg.fileio import _poly_data, _poly_from
+
+from polyref import (
+    ref_add, ref_div_exact, ref_mul, ref_neg, ref_partial, ref_pow, ref_scale,
+    ref_str,
 )
 
 VARS = ("x", "y")
@@ -138,3 +146,97 @@ def test_polys_are_immutable_and_hashable():
     q = P(x=1)
     assert hash(p) == hash(q)
     assert len({p, q}) == 1
+
+
+# -- differential tests: integer-numerator kernel vs a Fraction-dict reference
+
+ref_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+ref_dicts = st.dictionaries(monomials, ref_fractions, max_size=6).map(
+    lambda d: {m: c for m, c in d.items() if c})
+
+
+def canonical(p):
+    """Assert the canonical-form invariant and return the Fraction view."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(c, int) and c for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    return dict(p.terms)
+
+
+@settings(deadline=None, max_examples=80)
+@given(ref_dicts, ref_dicts)
+def test_kernel_matches_reference_add_sub_neg_mul(a, b):
+    p, q = Poly(VARS, a), Poly(VARS, b)
+    assert canonical(p) == a
+    assert canonical(p + q) == ref_add(a, b)
+    assert canonical(p - q) == ref_add(a, b, -1)
+    assert canonical(-p) == ref_neg(a)
+    assert canonical(p * q) == ref_mul(a, b)
+
+
+@settings(deadline=None, max_examples=80)
+@given(ref_dicts, st.one_of(ref_fractions, st.integers(-5, 5)))
+def test_kernel_matches_reference_scalar_mul(a, c):
+    p = Poly(VARS, a)
+    assert canonical(p * c) == ref_scale(a, c)
+    assert canonical(c * p) == ref_scale(a, c)
+
+
+@settings(deadline=None, max_examples=60)
+@given(ref_dicts, st.integers(0, 4))
+def test_kernel_matches_reference_partial_pow(a, e):
+    p = Poly(VARS, a)
+    for i in range(len(VARS)):
+        assert canonical(p.partial(i)) == ref_partial(a, i)
+    assert canonical(p ** e) == ref_pow(a, e, len(VARS))
+
+
+@settings(deadline=None, max_examples=80)
+@given(ref_dicts, ref_dicts, ref_dicts)
+def test_kernel_matches_reference_div_exact(a, b, r):
+    if not b:
+        return
+    p, q = Poly(VARS, a), Poly(VARS, b)
+    got = poly_div_exact(p * q, q)
+    assert canonical(got) == ref_div_exact(ref_mul(a, b), b) == a
+    # a dividend with a remainder: both must agree that it does not divide,
+    # or on the quotient when it happens to divide after all
+    dividend = ref_add(ref_mul(a, b), r)
+    got = poly_div_exact(Poly(VARS, dividend), q)
+    want = ref_div_exact(dividend, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert canonical(got) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(ref_dicts)
+def test_str_and_fileio_roundtrip_match_reference(a):
+    p = Poly(VARS, a)
+    assert str(p) == ref_str(a, VARS)
+    data = _poly_data(p)
+    assert data == [[list(m), str(c)]
+                    for m, c in sorted(a.items(), key=lambda t: grlex_key(t[0]))]
+    back = _poly_from(json.loads(json.dumps(data)), VARS)
+    assert back == p and str(back) == str(p)
+    assert hash(back) == hash(p)
+
+
+def test_public_constructor_checks_and_terms_view():
+    with pytest.raises(ValueError):
+        Poly(("x", "x"), {})
+    with pytest.raises(ValueError):
+        Poly(VARS, {(1,): 1})
+    with pytest.raises(ValueError):
+        Poly(VARS, {(1, -1): 1})
+    with pytest.raises(TypeError):
+        Poly(VARS, {(1, 0): 0.5})
+    p = Poly(VARS, [((1, 0), Fraction(1, 6)), ((0, 1), Fraction(1, 4)),
+                    ((1, 0), Fraction(-1, 6))])
+    assert p.nums == {(0, 1): 1} and p.den == 4
+    assert p.terms == {(0, 1): Fraction(1, 4)}
+    with pytest.raises(TypeError):
+        p.terms[(0, 1)] = Fraction(1)
+    with pytest.raises(AttributeError):
+        p.den = 1
+    assert Poly(VARS, p.terms) == p
