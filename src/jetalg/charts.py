@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
-from .multipoly import Poly, _make, mi_adder, poly_div_exact, pow_by_squaring
+from .multipoly import Poly, _make, poly_div_exact, pow_by_squaring
 
 
 class ChartError(Exception):
@@ -220,7 +221,6 @@ class ChartSpec:
         if not self.gens:
             return poly
         nums, den = poly.nums, poly.den
-        plus = mi_adder(len(self.allvars))
         for j in range(self.ngens - 1, -1, -1):
             idx = self.gen_index(j)
             d = self.gens[j].degree
@@ -237,7 +237,7 @@ class ChartSpec:
                 f = c * (scale // q.den)
                 base = m[:idx] + (e % d,) + m[idx + 1:]
                 for m2, c2 in q.nums.items():
-                    mm = plus(base, m2)
+                    mm = tuple(map(add, base, m2))
                     out[mm] = get(mm, 0) + f * c2
             nums = {m: c for m, c in out.items() if c}
             den *= scale

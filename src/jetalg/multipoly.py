@@ -121,24 +121,12 @@ def _as_fraction(c):
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
-def _mi_add_any(a, b):
-    return tuple(map(add, a, b))
-
-
-# Unrolled exponent-tuple addition for the common variable counts: a 20x20
-# term product over two variables runs about twice as fast with it as with
-# the generic form.
-_MI_ADD_UNROLLED = (
-    None,
-    lambda a, b: (a[0] + b[0],),
-    lambda a, b: (a[0] + b[0], a[1] + b[1]),
-    lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-)
-
-
-def mi_adder(n):
-    """A function adding two multi-indices of length n."""
-    return _MI_ADD_UNROLLED[n] if 0 < n < len(_MI_ADD_UNROLLED) else _mi_add_any
+def _check_vars(vars):
+    """vars as a tuple, rejecting repeated names."""
+    vars = tuple(vars)
+    if len(set(vars)) != len(vars):
+        raise ValueError("duplicate variable names")
+    return vars
 
 
 def pow_by_squaring(one, base, e):
@@ -171,9 +159,7 @@ class Poly:
     __slots__ = ("vars", "nums", "den", "_terms")
 
     def __init__(self, vars, terms=()):
-        vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise ValueError("duplicate variable names")
+        vars = _check_vars(vars)
         clean = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for m, c in items:
@@ -208,9 +194,7 @@ class Poly:
 
     @classmethod
     def const(cls, vars, c):
-        vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise ValueError("duplicate variable names")
+        vars = _check_vars(vars)
         c = _as_fraction(c)
         if not c:
             return _make(vars, {})
@@ -222,11 +206,9 @@ class Poly:
 
     @classmethod
     def variable(cls, vars, name):
-        vars = tuple(vars)
+        vars = _check_vars(vars)
         if name not in vars:
             raise ValueError(f"unknown variable {name!r}")
-        if len(set(vars)) != len(vars):
-            raise ValueError("duplicate variable names")
         return _make(vars, {mi_unit(len(vars), vars.index(name)): 1})
 
     # -- queries
@@ -319,20 +301,14 @@ class Poly:
             a, b = b, a
         if not b:
             return _make(self.vars, {})
-        plus = mi_adder(len(self.vars))
-        if len(b) == 1:
-            # shifting by one monomial keeps distinct exponents distinct
-            ((m2, c2),) = b.items()
-            out = {plus(m1, m2): c1 * c2 for m1, c1 in a.items()}
-        else:
-            out = {}
-            get = out.get
-            for m2, c2 in b.items():
-                for m1, c1 in a.items():
-                    m = plus(m1, m2)
-                    out[m] = get(m, 0) + c1 * c2
-            if 0 in out.values():
-                out = {m: c for m, c in out.items() if c}
+        out = {}
+        get = out.get
+        for m2, c2 in b.items():
+            for m1, c1 in a.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
         return _make(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -481,7 +457,6 @@ def poly_div_exact(num, den):
     dnums = den.nums
     dm = max(dnums, key=grlex_key)
     dc = dnums[dm]
-    plus = mi_adder(len(num.vars))
     rem = dict(num.nums)
     scale = 1
     steps = []  # (quotient exponent, numerator, scale it is over)
@@ -501,7 +476,7 @@ def poly_div_exact(num, den):
         steps.append((qm, k, scale))
         get = rem.get
         for m2, c2 in dnums.items():
-            mm = plus(qm, m2)
+            mm = tuple(map(add, qm, m2))
             v = get(mm, 0) - k * c2
             if v:
                 rem[mm] = v
