@@ -45,12 +45,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charts import ChartMismatch, NotInvertible
-from .jets import Jet, jet_scalar
+from .jets import Jet, jet_along, jet_scalar
 from .jetfields import JetField, decompose
 from .liealg import CurrentElem
 from .multipoly import (
-    grlex_key, mi_below, mi_binomial, mi_degree, mi_range, mi_sub, mi_unit,
-    mi_zero,
+    mi_below, mi_binomial, mi_check, mi_degree, mi_range, mi_split, mi_sub,
+    mi_unit,
 )
 from .vfields import VectorField
 
@@ -113,18 +113,9 @@ def mat_inv(rows):
 def frame_jet(frame, f, r):
     """Order-r jet of f along a commuting frame of vector fields:
     coefficient at t^m is (1/m!) D^m f."""
-    chart = f.chart
-    n = chart.nparams
-    if len(frame) != n:
+    if len(frame) != f.chart.nparams:
         raise ValueError("frame size must match the parameter count")
-    table = {mi_zero(n): f}
-    for m in mi_range(n, r):
-        if m in table:
-            continue
-        i = next(idx for idx, e in enumerate(m) if e)
-        prev = m[:i] + (m[i] - 1,) + m[i + 1:]
-        table[m] = frame[i].apply(table[prev]) * Fraction(1, m[i])
-    return Jet(chart, r, table)
+    return jet_along(f, r, lambda c, i: frame[i].apply(c))
 
 
 def compose_formula(f, args):
@@ -162,12 +153,9 @@ def compose_formula(f, args):
 def _subst(jet, series_products):
     """Evaluate a jet's polynomial on precomputed monomial products of
     positive-valuation series: sum_m coeff_m * series_products[m]."""
-    out = None
-    for m, c in jet.coeffs.items():
-        term = series_products[m].scale(c)
-        out = term if out is None else out + term
-    if out is None:
-        out = Jet.zero(jet.chart, jet.order)
+    out = Jet.zero(jet.chart, jet.order)
+    for m, c in jet.terms.items():
+        out = out + series_products[m].scale(c)
     return out
 
 
@@ -266,8 +254,7 @@ class TransitionPair:
             if mi_degree(m) == 0:
                 products[m] = jet_scalar(self.overlap.one(), r)
                 continue
-            i = next(idx for idx, e in enumerate(m) if e)
-            prev = m[:i] + (m[i] - 1,) + m[i + 1:]
+            i, prev = mi_split(m)
             products[m] = products[prev] * dG[i]
         hcomp = [
             [
@@ -352,9 +339,7 @@ def transition_l(tp, m, p, r):
     """Transport X^m d/dX_p (from-side current basis) across tp: a current
     element over the overlap chart in the Y increments, truncated at r."""
     n = tp.overlap.nparams
-    m = tuple(m)
-    if len(m) != n:
-        raise ValueError("monomial length does not match chart dimension")
+    m = mi_check(m, n)
     if not 1 <= mi_degree(m) <= r:
         raise ValueError(f"monomial degree must lie in 1..{r}")
     if not 0 <= p < n:
@@ -366,11 +351,11 @@ def transition_l(tp, m, p, r):
     comps = [Jet.zero(tp.overlap, r) for _ in range(n)]
     gy_pows = {}
     for k in mi_below(m):
-        gy_pows[k] = (
-            jet_scalar(tp.overlap.one(), r)
-            if mi_degree(k) == 0
-            else gy_pows[_mi_prev(k)] * Gy[_mi_first(k)]
-        )
+        if mi_degree(k) == 0:
+            gy_pows[k] = jet_scalar(tp.overlap.one(), r)
+        else:
+            i, prev = mi_split(k)
+            gy_pows[k] = gy_pows[prev] * Gy[i]
         sign = (-1) ** (mi_degree(m) - mi_degree(k)) * mi_binomial(m, k)
         outer = tp.overlap.one()
         for i, e in enumerate(mi_sub(m, k)):
@@ -393,15 +378,6 @@ def transition_l(tp, m, p, r):
     out = CurrentElem(tp.overlap, r, terms)
     tp._tl[(m, p, r)] = out
     return out
-
-
-def _mi_first(m):
-    return next(idx for idx, e in enumerate(m) if e)
-
-
-def _mi_prev(m):
-    i = _mi_first(m)
-    return m[:i] + (m[i] - 1,) + m[i + 1:]
 
 
 def transition_via_iso(tp, m, p, r):
@@ -469,7 +445,7 @@ def jacobian_quotient_check(tp, a, p, r):
     a = tuple(a)
     if mi_degree(a) != 1:
         raise ValueError("jacobian_quotient_check needs |a| = 1")
-    i = _mi_first(a)
+    i, _ = mi_split(a)
     ce = transition_l(tp, a, p, r)
     for b in range(n):
         for q in range(n):

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .multipoly import Poly, _make, poly_div_exact, pow_by_squaring
+from .multipoly import Poly, _make, mi_check, poly_div_exact, pow_by_squaring
 
 
 class ChartError(Exception):
@@ -418,8 +418,7 @@ class RingElem:
 
     def derive_multi(self, m):
         """Iterated derivative d^m (orders commute, so any order works)."""
-        if len(m) != self.chart.nparams:
-            raise ValueError("multi-index length does not match parameter count")
+        mi_check(m, self.chart.nparams)
         out = self
         for i, e in enumerate(m):
             for _ in range(e):
@@ -431,14 +430,17 @@ class RingElem:
 
         Searches k with num | g^k by exact division, trying both the raw and
         the relation-reduced powers; either hit is sound because division is
-        performed in the free polynomial ring.  Raises NotInvertible when the
-        search is exhausted."""
-        self.chart._require_valid()
+        performed in the free polynomial ring.  Without generators the two
+        powers are the same polynomial, so the raw one alone is tried.
+        Raises NotInvertible when the search is exhausted."""
+        chart = self.chart
+        chart._require_valid()
         if self.is_zero():
             raise NotInvertible("0 has no inverse")
         bound = self.s + self.num.degree() + 4
         for k in range(bound + 1):
-            for dividend in (self.chart.g_pow_raw(k), self.chart.g_pow(k)):
+            raw = chart.g_pow_raw(k)
+            for dividend in (raw, chart.g_pow(k)) if chart.gens else (raw,):
                 q = poly_div_exact(dividend, self.num)
                 if q is not None:
                     if k >= self.s:

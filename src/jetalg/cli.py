@@ -85,7 +85,7 @@ def _check_index(index, n):
 
 def _parse_diffop(src, chart):
     from .envalg import DiffOp
-    terms = {}
+    terms = []
     for piece in src.split(";"):
         piece = piece.strip()
         if not piece:
@@ -95,10 +95,8 @@ def _parse_diffop(src, chart):
             m = _parse_monomial(mi_src.strip(), chart.nparams)
         else:
             expr_src, m = piece, (0,) * chart.nparams
-        c = parse_expression(expr_src.strip(), chart)
-        if not c.is_zero():
-            terms[m] = terms.get(m, chart.zero()) + c
-    return DiffOp(chart, {m: c for m, c in terms.items() if not c.is_zero()})
+        terms.append((m, parse_expression(expr_src.strip(), chart)))
+    return DiffOp(chart, terms)
 
 
 def _parse_av_word(src, chart):
@@ -205,7 +203,7 @@ def cmd_psi(args):
         v = _parse_vf(args.vf, chart)
     else:
         v = VectorField.zero(chart)
-    terms = {}
+    terms = []
     for spec in args.term or []:
         pieces = spec.split(":", 2)
         if len(pieces) != 3:
@@ -215,9 +213,7 @@ def cmd_psi(args):
         i = int(pieces[1])
         if not (1 <= mi_degree(m) <= k) or not (0 <= i < chart.nparams):
             raise ValueError(f"term {spec!r} out of range for order {k}")
-        c = parse_expression(pieces[2], chart)
-        if not c.is_zero():
-            terms[(m, i)] = terms.get((m, i), chart.zero()) + c
+        terms.append(((m, i), parse_expression(pieces[2], chart)))
     p = SemiDirectElem(v, CurrentElem(chart, k, terms))
     u = psi(p, k)
     _emit(args, str(u), value_to_data(u))

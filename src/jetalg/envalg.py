@@ -3,7 +3,8 @@ enveloping algebra of vector fields through D (x) U(L^(r)).
 
 DiffOp is the algebra generated by A and the coordinate derivatives in normal
 form sum_k a_k d^k (coefficients on the left); composition uses the Leibniz
-rule d^k b = sum_{j<=k} binom(k,j) (d^j b) d^{k-j}.
+rule d^k b = sum_{j<=k} binom(k,j) (d^j b) d^{k-j}, one loop (_leibniz) shared
+with TensorElem.  Both are sparse.SparseElem modules over the chart ring.
 
 PBW words are tuples of L^(r) basis elements (m, i); a word is normal when
 non-decreasing in the basis order.  pbw_normalize straightens a word into the
@@ -28,98 +29,71 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import ChartMismatch, RingElem
-from .liealg import basis_bracket, basis_key
+from .liealg import _basis_str, basis_bracket, basis_check, basis_key
 from .multipoly import (
-    grlex_key, mi_below, mi_binomial, mi_degree, mi_factorial, mi_range,
-    mi_sub, mi_unit, mi_zero,
+    grlex_key, mi_below, mi_binomial, mi_check, mi_degree, mi_factorial,
+    mi_range, mi_unit, mi_zero,
 )
+from .sparse import SparseElem, accumulate
 
 
-class DiffOp:
+def _leibniz(a, k, b, l):
+    """(a d^k)(b d^l) in normal form, as (m, coefficient) pairs:
+    a sum_{j<=k} binom(k,j) (d^j b) d^{k-j+l}.  Distinct j give distinct m."""
+    out = []
+    for j in mi_below(k):
+        db = b.derive_multi(j)
+        if not db.is_zero():
+            m = tuple(p - q + s for p, q, s in zip(k, j, l))
+            out.append((m, a * db * mi_binomial(k, j)))
+    return out
+
+
+def _dterm_str(m, c):
+    return f"({c})" if mi_degree(m) == 0 else f"({c})*D{list(m)}"
+
+
+class DiffOp(SparseElem):
     """Normal-form differential operator: dict multi-index -> RingElem."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ()
 
     def __init__(self, chart, terms=()):
-        n = chart.nparams
-        clean = {}
-        for m, c in (terms.items() if isinstance(terms, dict) else terms):
-            m = tuple(m)
-            if len(m) != n:
-                raise ValueError("multi-index length does not match parameter count")
-            if not isinstance(c, RingElem):
-                raise TypeError("coefficients must be RingElem")
-            if not c.is_zero():
-                clean[m] = clean[m] + c if m in clean else c
-        self.chart = chart
-        self.terms = {m: c for m, c in clean.items() if not c.is_zero()}
+        super().__init__(chart, None, terms)
 
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart, {})
+    @staticmethod
+    def _key(chart, _grade, m):
+        return mi_check(m, chart.nparams)
 
     @classmethod
     def identity(cls, chart):
-        return cls(chart, {mi_zero(chart.nparams): chart.one()})
+        return cls.from_function(chart.one())
 
     @classmethod
     def from_function(cls, f):
-        return cls(f.chart, {mi_zero(f.chart.nparams): f})
+        return cls._new(f.chart, None, {mi_zero(f.chart.nparams): f})
 
     @classmethod
     def from_vf(cls, v):
         n = v.chart.nparams
-        return cls(v.chart, {mi_unit(n, i): c for i, c in enumerate(v.coeffs)})
-
-    def _check(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch("operators live on different charts")
+        return cls._new(
+            v.chart, None, {mi_unit(n, i): c for i, c in enumerate(v.coeffs)}
+        )
 
     def coeff(self, m):
-        got = self.terms.get(tuple(m))
-        return got if got is not None else self.chart.zero()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return DiffOp(self.chart, out)
-
-    def __neg__(self):
-        return DiffOp(self.chart, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, a):
-        return DiffOp(self.chart, {m: a * c for m, c in self.terms.items()})
+        return self.get(tuple(m))
 
     def __mul__(self, other):
-        """Composition, renormalized with the Leibniz rule:
-        (a d^k)(b d^l) = a sum_{j<=k} binom(k,j) (d^j b) d^{k-j+l}."""
+        """Composition, renormalized with the Leibniz rule (_leibniz)."""
         if not isinstance(other, DiffOp):
             return NotImplemented
         self._check(other)
         out = {}
         for k, a in self.terms.items():
             for l, b in other.terms.items():
-                for j in mi_below(k):
-                    db = b.derive_multi(j)
-                    if db.is_zero():
-                        continue
-                    m = tuple(p - q + s for p, q, s in zip(k, j, l))
-                    c = a * db * mi_binomial(k, j)
-                    out[m] = out[m] + c if m in out else c
-        return DiffOp(self.chart, out)
+                for m, c in _leibniz(a, k, b, l):
+                    accumulate(out, m, c)
+        return DiffOp._new(self.chart, None, out)
 
     def apply(self, f):
         """Action on a ring element."""
@@ -128,27 +102,13 @@ class DiffOp:
             out = out + c * f.derive_multi(m)
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        self._check(other)
-        for m in self.terms.keys() | other.terms.keys():
-            if self.coeff(m) != other.coeff(m):
-                return False
-        return True
-
-    __hash__ = None
-
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for m, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0])):
-            if mi_degree(m) == 0:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*D{list(m)}")
-        return " + ".join(parts)
+        return " + ".join(
+            _dterm_str(m, c)
+            for m, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+        )
 
     def __repr__(self):
         return f"DiffOp({str(self)!r})"
@@ -181,6 +141,22 @@ def pbw_normalize(word, nvars, r):
     return {w: c for w, c in out.items() if c}
 
 
+def u_mul(t1, t2, nvars, r):
+    """Product in U(L^(r)) of two PBW-basis expansions, each a dict
+    normal word -> Fraction: the straightened concatenation of every pair of
+    words, bilinearly, with zero coefficients dropped."""
+    out = {}
+    for w1, c1 in t1.items():
+        for w2, c2 in t2.items():
+            for w, c in pbw_normalize(w1 + w2, nvars, r).items():
+                new = out.get(w, Fraction(0)) + c1 * c2 * c
+                if new:
+                    out[w] = new
+                elif w in out:
+                    del out[w]
+    return out
+
+
 def _first_descent(w):
     for idx in range(len(w) - 1):
         if basis_key(w[idx]) > basis_key(w[idx + 1]):
@@ -191,74 +167,29 @@ def _first_descent(w):
 # ---------------------------------------------------------------------------
 # D (x) U(L^(r))
 
-class TensorElem:
+class TensorElem(SparseElem):
     """Element of D (x) U(L^(r)): dict (derivative multi-index, PBW word) ->
     RingElem coefficient."""
 
-    __slots__ = ("chart", "r", "terms")
+    __slots__ = ()
 
-    def __init__(self, chart, r, terms=()):
-        n = chart.nparams
-        clean = {}
-        for (dm, w), c in (terms.items() if isinstance(terms, dict) else terms):
-            dm = tuple(dm)
-            w = tuple((tuple(m), i) for m, i in w)
-            if len(dm) != n:
-                raise ValueError("multi-index length does not match parameter count")
-            if list(w) != sorted(w, key=basis_key):
-                raise ValueError("PBW word is not in normal order")
-            for m, i in w:
-                if not 1 <= mi_degree(m) <= r:
-                    raise ValueError(f"basis monomial {m} outside degrees 1..{r}")
-            if not isinstance(c, RingElem):
-                raise TypeError("coefficients must be RingElem")
-            if not c.is_zero():
-                key = (dm, w)
-                clean[key] = clean[key] + c if key in clean else c
-        self.chart = chart
-        self.r = r
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+    r = SparseElem.grade  # the base slot under its truncation name
+
+    @staticmethod
+    def _key(chart, r, key):
+        dm, w = key
+        dm = mi_check(dm, chart.nparams)
+        w = tuple(basis_check(chart.nparams, r, b) for b in w)
+        if list(w) != sorted(w, key=basis_key):
+            raise ValueError("PBW word is not in normal order")
+        return (dm, w)
 
     @classmethod
     def unit(cls, chart, r):
-        return cls(chart, r, {(mi_zero(chart.nparams), ()): chart.one()})
-
-    @classmethod
-    def zero(cls, chart, r):
-        return cls(chart, r, {})
-
-    def _check(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch("elements live on different charts")
-        if self.r != other.r:
-            raise ValueError("truncation orders differ")
+        return fun_factor(chart.one(), r)
 
     def coeff(self, dm, w):
-        got = self.terms.get((tuple(dm), tuple(w)))
-        return got if got is not None else self.chart.zero()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return TensorElem(self.chart, self.r, out)
-
-    def __neg__(self):
-        return TensorElem(self.chart, self.r, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, a):
-        return TensorElem(self.chart, self.r, {k: a * c for k, c in self.terms.items()})
+        return self.get((tuple(dm), tuple(w)))
 
     def __mul__(self, other):
         """Componentwise product: DiffOp composition on the left factor,
@@ -270,47 +201,25 @@ class TensorElem:
         out = {}
         for (k, w1), a in self.terms.items():
             for (l, w2), b in other.terms.items():
-                dterms = {}
-                for j in mi_below(k):
-                    db = b.derive_multi(j)
-                    if db.is_zero():
-                        continue
-                    m = tuple(p - q + s for p, q, s in zip(k, j, l))
-                    c = a * db * mi_binomial(k, j)
-                    dterms[m] = dterms[m] + c if m in dterms else c
+                dterms = _leibniz(a, k, b, l)
                 if not dterms:
                     continue
                 for word, wc in pbw_normalize(w1 + w2, n, self.r).items():
-                    for m, c in dterms.items():
-                        key = (m, word)
-                        add = c * wc
-                        out[key] = out[key] + add if key in out else add
-        return TensorElem(self.chart, self.r, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        self._check(other)
-        for k in self.terms.keys() | other.terms.keys():
-            if self.coeff(*k) != other.coeff(*k):
-                return False
-        return True
-
-    __hash__ = None
+                    for m, c in dterms:
+                        accumulate(out, (m, word), c * wc)
+        return TensorElem._new(self.chart, self.r, out)
 
     def __str__(self):
-        from .liealg import _basis_str
         if not self.terms:
             return "0"
         parts = []
         for (dm, w), c in sorted(
             self.terms.items(), key=lambda t: (grlex_key(t[0][0]), t[0][1])
         ):
-            dpart = f"({c})" if mi_degree(dm) == 0 else f"({c})*D{list(dm)}"
             wpart = "1" if not w else "*".join(
                 _basis_str(m, i, self.chart.nparams) for m, i in w
             )
-            parts.append(f"{dpart} (x) {wpart}")
+            parts.append(f"{_dterm_str(dm, c)} (x) {wpart}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -319,7 +228,7 @@ class TensorElem:
 
 def fun_factor(f, r):
     """Image of the function f: f (x) 1."""
-    return TensorElem(f.chart, r, {(mi_zero(f.chart.nparams), ()): f})
+    return TensorElem._new(f.chart, r, {(mi_zero(f.chart.nparams), ()): f})
 
 
 def vf_factor(v, r):
@@ -331,17 +240,12 @@ def vf_factor(v, r):
     for i, f in enumerate(v.coeffs):
         if f.is_zero():
             continue
-        terms[(mi_unit(n, i), ())] = (
-            terms.get((mi_unit(n, i), ()), chart.zero()) + f
-        )
-        for m in mi_range(n, r):
-            if mi_degree(m) < 1:
-                continue
-            c = f.derive_multi(m) * Fraction(1, mi_factorial(m))
-            if not c.is_zero():
-                key = (mi_zero(n), ((m, i),))
-                terms[key] = terms[key] + c if key in terms else c
-    return TensorElem(chart, r, terms)
+        terms[(mi_unit(n, i), ())] = f
+        for m in mi_range(n, r)[1:]:
+            terms[(mi_zero(n), ((m, i),))] = (
+                f.derive_multi(m) * Fraction(1, mi_factorial(m))
+            )
+    return TensorElem._new(chart, r, terms)
 
 
 def av_to_tensor(factors, r):

@@ -32,11 +32,11 @@ closed form by localization_remainder.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .charts import ChartMismatch
 from .jets import Jet, delta, jet_of, jet_scalar
-from .multipoly import mi_below, mi_binomial, mi_degree, mi_sub, mi_unit, mi_zero
+from .multipoly import mi_below, mi_binomial, mi_degree, mi_lower, mi_sub, mi_zero
+from .sparse import accumulate
 from .vfields import VectorField
 
 
@@ -146,26 +146,24 @@ def _half_action(u, w):
         acc = {}
         for i in range(n):
             ui = u.comps[i]
-            u0 = ui.coeffs.get(mi_zero(n))
+            u0 = ui.terms.get(mi_zero(n))
             if u0 is not None:
-                for m, c in wj.coeffs.items():
+                for m, c in wj.terms.items():
                     d = u0 * c.derive(i)
                     if not d.is_zero():
-                        acc[m] = acc[m] + d if m in acc else d
-            for a, ca in ui.coeffs.items():
+                        accumulate(acc, m, d)
+            for a, ca in ui.terms.items():
                 if mi_degree(a) == 0:
                     continue
                 # (t^a coefficient of u_i) * d/dt_i hitting w_j
-                for b, cb in wj.coeffs.items():
+                for b, cb in wj.terms.items():
                     if not b[i]:
                         continue
-                    m = tuple(x + y for x, y in zip(a, b))
-                    m = m[:i] + (m[i] - 1,) + m[i + 1:]
+                    m = mi_lower(tuple(x + y for x, y in zip(a, b)), i)
                     if mi_degree(m) > k:
                         continue
-                    d = ca * cb * b[i]
-                    acc[m] = acc[m] + d if m in acc else d
-        out.append(Jet(chart, k, acc))
+                    accumulate(acc, m, ca * cb * b[i])
+        out.append(Jet._new(chart, k, acc))
     return JetField(chart, k, out)
 
 

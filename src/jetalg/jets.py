@@ -2,7 +2,8 @@
 
 A jet of order k stores the coefficients of a truncated Taylor expansion in
 increment variables t_1..t_N (one per chart parameter): a map from
-multi-indices of total degree <= k to ring elements.  The jet of f is
+multi-indices of total degree <= k to ring elements, whose linear structure
+comes from the sparse-module base sparse.SparseElem.  The jet of f is
 j(f) = sum_{|m| <= k} (1/m!) d^m f * t^m, i.e. "f(x + t)", and more generally
 j(g (x) f) = g * f(x + t).  Multiplication is the convolution truncated at
 order k, which makes j a ring homomorphism into the truncated algebra.
@@ -25,74 +26,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import ChartMismatch, RingElem
 from .multipoly import (
-    grlex_key, mi_binomial, mi_degree, mi_factorial, mi_range, mi_unit, mi_zero,
-    pow_by_squaring,
+    grlex_key, mi_check, mi_degree, mi_factorial, mi_lower, mi_range, mi_split,
+    mi_zero, pow_by_squaring,
 )
+from .sparse import SparseElem, accumulate
 
 
-class Jet:
+class Jet(SparseElem):
     """Order-k jet: dict multi-index -> RingElem, zero coefficients dropped."""
 
-    __slots__ = ("chart", "order", "coeffs")
+    __slots__ = ()
+
+    # The base slots under their jet names.
+    order = SparseElem.grade
+    coeffs = SparseElem.terms
 
     def __init__(self, chart, order, coeffs):
         if order < 0:
             raise ValueError("jet order must be >= 0")
-        n = chart.nparams
-        clean = {}
-        for m, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            m = tuple(m)
-            if len(m) != n:
-                raise ValueError("multi-index length does not match parameter count")
-            if mi_degree(m) > order:
-                raise ValueError(f"coefficient at {m} exceeds order {order}")
-            if not c.is_zero():
-                clean[m] = c
-        self.chart = chart
-        self.order = order
-        self.coeffs = clean
+        super().__init__(chart, order, coeffs)
 
-    @classmethod
-    def zero(cls, chart, order):
-        return cls(chart, order, {})
-
-    def _check(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch("jets live on different charts")
-        if self.order != other.order:
-            raise ValueError(f"jet orders differ: {self.order} vs {other.order}")
+    @staticmethod
+    def _key(chart, order, m):
+        m = mi_check(m, chart.nparams)
+        if mi_degree(m) > order:
+            raise ValueError(f"coefficient at {m} exceeds order {order}")
+        return m
 
     def coeff(self, m):
-        got = self.coeffs.get(tuple(m))
-        return got if got is not None else self.chart.zero()
-
-    def is_zero(self):
-        return not self.coeffs
-
-    # -- linear structure
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out[m] + c if m in out else c
-        return Jet(self.chart, self.order, out)
-
-    def __neg__(self):
-        return Jet(self.chart, self.order, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, a):
-        """Multiply every coefficient by a scalar (the left A-action)."""
-        return Jet(self.chart, self.order, {m: a * c for m, c in self.coeffs.items()})
+        return self.get(tuple(m))
 
     # -- ring structure
 
@@ -103,15 +66,13 @@ class Jet:
         self._check(other)
         k = self.order
         out = {}
-        for m1, c1 in self.coeffs.items():
+        for m1, c1 in self.terms.items():
             d1 = mi_degree(m1)
-            for m2, c2 in other.coeffs.items():
+            for m2, c2 in other.terms.items():
                 if d1 + mi_degree(m2) > k:
                     continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prod = c1 * c2
-                out[m] = out[m] + prod if m in out else prod
-        return Jet(self.chart, k, out)
+                accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+        return Jet._new(self.chart, k, out)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -122,9 +83,9 @@ class Jet:
 
     def t_order(self):
         """Smallest |m| with a nonzero coefficient; k+1 for the zero jet."""
-        if not self.coeffs:
+        if not self.terms:
             return self.order + 1
-        return min(mi_degree(m) for m in self.coeffs)
+        return min(mi_degree(m) for m in self.terms)
 
     def eval_diagonal(self):
         """Constant coefficient (set t = 0)."""
@@ -147,45 +108,30 @@ class Jet:
         return self._dt(i)
 
     def _dx(self, i):
-        out = {}
-        for m, c in self.coeffs.items():
-            if mi_degree(m) <= self.order - 1:
-                out[m] = c.derive(i)
-        return Jet(self.chart, self.order - 1, out)
+        return Jet._new(self.chart, self.order - 1, {
+            m: c.derive(i) for m, c in self.terms.items()
+            if mi_degree(m) <= self.order - 1
+        })
 
     def _dt(self, i):
-        out = {}
-        for m, c in self.coeffs.items():
-            if m[i]:
-                dm = m[:i] + (m[i] - 1,) + m[i + 1:]
-                out[dm] = c * m[i]
-        return Jet(self.chart, self.order - 1, out)
+        return Jet._new(self.chart, self.order - 1, {
+            mi_lower(m, i): c * m[i] for m, c in self.terms.items() if m[i]
+        })
 
     def truncated(self, k):
         if k > self.order:
             raise ValueError("cannot extend a jet to higher order")
-        return Jet(
+        return Jet._new(
             self.chart, k,
-            {m: c for m, c in self.coeffs.items() if mi_degree(m) <= k},
+            {m: c for m, c in self.terms.items() if mi_degree(m) <= k},
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._check(other)
-        for m in self.coeffs.keys() | other.coeffs.keys():
-            if self.coeff(m) != other.coeff(m):
-                return False
-        return True
-
-    __hash__ = None
-
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         names = _tnames(self.chart)
         parts = []
-        for m, c in sorted(self.coeffs.items(), key=lambda t: grlex_key(t[0])):
+        for m, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0])):
             mono = "*".join(
                 n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
             )
@@ -202,19 +148,21 @@ def _tnames(chart):
     return tuple(f"t{i + 1}" for i in range(chart.nparams))
 
 
+def jet_along(f, k, step):
+    """Order-k jet whose t^m coefficient is (1/m!) D^m f for commuting
+    derivations D_i, where step(c, i) = D_i c.  Filled by the recurrence
+    coeff[m] = step(coeff[m - e_i], i) / m_i, i the first direction of m."""
+    table = {mi_zero(f.chart.nparams): f}
+    for m in mi_range(f.chart.nparams, k)[1:]:
+        i, prev = mi_split(m)
+        table[m] = step(table[prev], i) * Fraction(1, m[i])
+    return Jet._new(f.chart, k, table)
+
+
 def jet_of(f, k):
-    """j(f) = f(x + t) truncated at order k, via the recurrence
-    coeff[m] = derive(coeff[m - e_i], i) / m_i."""
-    chart = f.chart
-    n = chart.nparams
-    table = {mi_zero(n): f}
-    for m in mi_range(n, k):
-        if m in table:
-            continue
-        i = next(idx for idx, e in enumerate(m) if e)
-        prev = m[:i] + (m[i] - 1,) + m[i + 1:]
-        table[m] = table[prev].derive(i) * Fraction(1, m[i])
-    return Jet(chart, k, table)
+    """j(f) = f(x + t) truncated at order k: the jet along the coordinate
+    derivations."""
+    return jet_along(f, k, lambda c, i: c.derive(i))
 
 
 def jet_of_pair(g, f, k):
@@ -224,7 +172,7 @@ def jet_of_pair(g, f, k):
 
 def jet_scalar(f, k):
     """f * 1: the scalar f sitting at t^0."""
-    return Jet(f.chart, k, {mi_zero(f.chart.nparams): f})
+    return Jet._new(f.chart, k, {mi_zero(f.chart.nparams): f})
 
 
 def delta(f, k):
@@ -235,8 +183,7 @@ def delta(f, k):
 def delta_power(chart, m, k):
     """prod_i delta(x_i)^{m_i} as an order-k jet (computed honestly as a
     product of deltas; equals (-1)^|m| t^m)."""
-    if len(m) != chart.nparams:
-        raise ValueError("multi-index length does not match parameter count")
+    mi_check(m, chart.nparams)
     out = jet_scalar(chart.one(), k)
     for i, e in enumerate(m):
         if e:

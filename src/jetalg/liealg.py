@@ -8,9 +8,10 @@ degree-0 slice is gl_N.  Brackets are the vector-field brackets with every
 output monomial of |m| > r discarded (the quotient by degrees >= r).
 
 A current element is an A-linear combination of the same basis (coefficients
-in the chart ring); the current bracket is pointwise.  A semidirect element
-pairs a vector field on the chart with a current element; its bracket adds
-the action of the vector fields on the current coefficients.
+in the chart ring, linear structure from sparse.SparseElem); the current
+bracket is pointwise.  A semidirect element pairs a vector field on the chart
+with a current element; its bracket adds the action of the vector fields on
+the current coefficients.
 
 phi reads an order-k jet field as such a pair: the anchor (t = 0 part) is the
 vector field, and the t^m coefficient of component i (1 <= |m| <= k) is the
@@ -25,10 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import ChartMismatch, RingElem
-from .jets import Jet, delta_power, jet_scalar
+from .charts import ChartMismatch
+from .jets import delta_power, jet_scalar
 from .jetfields import JetField
-from .multipoly import grlex_key, mi_degree, mi_range, mi_unit, mi_zero
+from .multipoly import mi_check, mi_degree, mi_lower, mi_range
+from .sparse import SparseElem, accumulate
 from .vfields import VectorField
 
 
@@ -36,6 +38,18 @@ def basis_key(b):
     """Sort key for the basis element (m, i): degree, then m, then i."""
     m, i = b
     return (mi_degree(m) - 1, m, i)
+
+
+def basis_check(nvars, r, key):
+    """The basis element key = (m, i) of L^(r) in N = nvars variables, with
+    m as a tuple; raises unless 1 <= |m| <= r and 0 <= i < N."""
+    m, i = key
+    m = mi_check(m, nvars)
+    if not 1 <= mi_degree(m) <= r:
+        raise ValueError(f"monomial {m} outside degrees 1..{r}")
+    if not 0 <= i < nvars:
+        raise IndexError(f"direction {i} out of range")
+    return (m, i)
 
 
 def basis_elements(nvars, r):
@@ -55,13 +69,11 @@ def basis_bracket(a, i, b, j, r):
     monomials with |m| > r.  Returns dict (m, q) -> int."""
     out = {}
     if b[i]:
-        m = tuple(x + y for x, y in zip(a, b))
-        m = m[:i] + (m[i] - 1,) + m[i + 1:]
+        m = mi_lower(tuple(x + y for x, y in zip(a, b)), i)
         if mi_degree(m) <= r:
             out[(m, j)] = out.get((m, j), 0) + b[i]
     if a[j]:
-        m = tuple(x + y for x, y in zip(a, b))
-        m = m[:j] + (m[j] - 1,) + m[j + 1:]
+        m = mi_lower(tuple(x + y for x, y in zip(a, b)), j)
         if mi_degree(m) <= r:
             out[(m, i)] = out.get((m, i), 0) - a[j]
     return {k: c for k, c in out.items() if c}
@@ -74,17 +86,10 @@ class LElem:
 
     def __init__(self, nvars, r, terms=()):
         clean = {}
-        for (m, i), c in (terms.items() if isinstance(terms, dict) else terms):
-            m = tuple(m)
-            if len(m) != nvars:
-                raise ValueError("monomial length does not match variable count")
-            if not 1 <= mi_degree(m) <= r:
-                raise ValueError(f"monomial {m} outside degrees 1..{r}")
-            if not 0 <= i < nvars:
-                raise IndexError(f"direction {i} out of range")
+        for key, c in (terms.items() if isinstance(terms, dict) else terms):
+            key = basis_check(nvars, r, key)
             c = Fraction(c)
             if c:
-                key = (m, i)
                 new = clean.get(key, Fraction(0)) + c
                 if new:
                     clean[key] = new
@@ -177,64 +182,19 @@ def _terms_str(terms, nvars, fmt):
     return " + ".join(parts)
 
 
-class CurrentElem:
+class CurrentElem(SparseElem):
     """A (x) L^(r): basis terms with chart-ring coefficients."""
 
-    __slots__ = ("chart", "r", "terms")
+    __slots__ = ()
 
-    def __init__(self, chart, r, terms=()):
-        nvars = chart.nparams
-        clean = {}
-        for (m, i), c in (terms.items() if isinstance(terms, dict) else terms):
-            m = tuple(m)
-            if len(m) != nvars:
-                raise ValueError("monomial length does not match parameter count")
-            if not 1 <= mi_degree(m) <= r:
-                raise ValueError(f"monomial {m} outside degrees 1..{r}")
-            if not 0 <= i < nvars:
-                raise IndexError(f"direction {i} out of range")
-            if not isinstance(c, RingElem):
-                raise TypeError("coefficients must be RingElem")
-            if not c.is_zero():
-                key = (m, i)
-                clean[key] = clean[key] + c if key in clean else c
-        self.chart = chart
-        self.r = r
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+    r = SparseElem.grade  # the base slot under its truncation name
 
-    @classmethod
-    def zero(cls, chart, r):
-        return cls(chart, r, {})
-
-    def _check(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch("current elements live on different charts")
-        if self.r != other.r:
-            raise ValueError("truncation orders differ")
+    @staticmethod
+    def _key(chart, r, key):
+        return basis_check(chart.nparams, r, key)
 
     def coeff(self, m, i):
-        got = self.terms.get((tuple(m), i))
-        return got if got is not None else self.chart.zero()
-
-    def __add__(self, other):
-        if not isinstance(other, CurrentElem):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return CurrentElem(self.chart, self.r, out)
-
-    def __neg__(self):
-        return CurrentElem(self.chart, self.r, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, CurrentElem):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, a):
-        return CurrentElem(self.chart, self.r, {k: a * c for k, c in self.terms.items()})
+        return self.get((tuple(m), i))
 
     def bracket(self, other):
         """Pointwise current bracket: (a (x) l1, b (x) l2) -> ab (x) [l1, l2]."""
@@ -244,29 +204,14 @@ class CurrentElem:
             for (b, j), cb in other.terms.items():
                 coef = ca * cb
                 for key, c in basis_bracket(a, i, b, j, self.r).items():
-                    add = coef * c
-                    out[key] = out[key] + add if key in out else add
-        return CurrentElem(self.chart, self.r, out)
+                    accumulate(out, key, coef * c)
+        return CurrentElem._new(self.chart, self.r, out)
 
     def differentiate(self, v):
         """Coefficientwise action of a vector field on the chart."""
-        return CurrentElem(
+        return CurrentElem._new(
             self.chart, self.r, {k: v.apply(c) for k, c in self.terms.items()}
         )
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, CurrentElem):
-            return NotImplemented
-        self._check(other)
-        for k in self.terms.keys() | other.terms.keys():
-            if self.coeff(*k) != other.coeff(*k):
-                return False
-        return True
-
-    __hash__ = None
 
     def __str__(self):
         return _terms_str(self.terms, self.chart.nparams, fmt=str)
@@ -347,10 +292,10 @@ def phi(u):
     k = u.order
     terms = {}
     for i, jet in enumerate(u.comps):
-        for m, c in jet.coeffs.items():
+        for m, c in jet.terms.items():
             if mi_degree(m) >= 1:
                 terms[(m, i)] = c
-    return SemiDirectElem(u.anchor(), CurrentElem(chart, k, terms))
+    return SemiDirectElem(u.anchor(), CurrentElem._new(chart, k, terms))
 
 
 def psi(p, k):

@@ -49,6 +49,28 @@ def mi_sub(a, b):
     return c
 
 
+def mi_check(m, n):
+    """m as a tuple, checked to have one entry per variable (n of them)."""
+    m = tuple(m)
+    if len(m) != n:
+        raise ValueError(f"multi-index {m} does not have {n} entries")
+    return m
+
+
+def mi_lower(m, i):
+    """m - e_i, for m[i] >= 1."""
+    return m[:i] + (m[i] - 1,) + m[i + 1:]
+
+
+def mi_split(m):
+    """(i, m - e_i) for the first direction i with m[i] >= 1: the step by
+    which tables over multi-indices are filled from lower entries."""
+    for i, e in enumerate(m):
+        if e:
+            return i, mi_lower(m, i)
+    raise ValueError("the zero multi-index has no predecessor")
+
+
 def mi_le(a, b):
     """Componentwise a <= b."""
     if len(a) != len(b):
@@ -333,9 +355,8 @@ class Poly:
             raise IndexError(f"variable index {i} out of range")
         out = {}
         for m, c in self.nums.items():
-            e = m[i]
-            if e:
-                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+            if m[i]:
+                out[mi_lower(m, i)] = c * m[i]
         return _make(self.vars, out, self.den)
 
     def extended(self, newvars):

@@ -17,14 +17,13 @@ from .atlas import (
     jacobian_quotient_check, transition_l, transition_via_iso,
     transport_current, validate_transition,
 )
-from .envalg import av_to_tensor, pbw_normalize
-from .jets import delta, jet_of, jet_scalar, taylor_identity_check
+from .envalg import av_to_tensor, pbw_normalize, u_mul
+from .jets import delta, jet_of, taylor_identity_check
 from .jetfields import (
-    JetField, jf_from_pair, jf_from_vf,
-    localization_partial_sum, localization_remainder,
+    jf_from_pair, localization_partial_sum, localization_remainder,
 )
 from .liealg import CurrentElem, basis_bracket, phi, psi
-from .multipoly import mi_degree, mi_range, mi_unit
+from .multipoly import mi_degree, mi_range
 from .report import CheckRecord, Report
 from .sampling import Sampler, derive_seed
 
@@ -241,19 +240,6 @@ def suite_localization(env):
     return recs
 
 
-def _u_mul(t1, t2, nvars, r):
-    out = {}
-    for w1, c1 in t1.items():
-        for w2, c2 in t2.items():
-            for w, c in pbw_normalize(w1 + w2, nvars, r).items():
-                new = out.get(w, Fraction(0)) + c1 * c2 * c
-                if new:
-                    out[w] = new
-                elif w in out:
-                    del out[w]
-    return out
-
-
 def suite_pbw(env):
     st1 = "straightening lands in normal form and is idempotent"
     st2 = "adjacent transposition inserts exactly the bracket"
@@ -274,8 +260,8 @@ def suite_pbw(env):
                 {"nvars": nvars, "r": r, "case": idx}, ok1, {"word": word},
             ))
             a, b = word[0], word[1]
-            diff = _u_mul({(a,): Fraction(1)}, {(b,): Fraction(1)}, nvars, r)
-            for w, c in _u_mul({(b,): Fraction(1)}, {(a,): Fraction(1)}, nvars, r).items():
+            diff = u_mul({(a,): Fraction(1)}, {(b,): Fraction(1)}, nvars, r)
+            for w, c in u_mul({(b,): Fraction(1)}, {(a,): Fraction(1)}, nvars, r).items():
                 new = diff.get(w, Fraction(0)) - c
                 if new:
                     diff[w] = new
@@ -292,8 +278,8 @@ def suite_pbw(env):
             w1 = {smp.basis_word(nvars, r, 2): Fraction(1)}
             w2 = {smp.basis_word(nvars, r, 2): Fraction(1)}
             w3 = {smp.basis_word(nvars, r, 2): Fraction(1)}
-            ok3 = _u_mul(_u_mul(w1, w2, nvars, r), w3, nvars, r) == _u_mul(
-                w1, _u_mul(w2, w3, nvars, r), nvars, r
+            ok3 = u_mul(u_mul(w1, w2, nvars, r), w3, nvars, r) == u_mul(
+                w1, u_mul(w2, w3, nvars, r), nvars, r
             )
             recs.append(env.record(
                 "pbw", f"pbw/n{nvars}/{idx}/assoc", st3,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetalg import charts
 from jetalg.charts import (
     ChartMismatch, MissingInvertibleGenerator, NonMonicRelation,
     NotInvertible, ZeroDenominator, validate_chart,
@@ -132,6 +133,28 @@ def test_invert_positive_cases(loc_x, elliptic):
     assert (2 * x).invert() * (2 * x) == loc_x.one()
     y = elliptic.gen(0)
     assert y.invert() * y == elliptic.one()
+
+
+def test_invert_divides_once_per_power_without_generators(loc_x, monkeypatch):
+    # Without generators the raw and the reduced g^k are one polynomial, so
+    # the search makes one exact division per k: k = 0..3 for 1/x^3, and
+    # k = 0..bound (= 0 + 1 + 4) for the non-unit x + 1.
+    calls = []
+    real = charts.poly_div_exact
+
+    def counting(num, den):
+        calls.append(num)
+        return real(num, den)
+
+    monkeypatch.setattr(charts, "poly_div_exact", counting)
+    x = loc_x.param(0)
+    inv = (x ** 3).invert()
+    assert len(calls) == 4
+    assert str(inv) == "(1)/(x)^3" and inv * x ** 3 == loc_x.one()
+    calls.clear()
+    with pytest.raises(NotInvertible):
+        (x + loc_x.one()).invert()
+    assert len(calls) == 6
 
 
 def test_invert_negative_cases(loc_x, affine2):
