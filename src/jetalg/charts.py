@@ -16,19 +16,31 @@ is decided by cross-multiplication, valid because A is a domain.
 
 Numerators are ``multipoly.Poly`` values: integer numerators over one
 positive content denominator, canonical (the content denominator is coprime
-to the numerators and no zero numerator is stored).  The rational content
-lives there, separate from the power g^s.  Reduction works on the integer
-numerators directly, bringing the powers of q_j it substitutes to one common
-denominator per pass.
+to the numerators and no zero numerator is stored), keyed by packed
+monomials (16-bit exponent fields under a total-degree field, see
+``multipoly``).  The rational content lives there, separate from the power
+g^s.  Reduction works on the integer numerators and packed keys directly: it
+reads the generator's field with a shift and a mask, lowers that field and
+the degree field by the exponent it removes, and brings the powers of q_j it
+substitutes to one common denominator per pass.  Numerators obey the degree
+bound of ``multipoly`` (total degree at most 32767); arithmetic beyond it
+raises ValueError.
+
+Sums of elements over the same power of g, negation and rational multiples
+of reduced numerators are reduced already, so they are built by the trusted
+``RingElem._new`` without another pass of ``reduce``; products, and the
+rescaling by g^k that brings two summands to one power of g, are reduced.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 
-from .multipoly import Poly, _make, mi_check, poly_div_exact, pow_by_squaring
+from .multipoly import (
+    FIELD_MASK, Poly, _make, degree_check, mi_check, mono_layout,
+    poly_div_exact, pow_by_squaring,
+)
 
 
 class ChartError(Exception):
@@ -216,31 +228,40 @@ class ChartSpec:
         """Reduce a polynomial modulo the relations: afterwards every
         generator exponent is below its degree.  Processing generators from
         the last to the first terminates because each rhs only involves
-        earlier variables.  Works on the integer numerators: the powers of
-        q_j used in one pass are brought to one common denominator."""
+        earlier variables.  Works on the integer numerators and packed
+        monomials: a term with y_j-exponent e >= d_j loses e - e % d_j from
+        both the y_j field and the degree field and is multiplied by
+        q_j^(e // d_j); the powers of q_j used in one pass are brought to one
+        common denominator.  Raises ValueError when a pass leaves the degree
+        bound of multipoly."""
         if not self.gens:
             return poly
         nums, den = poly.nums, poly.den
+        shifts, top, _ = mono_layout(len(self.allvars))
         for j in range(self.ngens - 1, -1, -1):
-            idx = self.gen_index(j)
+            sh = shifts[self.gen_index(j)]
             d = self.gens[j].degree
-            high = [(m, c) for m, c in nums.items() if m[idx] >= d]
+            high = [(m, c) for m, c in nums.items() if (m >> sh) & FIELD_MASK >= d]
             if not high:
                 continue
-            qpows = {e: self._q_power(j, e) for e in {m[idx] // d for m, _ in high}}
+            qpows = {e: self._q_power(j, e)
+                     for e in {((m >> sh) & FIELD_MASK) // d for m, _ in high}}
             scale = math.lcm(*(q.den for q in qpows.values()))
-            out = {m: c * scale for m, c in nums.items() if m[idx] < d}
+            out = {m: c * scale for m, c in nums.items() if (m >> sh) & FIELD_MASK < d}
             get = out.get
+            step = (1 << sh) + (1 << top)
             for m, c in high:
-                e = m[idx]
+                e = (m >> sh) & FIELD_MASK
                 q = qpows[e // d]
                 f = c * (scale // q.den)
-                base = m[:idx] + (e % d,) + m[idx + 1:]
+                base = m - (e - e % d) * step
                 for m2, c2 in q.nums.items():
-                    mm = tuple(map(add, base, m2))
+                    mm = base + m2
                     out[mm] = get(mm, 0) + f * c2
             nums = {m: c for m, c in out.items() if c}
             den *= scale
+            if nums:
+                degree_check(max(nums), top)
         if nums is poly.nums:
             return poly
         return _make(self.allvars, nums, den)
@@ -330,6 +351,18 @@ class RingElem:
         self.num = num
         self.s = s
 
+    @classmethod
+    def _new(cls, chart, num, s):
+        """Trusted constructor for a numerator that is relation-reduced by
+        construction (a sum at one power of g, a negation, a rational
+        multiple, or the numerator of another element) and s >= 0; skips
+        ``reduce``, only resetting s for zero."""
+        self = _new_elem(cls)
+        self.chart = chart
+        self.num = num
+        self.s = s if num.nums else 0
+        return self
+
     def _check(self, other):
         if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch(
@@ -353,6 +386,9 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.s == other.s:
+            return RingElem._new(self.chart, self.num + other.num, self.s)
+        # the rescaled summand is a product, so the sum needs reducing
         s = max(self.s, other.s)
         a = self.num if self.s == s else self.num * self.chart.g_pow(s - self.s)
         b = other.num if other.s == s else other.num * self.chart.g_pow(s - other.s)
@@ -361,7 +397,7 @@ class RingElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.chart, -self.num, self.s)
+        return RingElem._new(self.chart, -self.num, self.s)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -374,7 +410,9 @@ class RingElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RingElem(self.chart, self.num * other, self.s)
+            if other == 1:
+                return self
+            return RingElem._new(self.chart, self.num * other, self.s)
         if not isinstance(other, RingElem):
             return NotImplemented
         self._check(other)
@@ -408,7 +446,7 @@ class RingElem:
         if not 0 <= i < self.chart.nparams:
             raise IndexError(f"direction {i} out of range")
         dnum = self.chart._total_derivative(self.num, i)
-        out = RingElem(self.chart, dnum.num, dnum.s + self.s)
+        out = RingElem._new(self.chart, dnum.num, dnum.s + self.s)
         if self.s:
             dg = self.chart._dg[i]
             out = out - RingElem(
@@ -459,3 +497,6 @@ class RingElem:
 
     def __repr__(self):
         return f"RingElem({str(self)!r} on {self.chart.name!r})"
+
+
+_new_elem = object.__new__

@@ -32,17 +32,31 @@ from fractions import Fraction
 from .liealg import _basis_str, basis_bracket, basis_check, basis_key
 from .multipoly import (
     grlex_key, mi_below, mi_binomial, mi_check, mi_degree, mi_factorial,
-    mi_range, mi_unit, mi_zero,
+    mi_lower, mi_range, mi_unit, mi_zero,
 )
 from .sparse import SparseElem, accumulate
 
 
-def _leibniz(a, k, b, l):
+def _derivative(table, j):
+    """d^j b from a derivative table of one right-hand coefficient b, which
+    starts as {0: b}; a missing entry is filled by one derive from the entry
+    below it, so each (b, j) is derived at most once.  The last direction
+    of j is derived last, the order b.derive_multi(j) takes, so the entry
+    has the same numerator and power of g as derive_multi gives."""
+    got = table.get(j)
+    if got is None:
+        i = max(i for i, e in enumerate(j) if e)
+        got = table[j] = _derivative(table, mi_lower(j, i)).derive(i)
+    return got
+
+
+def _leibniz(a, k, table, l):
     """(a d^k)(b d^l) in normal form, as (m, coefficient) pairs:
-    a sum_{j<=k} binom(k,j) (d^j b) d^{k-j+l}.  Distinct j give distinct m."""
+    a sum_{j<=k} binom(k,j) (d^j b) d^{k-j+l}, with the d^j b read from b's
+    derivative table (_derivative).  Distinct j give distinct m."""
     out = []
     for j in mi_below(k):
-        db = b.derive_multi(j)
+        db = _derivative(table, j)
         if not db.is_zero():
             m = tuple(p - q + s for p, q, s in zip(k, j, l))
             out.append((m, a * db * mi_binomial(k, j)))
@@ -88,10 +102,13 @@ class DiffOp(SparseElem):
         if not isinstance(other, DiffOp):
             return NotImplemented
         self._check(other)
+        # one derivative table per right-hand term, for this product only
+        zero = mi_zero(self.chart.nparams)
+        tables = {l: {zero: b} for l, b in other.terms.items()}
         out = {}
         for k, a in self.terms.items():
-            for l, b in other.terms.items():
-                for m, c in _leibniz(a, k, b, l):
+            for l, table in tables.items():
+                for m, c in _leibniz(a, k, table, l):
                     accumulate(out, m, c)
         return DiffOp._new(self.chart, None, out)
 
@@ -198,13 +215,21 @@ class TensorElem(SparseElem):
             return NotImplemented
         self._check(other)
         n = self.chart.nparams
+        zero = mi_zero(n)
+        # derivative tables and PBW expansions live for this product only
+        tables = {key: {zero: b} for key, b in other.terms.items()}
+        words = {}  # concatenated word -> its PBW expansion
         out = {}
         for (k, w1), a in self.terms.items():
-            for (l, w2), b in other.terms.items():
-                dterms = _leibniz(a, k, b, l)
+            for (l, w2), table in tables.items():
+                dterms = _leibniz(a, k, table, l)
                 if not dterms:
                     continue
-                for word, wc in pbw_normalize(w1 + w2, n, self.r).items():
+                w = w1 + w2
+                expansion = words.get(w)
+                if expansion is None:
+                    expansion = words[w] = pbw_normalize(w, n, self.r)
+                for word, wc in expansion.items():
                     for m, c in dterms:
                         accumulate(out, (m, word), c * wc)
         return TensorElem._new(self.chart, self.r, out)
@@ -253,18 +278,15 @@ def av_to_tensor(factors, r):
 
     `factors` is a sequence of ('fun', RingElem) / ('vf', VectorField)
     entries, multiplied left to right."""
-    chart = None
-    for kind, val in factors:
-        chart = val.chart
-        break
-    if chart is None:
-        raise ValueError("empty word: pass at least one factor")
-    out = TensorElem.unit(chart, r)
+    out = None
     for kind, val in factors:
         if kind == "fun":
-            out = out * fun_factor(val, r)
+            t = fun_factor(val, r)
         elif kind == "vf":
-            out = out * vf_factor(val, r)
+            t = vf_factor(val, r)
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
+        out = t if out is None else out * t
+    if out is None:
+        raise ValueError("empty word: pass at least one factor")
     return out

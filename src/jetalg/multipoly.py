@@ -1,15 +1,27 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial is stored as integer numerators over one content denominator:
-``nums`` maps exponent tuples (multi-indices) to nonzero ``int``s and ``den``
-is a positive ``int``, the polynomial being ``sum(nums[m] * x^m) / den``.  The
-form is canonical: ``den > 0``, ``gcd(den, *nums.values()) == 1`` and no zero
+``nums`` maps packed monomials to nonzero ``int``s and ``den`` is a positive
+``int``, the polynomial being ``sum(nums[m] * x^m) / den``.  The form is
+canonical: ``den > 0``, ``gcd(den, *nums.values()) == 1`` and no zero
 numerator is stored, so two equal polynomials have identical ``nums`` and
 ``den`` and equality is plain dict-and-int equality.  The ``tuple -> Fraction``
 view ``terms`` is built lazily for display, serialization and callers that
 want rational coefficients; arithmetic never touches it.  The monomial order
 used everywhere (printing, leading terms, division) is graded lexicographic:
 compare total degree first, then the exponent tuple.
+
+Packed monomials.  Over n variables an exponent tuple m is one ``int``
+(Kronecker substitution) with fixed 16-bit fields: variable i sits at bit
+16 * (n - 1 - i), so variable 0 is the most significant, and the total
+degree sits in a top field at bit 16 * n.  Integer order is then graded-lex
+order, ``m1 + m2`` is the monomial product, and a field is read with a shift
+and a mask.  Every polynomial keeps its total degree below
+``DEGREE_LIMIT`` = 2^15 (so at most 32767): the public constructor and every
+product check it and raise ``ValueError`` beyond it, so the sum of two valid
+fields stays below 2^16 and no field ever carries into its neighbour.  Keys
+are packed and unpacked only at the edges: the public constructor,
+``const``/``variable``, ``coeff``, ``extended`` and the ``terms`` view.
 """
 
 from __future__ import annotations
@@ -17,7 +29,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import add
 from types import MappingProxyType
 
 
@@ -151,6 +162,54 @@ def _check_vars(vars):
     return vars
 
 
+# ---------------------------------------------------------------------------
+# packed monomials
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
+
+_LAYOUTS = {}
+
+
+def mono_layout(n):
+    """(shifts, top, guard) of the packed form over n variables: variable i
+    sits in the field at bit shifts[i], the total degree at bit top, and
+    guard has the highest bit of every variable field set (a borrow in
+    a difference of two packed monomials shows there).  One cached tuple
+    per variable count."""
+    got = _LAYOUTS.get(n)
+    if got is None:
+        shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        guard = sum(1 << (s + FIELD_BITS - 1) for s in shifts)
+        got = _LAYOUTS[n] = (shifts, FIELD_BITS * n, guard)
+    return got
+
+
+def degree_check(k, top):
+    """Raise ValueError unless the packed monomial k (degree field at bit
+    top) has total degree below DEGREE_LIMIT."""
+    if k >> top >= DEGREE_LIMIT:
+        raise ValueError(
+            f"total degree {k >> top} exceeds the bound {DEGREE_LIMIT - 1}"
+        )
+
+
+def mono_pack(m, n):
+    """Packed form of the exponent tuple m of n entries, each >= 0; the
+    caller checks the degree bound."""
+    shifts, top, _ = mono_layout(n)
+    k = sum(m) << top
+    for e, s in zip(m, shifts):
+        k |= e << s
+    return k
+
+
+def mono_unpack(k, n):
+    """Exponent tuple of the packed monomial k over n variables."""
+    return tuple([(k >> s) & FIELD_MASK for s in mono_layout(n)[0]])
+
+
 def pow_by_squaring(one, base, e):
     """base ** e for an integer e >= 0 by binary exponentiation, starting
     from the unit ``one``; shared by Poly, RingElem and Jet."""
@@ -168,9 +227,9 @@ def pow_by_squaring(one, base, e):
 # polynomials
 
 class Poly:
-    """Polynomial in the declared variables: ``nums`` (dict of multi-index ->
-    nonzero int) over the positive content denominator ``den``, in the
-    canonical form described in the module docstring.
+    """Polynomial in the declared variables: ``nums`` (dict of packed
+    monomial -> nonzero int) over the positive content denominator ``den``,
+    in the canonical form described in the module docstring.
 
     Instances are treated as immutable; all operations return new objects.
     Mixing polynomials over different variable lists raises ValueError.  The
@@ -182,22 +241,26 @@ class Poly:
 
     def __init__(self, vars, terms=()):
         vars = _check_vars(vars)
+        n = len(vars)
+        top = mono_layout(n)[1]
         clean = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for m, c in items:
             m = tuple(m)
-            if len(m) != len(vars):
-                raise ValueError(f"exponent tuple {m} does not match {len(vars)} variables")
-            if any(e < 0 for e in m):
-                raise ValueError(f"negative exponent in {m}")
+            if len(m) != n:
+                raise ValueError(f"exponent tuple {m} does not match {n} variables")
+            if not all(isinstance(e, int) and e >= 0 for e in m):
+                raise ValueError(f"exponents must be non-negative integers: {m}")
             c = _as_fraction(c)
             if c:
-                acc = clean.get(m)
+                k = mono_pack(m, n)
+                degree_check(k, top)
+                acc = clean.get(k)
                 new = c if acc is None else acc + c
                 if new:
-                    clean[m] = new
+                    clean[k] = new
                 elif acc is not None:
-                    del clean[m]
+                    del clean[k]
         # The lcm of reduced denominators is coprime to the numerators'
         # content, so this is already canonical.
         den = math.lcm(*(c.denominator for c in clean.values()))
@@ -220,7 +283,7 @@ class Poly:
         c = _as_fraction(c)
         if not c:
             return _make(vars, {})
-        return _make(vars, {mi_zero(len(vars)): c.numerator}, c.denominator)
+        return _make(vars, {0: c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, vars):
@@ -231,7 +294,8 @@ class Poly:
         vars = _check_vars(vars)
         if name not in vars:
             raise ValueError(f"unknown variable {name!r}")
-        return _make(vars, {mi_unit(len(vars), vars.index(name)): 1})
+        shifts, top, _ = mono_layout(len(vars))
+        return _make(vars, {(1 << top) | (1 << shifts[vars.index(name)]): 1})
 
     # -- queries
 
@@ -241,8 +305,10 @@ class Poly:
         try:
             return self._terms
         except AttributeError:
-            d = self.den
-            view = MappingProxyType({m: Fraction(c, d) for m, c in self.nums.items()})
+            n, d = len(self.vars), self.den
+            view = MappingProxyType(
+                {mono_unpack(k, n): Fraction(c, d) for k, c in self.nums.items()}
+            )
             _set_terms(self, view)
             return view
 
@@ -250,32 +316,39 @@ class Poly:
         return not self.nums
 
     def coeff(self, m):
-        return Fraction(self.nums.get(tuple(m), 0), self.den)
+        """Coefficient at the exponent tuple m; 0 for any tuple that is not
+        a monomial of this polynomial, including malformed ones."""
+        m = tuple(m)
+        n = len(self.vars)
+        if len(m) != n or not all(0 <= e < DEGREE_LIMIT for e in m):
+            return Fraction(0)
+        return Fraction(self.nums.get(mono_pack(m, n), 0), self.den)
 
     def degree(self):
         """Total degree; the zero polynomial has degree -1."""
         if not self.nums:
             return -1
-        return max(sum(m) for m in self.nums)
+        return max(self.nums) >> mono_layout(len(self.vars))[1]
 
     def sorted_terms(self, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
+        n, d = len(self.vars), self.den
+        return [(mono_unpack(k, n), Fraction(self.nums[k], d))
+                for k in sorted(self.nums, reverse=reverse)]
 
     def leading(self):
         """(multi-index, coefficient) of the graded-lex leading term."""
         if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.nums, key=grlex_key)
-        return m, Fraction(self.nums[m], self.den)
+        k = max(self.nums)
+        return mono_unpack(k, len(self.vars)), Fraction(self.nums[k], self.den)
 
     def support_vars(self):
         """Indices of variables that actually occur."""
-        used = set()
-        for m in self.nums:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
+        used = 0
+        for k in self.nums:
+            used |= k
+        shifts = mono_layout(len(self.vars))[0]
+        return {i for i, s in enumerate(shifts) if (used >> s) & FIELD_MASK}
 
     # -- arithmetic
 
@@ -323,11 +396,12 @@ class Poly:
             a, b = b, a
         if not b:
             return _make(self.vars, {})
+        degree_check(max(a) + max(b), FIELD_BITS * len(self.vars))
         out = {}
         get = out.get
         for m2, c2 in b.items():
             for m1, c1 in a.items():
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
         if 0 in out.values():
             out = {m: c for m, c in out.items() if c}
@@ -353,10 +427,14 @@ class Poly:
         """Partial derivative with respect to variable index i."""
         if not 0 <= i < len(self.vars):
             raise IndexError(f"variable index {i} out of range")
+        shifts, top, _ = mono_layout(len(self.vars))
+        s = shifts[i]
+        step = (1 << s) + (1 << top)
         out = {}
-        for m, c in self.nums.items():
-            if m[i]:
-                out[mi_lower(m, i)] = c * m[i]
+        for k, c in self.nums.items():
+            e = (k >> s) & FIELD_MASK
+            if e:
+                out[k - step] = c * e
         return _make(self.vars, out, self.den)
 
     def extended(self, newvars):
@@ -365,8 +443,10 @@ class Poly:
         newvars = tuple(newvars)
         if newvars[: len(self.vars)] != self.vars:
             raise ValueError("old variable list must be a prefix of the new one")
-        pad = (0,) * (len(newvars) - len(self.vars))
-        return _make(newvars, {m + pad: c for m, c in self.nums.items()}, self.den)
+        # the new variables take the low fields: shifting moves every old
+        # field, the degree field included, up to its place in the new layout
+        shift = FIELD_BITS * (len(newvars) - len(self.vars))
+        return _make(newvars, {k << shift: c for k, c in self.nums.items()}, self.den)
 
     # -- equality / display
 
@@ -421,7 +501,8 @@ _set_terms = Poly._terms.__set__
 
 def _make(vars, nums, den=1):
     """Trusted constructor for results whose invariants hold by construction:
-    every key of nums is an exponent tuple of length len(vars), every value
+    every key of nums is a packed monomial over vars within the degree
+    bound, every value
     a nonzero int, and den > 0.  Divides out gcd(den, *nums) in one call so
     the result is canonical.  Package-private: charts.reduce uses it too."""
     if den != 1:
@@ -470,22 +551,25 @@ def poly_div_exact(num, den):
     free polynomial ring.  Correct for exact divisors because graded-lex
     leading terms are multiplicative.  The elimination runs on the integer
     numerators: the remainder is ints over a running scale, which grows only
-    when the leading numerator of den does not divide the remainder's.
+    when the leading numerator of den does not divide the remainder's.  The
+    leading monomial of den divides the remainder's when their packed
+    difference is >= 0 with no guard bit set (no field borrowed).
     """
     num._check(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    guard = mono_layout(len(num.vars))[2]
     dnums = den.nums
-    dm = max(dnums, key=grlex_key)
+    dm = max(dnums)
     dc = dnums[dm]
     rem = dict(num.nums)
     scale = 1
-    steps = []  # (quotient exponent, numerator, scale it is over)
+    steps = []  # (quotient monomial, numerator, scale it is over)
     while rem:
-        m = max(rem, key=grlex_key)
-        if not all(a >= b for a, b in zip(m, dm)):
+        m = max(rem)
+        qm = m - dm
+        if qm < 0 or qm & guard:
             return None
-        qm = tuple(a - b for a, b in zip(m, dm))
         c = rem[m]
         g = math.gcd(c, dc)
         k, mult = c // g, dc // g
@@ -497,7 +581,7 @@ def poly_div_exact(num, den):
         steps.append((qm, k, scale))
         get = rem.get
         for m2, c2 in dnums.items():
-            mm = tuple(map(add, qm, m2))
+            mm = qm + m2
             v = get(mm, 0) - k * c2
             if v:
                 rem[mm] = v

@@ -10,7 +10,7 @@ from jetalg.charts import (
     NotInvertible, ZeroDenominator, validate_chart,
 )
 from jetalg.fileio import loads_chart
-from jetalg.multipoly import Poly
+from jetalg.multipoly import DEGREE_LIMIT, Poly
 
 from conftest import make_sampler
 from polyref import ref_reduce
@@ -232,3 +232,50 @@ def test_power_is_repeated_product(elliptic):
         assert got == expected
         assert (got.num, got.s) == (expected.num, expected.s)
         expected = expected * e
+
+
+# -- the reduce-free fast paths of RingElem
+
+def test_multiplying_by_one_returns_the_element(all_charts):
+    for chart in all_charts:
+        smp = make_sampler("times-one", chart.name)
+        e = smp.elem(chart, max_s=2)
+        assert e * 1 is e
+        assert 1 * e is e
+        assert e * Fraction(1) is e
+        assert (e * 2).num == e.num * 2 and (e * 2).s == e.s
+        z = e * 0
+        assert z.is_zero() and z.s == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_sum_over_unequal_powers_of_g_is_reduced(elliptic, seed):
+    # a.num * g^(b.s - a.s) carries y^2 = x^3 - x + 1 terms (g = y), which
+    # the sum must reduce away; summing without reduce leaves them in.
+    smp = make_sampler("unequal-s", seed)
+    y = elliptic.gen(0)
+    a = smp.elem(elliptic, max_s=0) * y + y
+    b = smp.nonzero_elem(elliptic) * elliptic.inv_denominator(smp.rng.randint(1, 3))
+    assert a.s < b.s
+    for total in (a + b, b + a, a - b):
+        assert all(m[1] < 2 for m in total.num.terms)
+    assert a + b == b + a
+    assert (a + b) - b == a
+
+
+def test_sum_at_equal_power_cancels_to_zero(elliptic):
+    e = elliptic.gen(0) * elliptic.inv_denominator(2)
+    z = e + (-e)
+    assert z.is_zero() and z.s == 0
+    assert (e - e).s == 0
+
+
+def test_reduce_beyond_the_degree_bound_raises(elliptic):
+    # y^2 -> x^3 - x + 1 raises the total degree by one
+    x, y = (Poly.variable(elliptic.allvars, v) for v in elliptic.allvars)
+    top = x ** (DEGREE_LIMIT - 3) * y ** 2
+    assert top.degree() == DEGREE_LIMIT - 1
+    with pytest.raises(ValueError):
+        elliptic.reduce(top)
+    assert elliptic.reduce(x ** (DEGREE_LIMIT - 4) * y ** 2).degree() == DEGREE_LIMIT - 1

@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand, exit codes, and determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -92,6 +93,17 @@ def test_jet_bad_expression_exits_2(capsys):
     code, _ = run(capsys, "jet", "--chart", "loc_x", "--expr", "x +",
                   "--order", "2")
     assert code == 2
+
+
+def test_jet_above_the_degree_bound_exits_2(capsys):
+    # total degree is bounded by 32767 (multipoly's packed monomials)
+    code, err = run_err(capsys, "jet", "--chart", "loc_x", "--expr",
+                        "x^40000", "--order", "1")
+    assert code == 2
+    assert err.startswith("error: ") and "32767" in err
+    code, out = run(capsys, "jet", "--chart", "loc_x", "--expr", "x^32767",
+                    "--order", "0")
+    assert code == 0 and out == "(x^32767)\n"
 
 
 def test_delta_command(capsys):
@@ -232,3 +244,18 @@ def test_out_writes_file(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert json.loads(fn.read_text())["kind"] == "jet"
+
+
+# The regression oracle: the seed-42 report of every suite, byte for byte.
+SEED_42_REPORT_SHA256 = (
+    "6c28334c798364fabbe27537d03476626e9ba22f50a0ebf475c45361e2fc136e"
+)
+
+
+def test_seed_42_report_matches_the_regression_oracle(capsys, tmp_path):
+    fn = tmp_path / "report.json"
+    code = main(["verify", "--suite", "all", "--seed", "42", "--format",
+                 "json", "--out", str(fn)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(fn.read_bytes()).hexdigest() == SEED_42_REPORT_SHA256

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from jetalg.charts import RingElem
 from jetalg.envalg import (
     DiffOp, TensorElem, av_to_tensor, fun_factor, pbw_normalize, vf_factor,
 )
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import phi
+from jetalg.multipoly import mi_below, mi_zero
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
@@ -176,3 +178,43 @@ def test_av_extends_the_current_decomposition(loc_x):
 def test_word_validation(loc_x):
     with pytest.raises(ValueError):
         av_to_tensor([("bad", loc_x.one())], 2)
+
+
+def _count_derives(monkeypatch):
+    calls = []
+    real = RingElem.derive
+
+    def counting(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(RingElem, "derive", counting)
+    return calls
+
+
+def _derivative_bound(left, right_keys):
+    """Derive calls a product may make: one per (right-hand term, j) for
+    every nonzero j below a left-hand multi-index."""
+    js = set()
+    for k in left:
+        js.update(mi_below(k))
+    js.discard(mi_zero(len(k)))
+    return len(right_keys) * len(js)
+
+
+def test_products_derive_each_right_term_once_per_multi_index(affine2, monkeypatch):
+    smp = make_sampler("envalg-derive-table")
+    r = 2
+    left = av_to_tensor([("vf", smp.vfield(affine2)), ("vf", smp.vfield(affine2))], r)
+    right = av_to_tensor([("vf", smp.vfield(affine2)), ("fun", smp.elem(affine2))], r)
+    lop = DiffOp.from_vf(smp.vfield(affine2)) * DiffOp.from_vf(smp.vfield(affine2))
+    rop = DiffOp.from_vf(smp.vfield(affine2)) * DiffOp.from_function(smp.elem(affine2))
+    want_t = left * right
+    want_d = lop * rop
+    calls = _count_derives(monkeypatch)
+    assert left * right == want_t
+    bound = _derivative_bound([k for k, _w in left.terms], right.terms)
+    assert 0 < len(calls) <= bound
+    calls.clear()
+    assert lop * rop == want_d
+    assert 0 < len(calls) <= _derivative_bound(lop.terms, rop.terms)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
-    Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree, mi_factorial,
+    DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree, mi_factorial,
     mi_le, mi_range, mi_sub, poly_div_exact,
 )
 from jetalg.fileio import _poly_data, _poly_from
@@ -233,10 +233,121 @@ def test_public_constructor_checks_and_terms_view():
         Poly(VARS, {(1, 0): 0.5})
     p = Poly(VARS, [((1, 0), Fraction(1, 6)), ((0, 1), Fraction(1, 4)),
                     ((1, 0), Fraction(-1, 6))])
-    assert p.nums == {(0, 1): 1} and p.den == 4
+    assert p.terms == {(0, 1): Fraction(1, 4)} and len(p.nums) == 1 and p.den == 4
     assert p.terms == {(0, 1): Fraction(1, 4)}
     with pytest.raises(TypeError):
         p.terms[(0, 1)] = Fraction(1)
     with pytest.raises(AttributeError):
         p.den = 1
     assert Poly(VARS, p.terms) == p
+
+
+# -- packed monomials: the degree bound and the edges that pack and unpack
+
+VARS3 = ("x", "y", "z")
+
+
+def test_public_constructor_enforces_the_degree_bound():
+    with pytest.raises(ValueError):
+        Poly(("x",), {(DEGREE_LIMIT,): 1})
+    with pytest.raises(ValueError):
+        Poly(VARS3, {(DEGREE_LIMIT // 2, 0, DEGREE_LIMIT // 2): 1})
+    top = Poly(VARS3, {(DEGREE_LIMIT - 4, 1, 2): 1})
+    assert top.degree() == DEGREE_LIMIT - 1
+    assert top.terms == {(DEGREE_LIMIT - 4, 1, 2): 1}
+
+
+def test_products_beyond_the_degree_bound_raise():
+    x = Poly.variable(VARS, "x")
+    with pytest.raises(ValueError):
+        x ** DEGREE_LIMIT
+    half = Poly(VARS, {(DEGREE_LIMIT // 2, 0): 1, (0, 1): 2})
+    other = Poly(VARS, {(0, DEGREE_LIMIT // 2): 3})
+    assert half.degree() == other.degree() == 2 ** 14
+    with pytest.raises(ValueError):
+        half * other
+    assert (x ** (DEGREE_LIMIT - 1)).degree() == DEGREE_LIMIT - 1
+
+
+def test_div_exact_rejects_a_divisor_exceeding_any_single_field():
+    for i in range(len(VARS3)):
+        # the dividend has the larger total degree, but field i is too small
+        low = [5, 5, 5]
+        low[i] = 2
+        over = [1, 1, 1]
+        over[i] = 3
+        for dividend in (Poly(VARS3, {tuple(low): 1}),
+                         Poly(VARS3, {tuple(low): 1, (0, 0, 0): 2})):
+            for divisor in (Poly(VARS3, {tuple(over): 1}),
+                            Poly(VARS3, {tuple(over): 1, (1, 0, 0): -1})):
+                assert poly_div_exact(dividend, divisor) is None
+                assert poly_div_exact(dividend * divisor, divisor) == dividend
+
+
+def test_coeff_of_malformed_multi_indices_is_zero():
+    p = Poly(VARS3, {(1, 2, 3): Fraction(2, 3), (0, 0, 0): 5})
+    assert p.coeff((1, 2, 3)) == Fraction(2, 3)
+    assert p.coeff([0, 0, 0]) == 5
+    assert p.coeff((1, 2)) == 0
+    assert p.coeff((1, 2, 3, 0)) == 0
+    assert p.coeff((2, 3, -1)) == 0
+    assert p.coeff((-1, 0, 0)) == 0
+    assert p.coeff((DEGREE_LIMIT, 0, 0)) == 0
+
+
+def test_leading_degree_and_support_read_packed_keys():
+    p = Poly(VARS3, {(0, 4, 0): 1, (1, 0, 3): -2, (2, 1, 1): 3, (0, 0, 1): 1})
+    assert p.degree() == 4
+    # graded lex: degree first, then the exponent tuple
+    assert p.leading() == ((2, 1, 1), Fraction(3))
+    assert [m for m, _ in p.sorted_terms()] == sorted(p.terms, key=grlex_key, reverse=True)
+    assert Poly(VARS3, {(0, 0, 2): 1, (3, 0, 0): 1}).support_vars() == {0, 2}
+    ext = p.extended(VARS3 + ("w",))
+    assert ext.terms == {m + (0,): c for m, c in p.terms.items()}
+
+
+# -- differential tests over three variables with large exponents
+
+ref_monomials3 = st.tuples(*[st.integers(0, 60)] * 3)
+ref_dicts3 = st.dictionaries(ref_monomials3, ref_fractions, max_size=5).map(
+    lambda d: {m: c for m, c in d.items() if c})
+
+
+@settings(deadline=None, max_examples=60)
+@given(ref_dicts3, ref_dicts3, st.one_of(ref_fractions, st.integers(-5, 5)))
+def test_kernel_matches_reference_three_vars(a, b, c):
+    p, q = Poly(VARS3, a), Poly(VARS3, b)
+    assert canonical(p) == a
+    assert canonical(p + q) == ref_add(a, b)
+    assert canonical(p - q) == ref_add(a, b, -1)
+    assert canonical(-p) == ref_neg(a)
+    assert canonical(p * q) == ref_mul(a, b)
+    assert canonical(p * c) == ref_scale(a, c)
+    for i in range(len(VARS3)):
+        assert canonical(p.partial(i)) == ref_partial(a, i)
+    assert canonical(p ** 2) == ref_pow(a, 2, len(VARS3))
+    assert p.degree() == max((sum(m) for m in a), default=-1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(ref_dicts3, ref_dicts3, ref_dicts3)
+def test_kernel_matches_reference_div_exact_three_vars(a, b, r):
+    if not b:
+        return
+    p, q = Poly(VARS3, a), Poly(VARS3, b)
+    assert canonical(poly_div_exact(p * q, q)) == a
+    dividend = ref_add(ref_mul(a, b), r)
+    got = poly_div_exact(Poly(VARS3, dividend), q)
+    want = ref_div_exact(dividend, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert canonical(got) == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(ref_dicts3)
+def test_str_and_fileio_roundtrip_three_vars(a):
+    p = Poly(VARS3, a)
+    assert str(p) == ref_str(a, VARS3)
+    back = _poly_from(json.loads(json.dumps(_poly_data(p))), VARS3)
+    assert back == p and str(back) == str(p)

@@ -3,18 +3,21 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetalg.envalg import DiffOp, av_to_tensor, vf_factor
 from jetalg.fileio import (
     SchemaError, load_atlas, load_chart, loads_atlas, loads_chart,
     value_from_data, value_to_data,
 )
+from jetalg.fixtures import standard_chart
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import CurrentElem, phi
 from jetalg.parser import (
     ExprSyntaxError, IllegalDenominator, UnknownSymbol, parse_expression,
     parse_poly,
 )
+from jetalg.sampling import Sampler
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
@@ -228,3 +231,19 @@ def test_serialization_mismatches(loc_x, elliptic):
         value_from_data({"kind": "mystery"}, loc_x)
     with pytest.raises(TypeError):
         value_to_data(object())
+
+
+# -- round trips of sampled elements through the display and the data forms
+
+ROUNDTRIP_CHARTS = ("elliptic", "affine2", "loc_x")
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), name=st.sampled_from(ROUNDTRIP_CHARTS),
+       max_deg=st.integers(1, 8))
+def test_sampled_elements_roundtrip_through_str_and_data(seed, name, max_deg):
+    chart = standard_chart(name)
+    e = Sampler(seed).elem(chart, max_deg=max_deg, terms=4, max_s=2)
+    assert parse_expression(str(e), chart) == e
+    data = json.loads(json.dumps(value_to_data(e)))
+    assert value_from_data(data, chart) == e
