@@ -24,12 +24,9 @@ reads the generator's field with a shift and a mask, lowers that field and
 the degree field by the exponent it removes, and brings the powers of q_j it
 substitutes to one common denominator per pass.  Numerators obey the degree
 bound of ``multipoly`` (total degree at most 32767); arithmetic beyond it
-raises ValueError.
-
-Sums of elements over the same power of g, negation and rational multiples
-of reduced numerators are reduced already, so they are built by the trusted
-``RingElem._new`` without another pass of ``reduce``; products, and the
-rescaling by g^k that brings two summands to one power of g, are reduced.
+raises ValueError.  Sums at one power of g, negations and rational multiples
+of reduced numerators are reduced already and skip ``reduce``
+(``RingElem._new``).
 """
 
 from __future__ import annotations

@@ -331,9 +331,7 @@ class Poly:
         return max(self.nums) >> mono_layout(len(self.vars))[1]
 
     def sorted_terms(self, reverse=True):
-        n, d = len(self.vars), self.den
-        return [(mono_unpack(k, n), Fraction(self.nums[k], d))
-                for k in sorted(self.nums, reverse=reverse)]
+        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
 
     def leading(self):
         """(multi-index, coefficient) of the graded-lex leading term."""
@@ -502,9 +500,9 @@ _set_terms = Poly._terms.__set__
 def _make(vars, nums, den=1):
     """Trusted constructor for results whose invariants hold by construction:
     every key of nums is a packed monomial over vars within the degree
-    bound, every value
-    a nonzero int, and den > 0.  Divides out gcd(den, *nums) in one call so
-    the result is canonical.  Package-private: charts.reduce uses it too."""
+    bound, every value a nonzero int, and den > 0.  Divides out
+    gcd(den, *nums) in one call so the result is canonical.
+    Package-private: charts.reduce uses it too."""
     if den != 1:
         if not nums:
             den = 1

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
-    DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree, mi_factorial,
-    mi_le, mi_range, mi_sub, poly_div_exact,
+    DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree,
+    mi_factorial, mi_le, mi_range, mi_sub, poly_div_exact,
 )
 from jetalg.fileio import _poly_data, _poly_from
 
