@@ -27,6 +27,27 @@ bound of ``multipoly`` (total degree at most 32767); arithmetic beyond it
 raises ValueError.  Sums at one power of g, negations and rational multiples
 of reduced numerators are reduced already and skip ``reduce``
 (``RingElem._new``).
+
+Derivation kernel.  d/dx_i of N/g^s is a sum of pieces, each a partial of N
+times a multiplier M that sits over a power g^o, its offset: the parameter
+piece dN/dx_i (M = 1, o = 0); for each generator y_j the piece
+dN/dy_j * dy_j/dx_i (o = the power of g under dy_j/dx_i); and, when s > 0,
+the quotient-rule piece -s * N * dg/dx_i (o = the power under dg/dx_i, plus
+one).  The result is the sum over g^(s + top), where top is the largest
+offset of a piece present in N: a generator piece is present when the
+generator's field is nonzero in some monomial of N (the packed keys ORed
+together), the quotient piece when s > 0, and a piece whose multiplier is 0
+is absent.  That is the power of g the sum of the pieces as ring elements
+carries, so the element, its numerator and s are the same.  Each chart keeps
+a kernel table (``ChartSpec._kernel``), one entry per direction, set of
+generators present and s > 0, built on first use: each multiplier lifted to
+g^top (M * g^(top - o), reduced), all over one common content denominator.
+``RingElem.derive`` sweeps N once per piece, adds every product into one
+dict of packed monomials and calls ``reduce`` once on the sum.  Before the
+sweep it checks max(N) plus the largest multiplier key against the degree
+bound; this may refuse a derivative whose largest term cancels, but no field
+can carry, which matters on charts without generators, where ``reduce``
+returns its input unchecked.
 """
 
 from __future__ import annotations
@@ -112,6 +133,7 @@ class ChartSpec:
         self._dy = None      # dy[j][i] : RingElem
         self._dg = None      # dg[i] : RingElem, total derivative of g
         self._g_over_y = []  # g / y_j as Poly
+        self._kernels = {}   # (i, generators, quotient) -> derive kernel
 
     # -- basic shape
 
@@ -293,13 +315,58 @@ class ChartSpec:
         return got
 
     def _total_derivative(self, poly, i):
-        """d/dx_i of a polynomial in params and generators, as a RingElem."""
+        """d/dx_i of a polynomial in params and generators, as a RingElem,
+        through ring arithmetic; builds the table of dg/dx_i."""
         out = RingElem(self, poly.partial(i))
         for j in range(self.ngens):
             dp = poly.partial(self.gen_index(j))
             if not dp.is_zero():
                 out = out + RingElem(self, dp) * self._dy[j][i]
         return out
+
+    def _kernel(self, i, used, quotient):
+        """The kernel table entry of d/dx_i (see the module docstring) for
+        numerators whose packed keys OR to ``used``, with the quotient-rule
+        piece when ``quotient`` (s > 0).  Returns (top, den, maxkey, pieces,
+        quot): every multiplier lifted to g^top and reduced, as integer
+        items over the common content denominator den; pieces holds
+        (field shift, step, items) for x_i and for each generator that
+        occurs, quot the items of -dg/dx_i or None; maxkey is the largest
+        multiplier key.  Built on first use and keyed by (i, generators that
+        occur, quotient): at most nparams * 2^ngens * 2 entries, none keyed
+        by an element."""
+        shifts, topbit, _ = mono_layout(len(self.allvars))
+        occur = 0
+        for j in range(self.ngens):
+            if (used >> shifts[self.gen_index(j)]) & FIELD_MASK:
+                occur |= 1 << j
+        key = (i, occur, quotient)
+        got = self._kernels.get(key)
+        if got is not None:
+            return got
+        mults = [(i, self.one(), 0)]
+        for j in range(self.ngens):
+            dy = self._dy[j][i]
+            if occur >> j & 1 and not dy.is_zero():
+                mults.append((self.gen_index(j), dy, dy.s))
+        dg = self._dg[i]
+        if quotient and not dg.is_zero():
+            mults.append((None, -dg, dg.s + 1))
+        top = max(o for _, _, o in mults)
+        lifted = [(v, self.reduce(m.num * self.g_pow(top - o))) for v, m, o in mults]
+        # a lifted product can vanish only on a ring that is not a domain
+        lifted = [(v, p) for v, p in lifted if p.nums]
+        den = math.lcm(*(p.den for _, p in lifted))
+        pieces, quot = [], None
+        for v, p in lifted:
+            items = tuple((mk, c * (den // p.den)) for mk, c in p.nums.items())
+            if v is None:
+                quot = items
+            else:
+                pieces.append((shifts[v], (1 << shifts[v]) + (1 << topbit), items))
+        maxkey = max((max(p.nums) for _, p in lifted), default=0)
+        got = self._kernels[key] = (top, den, maxkey, tuple(pieces), quot)
+        return got
 
     # -- element constructors
 
@@ -438,18 +505,41 @@ class RingElem:
 
     def derive(self, i):
         """The extended partial derivative d/dx_i (acts on generators through
-        the relation, on 1/g through the quotient rule)."""
-        self.chart._require_valid()
-        if not 0 <= i < self.chart.nparams:
+        the relation, on 1/g through the quotient rule).  One sweep over the
+        numerator with the chart's kernel table (``ChartSpec._kernel``) and
+        one ``reduce``; see the module docstring.  Raises ValueError when
+        the numerator of the result could leave the degree bound."""
+        chart = self.chart
+        chart._require_valid()
+        if not 0 <= i < chart.nparams:
             raise IndexError(f"direction {i} out of range")
-        dnum = self.chart._total_derivative(self.num, i)
-        out = RingElem._new(self.chart, dnum.num, dnum.s + self.s)
-        if self.s:
-            dg = self.chart._dg[i]
-            out = out - RingElem(
-                self.chart, self.num * dg.num * self.s, dg.s + self.s + 1
-            )
-        return out
+        nums, s = self.num.nums, self.s
+        if not nums:
+            return self
+        used = 0
+        for m in nums:
+            used |= m
+        top, den, maxkey, pieces, quot = chart._kernel(i, used, s > 0)
+        degree_check(max(nums) + maxkey, mono_layout(len(chart.allvars))[1])
+        out = {}
+        get = out.get
+        for sh, step, items in pieces:
+            for m, c in nums.items():
+                e = (m >> sh) & FIELD_MASK
+                if e:
+                    base, f = m - step, c * e
+                    for mk, ck in items:
+                        k = base + mk
+                        out[k] = get(k, 0) + f * ck
+        if quot:
+            for m, c in nums.items():
+                f = c * s
+                for mk, ck in quot:
+                    k = m + mk
+                    out[k] = get(k, 0) + f * ck
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return RingElem(chart, _make(chart.allvars, out, self.num.den * den), s + top)
 
     def derive_multi(self, m):
         """Iterated derivative d^m (orders commute, so any order works)."""

@@ -266,9 +266,11 @@ def vf_factor(v, r):
         if f.is_zero():
             continue
         terms[(mi_unit(n, i), ())] = f
+        # one derivative table per coefficient, local to this route
+        table = {mi_zero(n): f}
         for m in mi_range(n, r)[1:]:
             terms[(mi_zero(n), ((m, i),))] = (
-                f.derive_multi(m) * Fraction(1, mi_factorial(m))
+                _derivative(table, m) * Fraction(1, mi_factorial(m))
             )
     return TensorElem._new(chart, r, terms)
 

@@ -224,13 +224,14 @@ def localization_partial_sum(g, v, m, k):
     ginv = g.invert()
     dg = delta(g, k)
     acc = JetField.zero(chart, k)
+    eta = jf_from_vf(v, k)
     dg_pow = jet_scalar(chart.one(), k)
     ginv_pow = ginv
     for r in range(m + 1):
         if r:
             dg_pow = dg_pow * dg
             ginv_pow = ginv_pow * ginv
-        term = jf_from_vf(v, k).scale_jet(dg_pow).scale(ginv_pow)
+        term = eta.scale_jet(dg_pow).scale(ginv_pow)
         acc = acc + term
     return acc
 

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from jetalg import charts
 from jetalg.charts import (
     ChartMismatch, MissingInvertibleGenerator, NonMonicRelation,
-    NotInvertible, ZeroDenominator, validate_chart,
+    NotInvertible, RingElem, ZeroDenominator, validate_chart,
 )
 from jetalg.fileio import loads_chart
 from jetalg.multipoly import DEGREE_LIMIT, Poly
 
 from conftest import make_sampler
+from derivref import ref_derive
 from polyref import ref_reduce
 
 
@@ -279,3 +280,57 @@ def test_reduce_beyond_the_degree_bound_raises(elliptic):
     with pytest.raises(ValueError):
         elliptic.reduce(top)
     assert elliptic.reduce(x ** (DEGREE_LIMIT - 4) * y ** 2).degree() == DEGREE_LIMIT - 1
+
+
+# -- the one-pass derivation kernel against the RingElem-arithmetic reference
+
+TWO_PARAMS = {
+    "name": "two", "params": ["u", "v"],
+    "gens": [{"name": "y", "degree": 2, "rhs": "u^2*v - v/2 + 3"}],
+    "denominator": "y*u",
+}
+_TOWER = chart_from(RATIONAL_TOWER)
+_TWO = chart_from(TWO_PARAMS)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["affine2", "loc_x", "elliptic", "tower", "two"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 3),
+       st.lists(st.integers(0, 1), min_size=1, max_size=3))
+def test_derive_matches_reference(affine2, loc_x, elliptic, name, seed, s, dirs):
+    chart = {"affine2": affine2, "loc_x": loc_x, "elliptic": elliptic,
+             "tower": _TOWER, "two": _TWO}[name]
+    smp = make_sampler("derive-ref", seed)
+    e = RingElem(chart, smp.poly(chart, max_deg=3, terms=4), s)
+    for i in dirs:
+        i %= chart.nparams
+        got, want = e.derive(i), ref_derive(e, i)
+        assert (got.num.nums, got.num.den, got.s) == (want.num.nums, want.num.den, want.s)
+        e = got
+
+
+def test_derive_makes_one_reduce_call(elliptic, monkeypatch):
+    x, y = elliptic.param(0), elliptic.gen(0)
+    e = (x * y + 3 * x ** 2 - y) * elliptic.inv_denominator(2)
+    e.derive(0)  # fills the kernel table entry and the powers of g it uses
+    calls = []
+    real = charts.ChartSpec.reduce
+
+    def counting(chart, poly):
+        calls.append(poly)
+        return real(chart, poly)
+
+    monkeypatch.setattr(charts.ChartSpec, "reduce", counting)
+    d = e.derive(0)
+    assert len(calls) == 1
+    assert d == ref_derive(e, 0)
+
+
+def test_derive_beyond_the_degree_bound_raises(p1):
+    # g = x^2 - x: the quotient-rule piece x^32767 * (2x - 1) has degree
+    # 32768; the chart has no generators, so reduce checks nothing
+    triple = p1.charts["triple"]
+    x = Poly.variable(triple.allvars, "x")
+    with pytest.raises(ValueError):
+        RingElem(triple, x ** (DEGREE_LIMIT - 1), 1).derive(0)
+    assert RingElem(triple, x ** (DEGREE_LIMIT - 1)).derive(0).num.degree() == DEGREE_LIMIT - 2

@@ -8,7 +8,7 @@ from jetalg.envalg import (
 )
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import phi
-from jetalg.multipoly import mi_below, mi_zero
+from jetalg.multipoly import mi_below, mi_factorial, mi_zero
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
@@ -218,3 +218,29 @@ def test_products_derive_each_right_term_once_per_multi_index(affine2, monkeypat
     calls.clear()
     assert lop * rop == want_d
     assert 0 < len(calls) <= _derivative_bound(lop.terms, rop.terms)
+
+
+@pytest.mark.parametrize("name, r, bound", [("affine2", 3, 18), ("elliptic", 4, 4)])
+def test_vf_factor_derives_each_multi_index_once(name, r, bound, request, monkeypatch):
+    # one derivation per (coefficient, m): affine2 has 9 multi-indices with
+    # 1 <= |m| <= 3 and elliptic 4 with 1 <= |m| <= 4; deriving each d^m from
+    # the coefficient itself takes 40 and 10
+    chart = request.getfixturevalue(name)
+    smp = make_sampler("vf-factor-count", name)
+    v = VectorField(chart, [smp.nonzero_elem(chart) for _ in range(chart.nparams)])
+    calls = []
+    real = RingElem.derive
+
+    def counting(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(RingElem, "derive", counting)
+    t = vf_factor(v, r)
+    assert len(calls) <= bound
+    monkeypatch.undo()
+    for (k, word), c in t.terms.items():
+        if word:
+            ((m, i),) = word
+            want = v.coeffs[i].derive_multi(m) * Fraction(1, mi_factorial(m))
+            assert (c.num, c.s) == (want.num, want.s)
