@@ -48,6 +48,18 @@ sweep it checks max(N) plus the largest multiplier key against the degree
 bound; this may refuse a derivative whose largest term cancels, but no field
 can carry, which matters on charts without generators, where ``reduce``
 returns its input unchecked.
+
+Sum-of-products kernel.  The Jet, jet-field, current, Leibniz and
+vector-field products sum q * a * b over pairs of elements, once per output
+key, through ``sum_products``.  It groups the triples (a, b, q) by
+s = a.s + b.s, sweeps each group's integer numerators into one dict over one
+content denominator, lifts each group to S, the largest s of a nonzero
+product, by one product with g^(S - s), and calls ``reduce`` once.  Every
+pair and every lift is checked against the degree bound first.  A single
+triple is the plain product a * b * q.  Representation rule: the result
+sits over g^S.  Adding the products one at a time gives the same numerator
+and s unless a partial sum cancels to exactly zero midway; it is the same
+ring element in every case.
 """
 
 from __future__ import annotations
@@ -218,23 +230,16 @@ class ChartSpec:
     def _build_derivative_tables(self):
         # dy[j][i] = dy_j/dx_i by implicit differentiation of y_j^d = q_j:
         #   d * y_j^(d-1) * dy_j/dx_i = dq_j/dx_i + sum_{l<j} dq_j/dy_l * dy_l/dx_i
-        # and 1/y_j = (g/y_j)/g.
-        dy = []
+        # and 1/y_j = (g/y_j)/g; the right side is the total derivative of
+        # q_j, which only reaches the rows of earlier generators.
+        self._dy = []
         for j, gs in enumerate(self.gens):
             d = gs.degree
             inv_lead = RingElem(
                 self, self._g_over_y[j] ** (d - 1) * Fraction(1, d), d - 1
             )
-            row = []
-            for i in range(self.nparams):
-                acc = RingElem(self, gs.rhs.partial(i))
-                for l in range(j):
-                    dq = gs.rhs.partial(self.gen_index(l))
-                    if not dq.is_zero():
-                        acc = acc + RingElem(self, dq) * dy[l][i]
-                row.append(acc * inv_lead)
-            dy.append(row)
-        self._dy = dy
+            self._dy.append([self._total_derivative(gs.rhs, i) * inv_lead
+                             for i in range(self.nparams)])
         self._dg = [self._total_derivative(self.denominator, i) for i in range(self.nparams)]
 
     def _require_valid(self):
@@ -316,7 +321,7 @@ class ChartSpec:
 
     def _total_derivative(self, poly, i):
         """d/dx_i of a polynomial in params and generators, as a RingElem,
-        through ring arithmetic; builds the table of dg/dx_i."""
+        through ring arithmetic; builds the tables of dy_j/dx_i and dg/dx_i."""
         out = RingElem(self, poly.partial(i))
         for j in range(self.ngens):
             dp = poly.partial(self.gen_index(j))
@@ -587,3 +592,42 @@ class RingElem:
 
 
 _new_elem = object.__new__
+
+
+def sum_products(chart, triples):
+    """sum q * a * b over (a, b, q) triples, q an int or Fraction: the
+    sum-of-products kernel of the module docstring.  Raises ValueError when
+    a product or a lift could leave the degree bound."""
+    if len(triples) == 1:
+        a, b, q = triples[0]
+        return a * b * q
+    pairs = [(a.s + b.s, a.num, b.num, q) for a, b, q in triples
+             if q and a.num.nums and b.num.nums]
+    S = max((p[0] for p in pairs), default=0)
+    lifts = {s: chart.g_pow(S - s) for s, _, _, _ in pairs}
+    # one content denominator for every product and lift
+    den = math.lcm(*(pa.den * pb.den * q.denominator * lifts[s].den
+                     for s, pa, pb, q in pairs))
+    top = mono_layout(len(chart.allvars))[1]
+    sums = {}
+    for s, pa, pb, q in pairs:
+        f = q.numerator * den // (pa.den * pb.den * q.denominator * lifts[s].den)
+        _add_product(sums.setdefault(s, {}), pa.nums, pb.nums, f, top)
+    total = sums.pop(S, {})
+    for s, out in sums.items():
+        _add_product(total, out, lifts[s].nums, 1, top)
+    if 0 in total.values():
+        total = {m: c for m, c in total.items() if c}
+    return RingElem._new(chart, chart.reduce(_make(chart.allvars, total, den)), S)
+
+
+def _add_product(out, a, b, f, top):
+    """out += f * a * b on integer numerators keyed by packed monomials (the
+    degree field at bit top), after checking the degree bound."""
+    degree_check(max(a) + max(b), top)
+    get = out.get
+    for m2, c2 in b.items():
+        c2 *= f
+        for m1, c1 in a.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2

@@ -78,6 +78,13 @@ def _parse_monomial(src, n):
     return m
 
 
+def _order(text):
+    """argparse type of every --order and --den-power: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _check_index(index, n):
     if not 0 <= index < n:
         raise ValueError(f"--index {index} out of range: the overlap has {n} coordinate(s)")
@@ -350,7 +357,7 @@ def build_parser():
     p.add_argument("--chart", action="append",
                    help="built-in chart name or chart JSON file (repeatable)")
     p.add_argument("--atlas", help="built-in atlas name or atlas JSON file")
-    p.add_argument("--order", type=int, default=2,
+    p.add_argument("--order", type=_order, default=2,
                    help="jet order for the atlas inverse checks")
     add_output(p)
     p.set_defaults(func=cmd_validate)
@@ -358,7 +365,7 @@ def build_parser():
     p = sub.add_parser("jet", help="expand a chart function into its jet")
     p.add_argument("--chart", required=True)
     p.add_argument("--expr", required=True, help="expression, e.g. '1/x' or 'y^2*x'")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     add_output(p)
     p.set_defaults(func=cmd_jet)
 
@@ -366,7 +373,7 @@ def build_parser():
     p.add_argument("--chart", required=True)
     p.add_argument("--expr", help="expression to apply delta to")
     p.add_argument("--power", help="monomial 'm1,..,mN': expand a delta power instead")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     add_output(p)
     p.set_defaults(func=cmd_delta)
 
@@ -374,14 +381,14 @@ def build_parser():
     p.add_argument("--chart", required=True)
     p.add_argument("--left", required=True, help="'coefficient # v1;...;vN'")
     p.add_argument("--right", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     add_output(p)
     p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("phi", help="decompose a jet field into the semidirect model")
     p.add_argument("--chart", required=True)
     p.add_argument("--field", required=True, help="'coefficient # v1;...;vN'")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     add_output(p)
     p.set_defaults(func=cmd_phi)
 
@@ -390,7 +397,7 @@ def build_parser():
     p.add_argument("--vf", help="vector-field part 'v1;...;vN'")
     p.add_argument("--term", action="append",
                    help="current term 'm1,..,mN:index:expression' (repeatable)")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     add_output(p)
     p.set_defaults(func=cmd_psi)
 
@@ -399,8 +406,8 @@ def build_parser():
                             "the chart denominator")
     p.add_argument("--chart", required=True)
     p.add_argument("--vf", required=True, help="'v1;...;vN'")
-    p.add_argument("--den-power", type=int, help="series cutoff m (default: order)")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--den-power", type=_order, help="series cutoff m (default: order)")
+    p.add_argument("--order", type=_order, required=True)
     add_output(p)
     p.set_defaults(func=cmd_localize)
 
@@ -419,7 +426,7 @@ def build_parser():
     p.add_argument("--chart", required=True)
     p.add_argument("--word", required=True,
                    help="factors 'f expr | v v1;...;vN | ...' in order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     add_output(p)
     p.set_defaults(func=cmd_av_map)
 
@@ -429,7 +436,7 @@ def build_parser():
     p.add_argument("--pair", required=True, help="FROM:TO chart names")
     p.add_argument("--monomial", required=True, help="'m1,..,mN', positive degree")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.add_argument("--route", choices=["coeff", "both"], default="both")
     add_output(p)
     p.set_defaults(func=cmd_transition)
@@ -439,7 +446,7 @@ def build_parser():
     p.add_argument("--triple", required=True, help="three chart names, comma separated")
     p.add_argument("--monomial", help="restrict to one monomial 'm1,..,mN'")
     p.add_argument("--index", type=int, help="restrict to one coordinate index")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     add_output(p)
     p.set_defaults(func=cmd_cocycle)
 

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .charts import sum_products
 from .liealg import _basis_str, basis_bracket, basis_check, basis_key
 from .multipoly import (
     grlex_key, mi_below, mi_binomial, mi_check, mi_degree, mi_factorial,
     mi_lower, mi_range, mi_unit, mi_zero,
 )
-from .sparse import SparseElem, accumulate
+from .sparse import SparseElem
 
 
 def _derivative(table, j):
@@ -51,15 +52,16 @@ def _derivative(table, j):
 
 
 def _leibniz(a, k, table, l):
-    """(a d^k)(b d^l) in normal form, as (m, coefficient) pairs:
+    """(a d^k)(b d^l) in normal form, as (m, a, d^j b, binom(k, j)) terms of
     a sum_{j<=k} binom(k,j) (d^j b) d^{k-j+l}, with the d^j b read from b's
-    derivative table (_derivative).  Distinct j give distinct m."""
+    derivative table (_derivative); the callers sum the products per m with
+    charts.sum_products.  Distinct j give distinct m."""
     out = []
     for j in mi_below(k):
         db = _derivative(table, j)
         if not db.is_zero():
             m = tuple(p - q + s for p, q, s in zip(k, j, l))
-            out.append((m, a * db * mi_binomial(k, j)))
+            out.append((m, a, db, mi_binomial(k, j)))
     return out
 
 
@@ -105,19 +107,20 @@ class DiffOp(SparseElem):
         # one derivative table per right-hand term, for this product only
         zero = mi_zero(self.chart.nparams)
         tables = {l: {zero: b} for l, b in other.terms.items()}
-        out = {}
+        pairs = {}
         for k, a in self.terms.items():
             for l, table in tables.items():
-                for m, c in _leibniz(a, k, table, l):
-                    accumulate(out, m, c)
-        return DiffOp._new(self.chart, None, out)
+                for m, c, db, q in _leibniz(a, k, table, l):
+                    pairs.setdefault(m, []).append((c, db, q))
+        return DiffOp._from_products(self.chart, None, pairs)
 
     def apply(self, f):
-        """Action on a ring element."""
-        out = self.chart.zero()
-        for m, c in self.terms.items():
-            out = out + c * f.derive_multi(m)
-        return out
+        """Action on a ring element; each d^m f is derived once, from a
+        derivative table of f (_derivative)."""
+        table = {mi_zero(self.chart.nparams): f}
+        return sum_products(self.chart, [
+            (c, _derivative(table, m), 1) for m, c in self.terms.items()
+        ])
 
     def __str__(self):
         if not self.terms:
@@ -136,7 +139,8 @@ class DiffOp(SparseElem):
 
 def pbw_normalize(word, nvars, r):
     """Expand a word of L^(r) basis elements over the PBW basis
-    (non-decreasing words).  Returns dict word -> Fraction.
+    (non-decreasing words).  Returns dict word -> int (the structure
+    constants are integers).
 
     Straightening swaps adjacent out-of-order pairs, inserting the bracket
     correction; brackets that leave the truncation are discarded, which is
@@ -144,12 +148,12 @@ def pbw_normalize(word, nvars, r):
     a swap lowers the inversion count at fixed length and a correction
     shortens the word."""
     out = {}
-    stack = [(tuple(word), Fraction(1))]
+    stack = [(tuple(word), 1)]
     while stack:
         w, coef = stack.pop()
         idx = _first_descent(w)
         if idx is None:
-            out[w] = out.get(w, Fraction(0)) + coef
+            out[w] = out.get(w, 0) + coef
             continue
         a, b = w[idx], w[idx + 1]
         stack.append((w[:idx] + (b, a) + w[idx + 2:], coef))
@@ -166,12 +170,8 @@ def u_mul(t1, t2, nvars, r):
     for w1, c1 in t1.items():
         for w2, c2 in t2.items():
             for w, c in pbw_normalize(w1 + w2, nvars, r).items():
-                new = out.get(w, Fraction(0)) + c1 * c2 * c
-                if new:
-                    out[w] = new
-                elif w in out:
-                    del out[w]
-    return out
+                out[w] = out.get(w, 0) + c1 * c2 * c
+    return {w: c for w, c in out.items() if c}
 
 
 def _first_descent(w):
@@ -219,7 +219,7 @@ class TensorElem(SparseElem):
         # derivative tables and PBW expansions live for this product only
         tables = {key: {zero: b} for key, b in other.terms.items()}
         words = {}  # concatenated word -> its PBW expansion
-        out = {}
+        pairs = {}
         for (k, w1), a in self.terms.items():
             for (l, w2), table in tables.items():
                 dterms = _leibniz(a, k, table, l)
@@ -230,9 +230,9 @@ class TensorElem(SparseElem):
                 if expansion is None:
                     expansion = words[w] = pbw_normalize(w, n, self.r)
                 for word, wc in expansion.items():
-                    for m, c in dterms:
-                        accumulate(out, (m, word), c * wc)
-        return TensorElem._new(self.chart, self.r, out)
+                    for m, c, db, q in dterms:
+                        pairs.setdefault((m, word), []).append((c, db, q * wc))
+        return TensorElem._from_products(self.chart, self.r, pairs)
 
     def __str__(self):
         if not self.terms:

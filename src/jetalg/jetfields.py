@@ -36,7 +36,6 @@ import math
 from .charts import ChartMismatch
 from .jets import Jet, delta, jet_of, jet_scalar
 from .multipoly import mi_below, mi_binomial, mi_degree, mi_lower, mi_sub, mi_zero
-from .sparse import accumulate
 from .vfields import VectorField
 
 
@@ -143,15 +142,13 @@ def _half_action(u, w):
     out = []
     for j in range(n):
         wj = w.comps[j]
-        acc = {}
+        pairs = {}  # t-monomial -> [(a, b, q)] for sum_products
         for i in range(n):
             ui = u.comps[i]
             u0 = ui.terms.get(mi_zero(n))
             if u0 is not None:
                 for m, c in wj.terms.items():
-                    d = u0 * c.derive(i)
-                    if not d.is_zero():
-                        accumulate(acc, m, d)
+                    pairs.setdefault(m, []).append((u0, c.derive(i), 1))
             for a, ca in ui.terms.items():
                 if mi_degree(a) == 0:
                     continue
@@ -160,10 +157,9 @@ def _half_action(u, w):
                     if not b[i]:
                         continue
                     m = mi_lower(tuple(x + y for x, y in zip(a, b)), i)
-                    if mi_degree(m) > k:
-                        continue
-                    accumulate(acc, m, ca * cb * b[i])
-        out.append(Jet._new(chart, k, acc))
+                    if mi_degree(m) <= k:
+                        pairs.setdefault(m, []).append((ca, cb, b[i]))
+        out.append(Jet._from_products(chart, k, pairs))
     return JetField(chart, k, out)
 
 

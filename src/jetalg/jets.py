@@ -30,7 +30,7 @@ from .multipoly import (
     grlex_key, mi_check, mi_degree, mi_factorial, mi_lower, mi_range, mi_split,
     mi_zero, pow_by_squaring,
 )
-from .sparse import SparseElem, accumulate
+from .sparse import SparseElem
 
 
 class Jet(SparseElem):
@@ -65,14 +65,14 @@ class Jet(SparseElem):
             return NotImplemented
         self._check(other)
         k = self.order
-        out = {}
+        pairs = {}
         for m1, c1 in self.terms.items():
             d1 = mi_degree(m1)
             for m2, c2 in other.terms.items():
-                if d1 + mi_degree(m2) > k:
-                    continue
-                accumulate(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-        return Jet._new(self.chart, k, out)
+                if d1 + mi_degree(m2) <= k:
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    pairs.setdefault(m, []).append((c1, c2, 1))
+        return Jet._from_products(self.chart, k, pairs)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:

@@ -30,7 +30,7 @@ from .charts import ChartMismatch
 from .jets import delta_power, jet_scalar
 from .jetfields import JetField
 from .multipoly import mi_check, mi_degree, mi_lower, mi_range
-from .sparse import SparseElem, accumulate
+from .sparse import SparseElem
 from .vfields import VectorField
 
 
@@ -199,13 +199,12 @@ class CurrentElem(SparseElem):
     def bracket(self, other):
         """Pointwise current bracket: (a (x) l1, b (x) l2) -> ab (x) [l1, l2]."""
         self._check(other)
-        out = {}
+        pairs = {}
         for (a, i), ca in self.terms.items():
             for (b, j), cb in other.terms.items():
-                coef = ca * cb
                 for key, c in basis_bracket(a, i, b, j, self.r).items():
-                    accumulate(out, key, coef * c)
-        return CurrentElem._new(self.chart, self.r, out)
+                    pairs.setdefault(key, []).append((ca, cb, c))
+        return CurrentElem._from_products(self.chart, self.r, pairs)
 
     def differentiate(self, v):
         """Coefficientwise action of a vector field on the chart."""

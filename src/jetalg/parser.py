@@ -195,10 +195,20 @@ def _invert(elem):
         ) from None
 
 
+def _evaluate(src, evaluate, ctx):
+    """evaluate(ast, ctx) on the parse of src.  Parsing and evaluation
+    recurse once per nesting level, so an expression deeper than the
+    interpreter's recursion limit raises ExprSyntaxError."""
+    try:
+        return evaluate(parse_ast(src), ctx)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
+
+
 def parse_expression(src, chart):
     """Parse src to a RingElem on the (validated) chart."""
     chart.validate()
-    return _eval_ring(parse_ast(src), chart)
+    return _evaluate(src, _eval_ring, chart)
 
 
 def _eval_poly(ast, vars):
@@ -242,4 +252,4 @@ def parse_poly(src, vars):
     """Parse src to a Poly over the given variable names; division is only
     allowed by rational constants here (used for chart definitions, where
     the ring is not localized yet)."""
-    return _eval_poly(parse_ast(src), tuple(vars))
+    return _evaluate(src, _eval_poly, tuple(vars))

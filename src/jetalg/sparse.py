@@ -13,7 +13,7 @@ and check one caller-given key, and adds its product and display.
 
 from __future__ import annotations
 
-from .charts import ChartMismatch, RingElem
+from .charts import ChartMismatch, RingElem, sum_products
 
 
 def accumulate(out, key, c):
@@ -52,6 +52,12 @@ class SparseElem:
         self.grade = grade
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
         return self
+
+    @classmethod
+    def _from_products(cls, chart, grade, pairs):
+        """Trusted constructor from key -> [(a, b, q)]: each coefficient is
+        the charts.sum_products of its triples."""
+        return cls._new(chart, grade, {k: sum_products(chart, t) for k, t in pairs.items()})
 
     @classmethod
     def zero(cls, chart, grade=None):

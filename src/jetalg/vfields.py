@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import ChartMismatch, RingElem
+from .charts import ChartMismatch, RingElem, sum_products
 
 
 class VectorField:
@@ -50,11 +50,9 @@ class VectorField:
 
     def apply(self, f):
         """Action on a ring element: sum_i f_i * df/dx_i."""
-        out = self.chart.zero()
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * f.derive(i)
-        return out
+        return sum_products(self.chart, [
+            (c, f.derive(i), 1) for i, c in enumerate(self.coeffs) if not c.is_zero()
+        ])
 
     def bracket(self, other):
         """[v, w] = v w - w v, again a vector field."""

@@ -14,6 +14,7 @@ from jetalg.multipoly import DEGREE_LIMIT, Poly
 
 from conftest import make_sampler
 from derivref import ref_derive
+from sumref import ref_sum_products
 from polyref import ref_reduce
 
 
@@ -334,3 +335,60 @@ def test_derive_beyond_the_degree_bound_raises(p1):
     with pytest.raises(ValueError):
         RingElem(triple, x ** (DEGREE_LIMIT - 1), 1).derive(0)
     assert RingElem(triple, x ** (DEGREE_LIMIT - 1)).derive(0).num.degree() == DEGREE_LIMIT - 2
+
+
+# -- the sum-of-products kernel against one-at-a-time RingElem sums
+
+_P1_TRIPLE = loads_chart({"name": "triple", "params": ["x"], "gens": [],
+                          "denominator": "x^2 - x"})
+_QS = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(["elliptic", "affine2", "loc_x", "tower", "p1"]),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.sampled_from(_QS)), min_size=0, max_size=6))
+def test_sum_products_matches_reference(affine2, loc_x, elliptic, name, seed, picks):
+    chart = {"affine2": affine2, "loc_x": loc_x, "elliptic": elliptic,
+             "tower": _TOWER, "p1": _P1_TRIPLE}[name]
+    smp = make_sampler("sum-products-ref", seed)
+    # a pool of three elements with s <= 3, so picks repeat and cancel
+    pool = [RingElem(chart, smp.poly(chart, max_deg=2, terms=3), smp.rng.randint(0, 3))
+            for _ in range(3)]
+    triples = [(pool[i], pool[j], q) for i, j, q in picks]
+    got = charts.sum_products(chart, triples)
+    want, cancelled = ref_sum_products(chart, triples)
+    assert got == want
+    if not cancelled:
+        assert (got.num.nums, got.num.den, got.s) == (want.num.nums, want.num.den, want.s)
+
+
+def test_sum_products_cancelling_to_zero_has_s_zero(elliptic):
+    a = elliptic.gen(0) * elliptic.inv_denominator(2)
+    b = elliptic.param(0) + 1
+    z = charts.sum_products(elliptic, [(a, b, 1), (b, a, Fraction(-1)), (a, a, 0)])
+    assert z.is_zero() and z.s == 0
+
+
+def test_sum_products_sits_over_the_largest_power_of_g(loc_x):
+    # the two s = 2 products cancel; the result still sits over x^2, where
+    # adding one at a time falls back to x^1 after the partial sum is zero
+    a = loc_x.inv_denominator(1)
+    triples = [(a, a, 1), (a, a, -1), (a, loc_x.param(0), 1)]
+    got = charts.sum_products(loc_x, triples)
+    want, cancelled = ref_sum_products(loc_x, triples)
+    assert cancelled and got == want
+    assert (got.s, want.s) == (2, 1)
+
+
+def test_sum_products_beyond_the_degree_bound_raises(loc_x):
+    # loc_x has no generators, so reduce checks nothing: the pair and the
+    # lift check the bound themselves
+    x = loc_x.param(0)
+    big = x ** (DEGREE_LIMIT - 1)
+    with pytest.raises(ValueError):
+        charts.sum_products(loc_x, [(big, x, 1), (x, x, 1)])
+    with pytest.raises(ValueError):  # big * 1 over g^0 lifted to g^1 = x
+        charts.sum_products(loc_x, [(big, loc_x.one(), 1), (loc_x.inv_denominator(), x, 1)])
+    assert charts.sum_products(loc_x, [(big, loc_x.one(), 1), (x, x, 1)]).num.degree() == DEGREE_LIMIT - 1

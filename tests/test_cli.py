@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -259,3 +260,51 @@ def test_seed_42_report_matches_the_regression_oracle(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(fn.read_bytes()).hexdigest() == SEED_42_REPORT_SHA256
+
+
+# -- input bounds: rejected before any work, exit 2, no traceback
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--atlas", "p1", "--order", "-1"],
+    ["jet", "--chart", "loc_x", "--expr", "x", "--order", "-1"],
+    ["delta", "--chart", "loc_x", "--expr", "x", "--order", "-3"],
+    ["bracket", "--chart", "loc_x", "--left", "1 # x", "--right", "1 # 1",
+     "--order", "-2"],
+    ["phi", "--chart", "loc_x", "--field", "1 # x^2", "--order", "-1"],
+    ["psi", "--chart", "loc_x", "--vf", "x", "--order", "-1"],
+    ["localize", "--chart", "loc_x", "--vf", "1", "--order", "2", "--den-power", "-1"],
+    ["localize", "--chart", "loc_x", "--vf", "1", "--order", "-2"],
+    ["av-map", "--chart", "loc_x", "--word", "v x", "--order", "-1"],
+    ["transition", "--atlas", "p1", "--pair", "std:inf", "--monomial", "1",
+     "--order", "-1"],
+    ["cocycle", "--atlas", "p1", "--triple", "std,inf,shift", "--order", "-1"],
+    ["jet", "--chart", "loc_x", "--expr", "x", "--order", "two"],
+])
+def test_negative_order_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = "--den-power" if "--den-power" in argv else "--order"
+    assert f"error: argument {flag}: must be an integer >= 0" in captured.err.splitlines()[-1]
+
+
+def test_order_zero_is_valid(capsys):
+    code, out = run(capsys, "bracket", "--chart", "loc_x", "--left", "1 # x",
+                    "--right", "1 # 1", "--order", "0")
+    assert code == 0 and out == "[(-1)]*d/dx\n"
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 3000 + "x" + ")" * 3000,
+    "-" * 3000 + "x",
+    "+".join(["x"] * 3000),
+])
+def test_deep_nesting_exits_2_quickly(capsys, expr):
+    start = time.perf_counter()
+    code, err = run_err(capsys, "jet", "--chart", "loc_x", "--expr=" + expr,
+                        "--order", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error: expression nested too deeply")

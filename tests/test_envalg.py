@@ -8,7 +8,7 @@ from jetalg.envalg import (
 )
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import phi
-from jetalg.multipoly import mi_below, mi_factorial, mi_zero
+from jetalg.multipoly import mi_below, mi_factorial, mi_range, mi_zero
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
@@ -244,3 +244,18 @@ def test_vf_factor_derives_each_multi_index_once(name, r, bound, request, monkey
             ((m, i),) = word
             want = v.coeffs[i].derive_multi(m) * Fraction(1, mi_factorial(m))
             assert (c.num, c.s) == (want.num, want.s)
+
+
+def test_apply_derives_each_multi_index_once(affine2, monkeypatch):
+    # all ten terms with |m| <= 3: one derivation per nonzero m from a table
+    # of f (9), where deriving each d^m f from f itself takes 20
+    smp = make_sampler("apply-count")
+    op = DiffOp(affine2, {m: smp.nonzero_elem(affine2) for m in mi_range(2, 3)})
+    f = smp.nonzero_elem(affine2, max_deg=4, terms=4)
+    want = affine2.zero()
+    for m, c in op.terms.items():
+        want = want + c * f.derive_multi(m)
+    calls = _count_derives(monkeypatch)
+    got = op.apply(f)
+    assert len(op.terms) == 10 and len(calls) <= 9
+    assert got == want

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetalg import charts
 from jetalg.jets import (
     Jet, delta, delta_power, jet_of, jet_of_pair, jet_scalar,
     taylor_identity_check,
@@ -170,3 +171,33 @@ def test_jet_power_is_repeated_product(elliptic):
     for n in range(7):
         assert j ** n == expected
         expected = expected * j
+
+
+def test_jet_product_reduces_once_per_coefficient(elliptic, monkeypatch):
+    x, y = elliptic.param(0), elliptic.gen(0)
+    a = jet_of(y * x + elliptic.inv_denominator(), 3)
+    b = jet_of(x ** 2 - y * elliptic.inv_denominator(2), 3)
+    want = a * b  # fills the powers of g the lifts use
+    calls = []
+    real = charts.ChartSpec.reduce
+
+    def counting(chart, poly):
+        calls.append(poly)
+        return real(chart, poly)
+
+    monkeypatch.setattr(charts.ChartSpec, "reduce", counting)
+    got = a * b
+    assert len(got.terms) == 4 and len(calls) == 4
+    assert got == want
+
+
+def test_jet_product_beyond_the_degree_bound_raises(loc_x):
+    # t^1 collects 1 * 1 and x^16384 * x^16384 (degree 2^15 = 32768); loc_x
+    # has no generators, so the kernel's own check must refuse it
+    x, one = loc_x.param(0), loc_x.one()
+    big = x ** (1 << 14)
+    a = Jet(loc_x, 1, {(0,): one, (1,): big})
+    b = Jet(loc_x, 1, {(0,): one, (1,): one})
+    with pytest.raises(ValueError):
+        a * Jet(loc_x, 1, {(0,): big, (1,): one})
+    assert (a * b).coeff((1,)) == big + one
