@@ -139,9 +139,10 @@ class ChartSpec:
             denominator = Poly.one(self.allvars)
         self.denominator = denominator.extended(self.allvars)
         self._validated = False
-        self._qpow = {}      # (gen index, exponent) -> reduced Poly
-        self._gpow = {}      # s -> reduced Poly g^s
-        self._gpow_raw = {}  # s -> unreduced Poly g^s
+        one = Poly.one(self.allvars)
+        self._qpow = [{0: one} for _ in self.gens]  # [j][e] -> Poly q_j^e
+        self._gpow = {0: one}      # s -> reduced Poly g^s
+        self._gpow_raw = {0: one}  # s -> unreduced Poly g^s
         self._dy = None      # dy[j][i] : RingElem
         self._dg = None      # dg[i] : RingElem, total derivative of g
         self._g_over_y = []  # g / y_j as Poly
@@ -291,33 +292,27 @@ class ChartSpec:
         return _make(self.allvars, nums, den)
 
     def _q_power(self, j, e):
-        key = (j, e)
-        got = self._qpow.get(key)
-        if got is None:
-            if e == 0:
-                got = Poly.one(self.allvars)
-            else:
-                got = self._q_power(j, e - 1) * self.gens[j].rhs
-            self._qpow[key] = got
-        return got
+        """q_j^e, the e-th power of generator j's relation right-hand side;
+        like g_pow, filled one power at a time by a loop."""
+        cache = self._qpow[j]
+        while len(cache) <= e:
+            cache[len(cache)] = cache[len(cache) - 1] * self.gens[j].rhs
+        return cache[e]
 
     def g_pow(self, s):
-        """Reduced g^s."""
-        got = self._gpow.get(s)
-        if got is None:
-            if s == 0:
-                got = Poly.one(self.allvars)
-            else:
-                got = self.reduce(self.g_pow(s - 1) * self.denominator)
-            self._gpow[s] = got
-        return got
+        """Reduced g^s.  The cache holds every power below the largest one
+        asked for and is filled by a loop, so a first large s costs no
+        recursion depth."""
+        cache = self._gpow
+        while len(cache) <= s:
+            cache[len(cache)] = self.reduce(cache[len(cache) - 1] * self.denominator)
+        return cache[s]
 
     def g_pow_raw(self, s):
-        got = self._gpow_raw.get(s)
-        if got is None:
-            got = self.g_pow_raw(s - 1) * self.denominator if s else Poly.one(self.allvars)
-            self._gpow_raw[s] = got
-        return got
+        cache = self._gpow_raw
+        while len(cache) <= s:
+            cache[len(cache)] = cache[len(cache) - 1] * self.denominator
+        return cache[s]
 
     def _total_derivative(self, poly, i):
         """d/dx_i of a polynomial in params and generators, as a RingElem,

@@ -170,8 +170,12 @@ def u_mul(t1, t2, nvars, r):
     for w1, c1 in t1.items():
         for w2, c2 in t2.items():
             for w, c in pbw_normalize(w1 + w2, nvars, r).items():
-                out[w] = out.get(w, 0) + c1 * c2 * c
-    return {w: c for w, c in out.items() if c}
+                new = out.get(w, Fraction(0)) + c1 * c2 * c
+                if new:
+                    out[w] = new
+                elif w in out:
+                    del out[w]
+    return out
 
 
 def _first_descent(w):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,17 @@ def test_power_is_repeated_product(elliptic):
         assert (got.num, got.s) == (expected.num, expected.s)
         expected = expected * e
 
+
+
+def test_first_large_powers_need_no_recursion_depth():
+    # the g_pow, g_pow_raw and _q_power caches are filled by loops
+    c = chart_from({"name": "sq", "params": ["x"],
+                    "gens": [{"name": "y", "degree": 2, "rhs": "x"}],
+                    "denominator": "y"})
+    n = sys.getrecursionlimit() + 500
+    assert c.g_pow_raw(n).degree() == n
+    assert c.g_pow(n) == c.reduce(c.g_pow_raw(n))
+    assert c.reduce(c.g_pow_raw(2 * n)) == (c.param(0) ** n).num
 
 # -- the reduce-free fast paths of RingElem
 

@@ -308,3 +308,11 @@ def test_deep_nesting_exits_2_quickly(capsys, expr):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err.startswith("error: expression nested too deeply")
+
+
+def test_large_first_power_is_not_a_nesting_error(capsys):
+    # g^1500 is built by a loop, so no RecursionError reaches the parser
+    code, out = run(capsys, "jet", "--chart", "loc_x", "--expr", "inv(x)^1500 + x",
+                    "--order", "1")
+    assert code == 0
+    assert out == "((x^1501 + 1)/(x)^1500) + ((x^1501 - 1500)/(x)^1501)*t\n"
