@@ -56,10 +56,10 @@ s = a.s + b.s, sweeps each group's integer numerators into one dict over one
 content denominator, lifts each group to S, the largest s of a nonzero
 product, by one product with g^(S - s), and calls ``reduce`` once.  Every
 pair and every lift is checked against the degree bound first.  A single
-triple is the plain product a * b * q.  Representation rule: the result
-sits over g^S.  Adding the products one at a time gives the same numerator
-and s unless a partial sum cancels to exactly zero midway; it is the same
-ring element in every case.
+triple (over half the calls) is the plain a * b * q, measured faster end to
+end.  Representation rule: the result sits over g^S.  Adding the products
+one at a time gives the same numerator and s unless a partial sum cancels to
+exactly zero midway; it is the same ring element in every case.
 """
 
 from __future__ import annotations
