@@ -444,6 +444,9 @@ class RingElem:
     def is_zero(self):
         return self.num.is_zero()
 
+    def __bool__(self):
+        return bool(self.num.nums)
+
     # -- arithmetic
 
     def __add__(self, other):
@@ -487,6 +490,10 @@ class RingElem:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if max(self.num.support_vars(), default=-1) < self.chart.nparams:
+            # no generator occurs, so no power needs reducing: num^e over
+            # g^(s e), with Poly's degree bound checked before any product
+            return RingElem._new(self.chart, self.num ** e, self.s * e)
         return pow_by_squaring(self.chart.one(), self, e)
 
     def __eq__(self, other):

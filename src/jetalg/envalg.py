@@ -35,7 +35,7 @@ from .multipoly import (
     grlex_key, mi_below, mi_binomial, mi_check, mi_degree, mi_factorial,
     mi_lower, mi_range, mi_unit, mi_zero,
 )
-from .sparse import SparseElem
+from .sparse import SparseElem, accumulate
 
 
 def _derivative(table, j):
@@ -122,13 +122,8 @@ class DiffOp(SparseElem):
             (c, _derivative(table, m), 1) for m, c in self.terms.items()
         ])
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            _dterm_str(m, c)
-            for m, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-        )
+    _key_order = staticmethod(grlex_key)
+    _term_str = staticmethod(_dterm_str)
 
     def __repr__(self):
         return f"DiffOp({str(self)!r})"
@@ -153,7 +148,7 @@ def pbw_normalize(word, nvars, r):
         w, coef = stack.pop()
         idx = _first_descent(w)
         if idx is None:
-            out[w] = out.get(w, 0) + coef
+            accumulate(out, w, coef)
             continue
         a, b = w[idx], w[idx + 1]
         stack.append((w[:idx] + (b, a) + w[idx + 2:], coef))
@@ -164,18 +159,15 @@ def pbw_normalize(word, nvars, r):
 
 def u_mul(t1, t2, nvars, r):
     """Product in U(L^(r)) of two PBW-basis expansions, each a dict
-    normal word -> Fraction: the straightened concatenation of every pair of
-    words, bilinearly, with zero coefficients dropped."""
+    normal word -> int (as pbw_normalize returns): the straightened
+    concatenation of every pair of words, bilinearly, with zero
+    coefficients dropped."""
     out = {}
     for w1, c1 in t1.items():
         for w2, c2 in t2.items():
             for w, c in pbw_normalize(w1 + w2, nvars, r).items():
-                new = out.get(w, Fraction(0)) + c1 * c2 * c
-                if new:
-                    out[w] = new
-                elif w in out:
-                    del out[w]
-    return out
+                accumulate(out, w, c1 * c2 * c)
+    return {w: c for w, c in out.items() if c}
 
 
 def _first_descent(w):
@@ -238,18 +230,16 @@ class TensorElem(SparseElem):
                         pairs.setdefault((m, word), []).append((c, db, q * wc))
         return TensorElem._from_products(self.chart, self.r, pairs)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (dm, w), c in sorted(
-            self.terms.items(), key=lambda t: (grlex_key(t[0][0]), t[0][1])
-        ):
-            wpart = "1" if not w else "*".join(
-                _basis_str(m, i, self.chart.nparams) for m, i in w
-            )
-            parts.append(f"{_dterm_str(dm, c)} (x) {wpart}")
-        return " + ".join(parts)
+    @staticmethod
+    def _key_order(key):
+        dm, w = key
+        return (grlex_key(dm), w)
+
+    def _term_str(self, key, c):
+        dm, w = key
+        n = self.chart.nparams
+        word = "*".join(_basis_str(m, i, n) for m, i in w) or "1"
+        return f"{_dterm_str(dm, c)} (x) {word}"
 
     def __repr__(self):
         return f"TensorElem(r={self.r}, {str(self)!r})"

@@ -27,8 +27,8 @@ from .charts import ChartSpec, GenSpec, RingElem
 from .envalg import DiffOp, TensorElem
 from .jets import Jet
 from .jetfields import JetField
-from .liealg import CurrentElem, LElem, SemiDirectElem, basis_key
-from .multipoly import Poly, grlex_key
+from .liealg import CurrentElem, LElem, SemiDirectElem
+from .multipoly import Poly
 from .parser import parse_expression, parse_poly
 from .atlas import AtlasSpec, TransitionPair
 from .vfields import VectorField
@@ -146,7 +146,7 @@ def load_atlas(filename):
 # value serialization
 
 def _poly_data(p):
-    return [[list(m), str(c)] for m, c in sorted(p.terms.items(), key=lambda t: grlex_key(t[0]))]
+    return [[list(m), str(c)] for m, c in p.sorted_terms(reverse=False)]
 
 
 def _poly_from(data, vars):
@@ -161,69 +161,99 @@ def _elem_from(data, chart):
     return RingElem(chart, _poly_from(data["num"], chart.allvars), data["s"])
 
 
+def _mono_data(e):
+    """[[m, elem], ...] of a multi-index-keyed value, in display order."""
+    return [[list(m), _elem_data(c)] for m, c in e.sorted_items()]
+
+
+def _mono_from(rows, chart):
+    return {tuple(m): _elem_from(c, chart) for m, c in rows}
+
+
+def _basis_data(e, enc):
+    """[[m, i, enc(c)], ...] of an L^(r)-basis-keyed value, in display order."""
+    return [[list(m), i, enc(c)] for (m, i), c in e.sorted_items()]
+
+
+def _basis_from(rows, dec):
+    return {(tuple(m), i): dec(c) for m, i, c in rows}
+
+
+def _vf_from(rows, chart):
+    return VectorField(chart, [_elem_from(c, chart) for c in rows])
+
+
+def _tensor_from(rows, chart):
+    return {(tuple(dm), tuple((tuple(m), i) for m, i in w)): _elem_from(c, chart)
+            for dm, w, c in rows}
+
+
+# kind -> (type, data fields of a value, value from data and chart).  Every
+# kind but "lelem" lives on a chart, whose name the data carries.
+_KINDS = {
+    "elem": (RingElem, _elem_data, _elem_from),
+    "vfield": (
+        VectorField,
+        lambda v: {"coeffs": [_elem_data(c) for c in v.coeffs]},
+        lambda d, ch: _vf_from(d["coeffs"], ch),
+    ),
+    "jet": (
+        Jet,
+        lambda v: {"order": v.order, "coeffs": _mono_data(v)},
+        lambda d, ch: Jet(ch, d["order"], _mono_from(d["coeffs"], ch)),
+    ),
+    "jetfield": (
+        JetField,
+        lambda v: {"order": v.order, "comps": [_mono_data(c) for c in v.comps]},
+        lambda d, ch: JetField(ch, d["order"], [
+            Jet(ch, d["order"], _mono_from(c, ch)) for c in d["comps"]
+        ]),
+    ),
+    "lelem": (
+        LElem,
+        lambda v: {"nvars": v.nvars, "r": v.r, "terms": _basis_data(v, str)},
+        lambda d, _: LElem(d["nvars"], d["r"], _basis_from(d["terms"], Fraction)),
+    ),
+    "current": (
+        CurrentElem,
+        lambda v: {"r": v.r, "terms": _basis_data(v, _elem_data)},
+        lambda d, ch: CurrentElem(
+            ch, d["r"], _basis_from(d["terms"], lambda c: _elem_from(c, ch))
+        ),
+    ),
+    "semidirect": (
+        SemiDirectElem,
+        lambda v: {
+            "r": v.r, "v": [_elem_data(c) for c in v.v.coeffs],
+            "c": _basis_data(v.c, _elem_data),
+        },
+        lambda d, ch: SemiDirectElem(
+            _vf_from(d["v"], ch),
+            CurrentElem(ch, d["r"], _basis_from(d["c"], lambda c: _elem_from(c, ch))),
+        ),
+    ),
+    "diffop": (
+        DiffOp,
+        lambda v: {"terms": _mono_data(v)},
+        lambda d, ch: DiffOp(ch, _mono_from(d["terms"], ch)),
+    ),
+    "tensor": (
+        TensorElem,
+        lambda v: {"r": v.r, "terms": [
+            [list(dm), [[list(m), i] for m, i in w], _elem_data(c)]
+            for (dm, w), c in v.sorted_items()
+        ]},
+        lambda d, ch: TensorElem(ch, d["r"], _tensor_from(d["terms"], ch)),
+    ),
+}
+
+
 def value_to_data(v):
     """Structured, order-stable representation of a computed value."""
-    if isinstance(v, RingElem):
-        return {"kind": "elem", "chart": v.chart.name, **_elem_data(v)}
-    if isinstance(v, VectorField):
-        return {
-            "kind": "vfield", "chart": v.chart.name,
-            "coeffs": [_elem_data(c) for c in v.coeffs],
-        }
-    if isinstance(v, Jet):
-        return {
-            "kind": "jet", "chart": v.chart.name, "order": v.order,
-            "coeffs": [
-                [list(m), _elem_data(c)]
-                for m, c in sorted(v.coeffs.items(), key=lambda t: grlex_key(t[0]))
-            ],
-        }
-    if isinstance(v, JetField):
-        return {
-            "kind": "jetfield", "chart": v.chart.name, "order": v.order,
-            "comps": [value_to_data(c)["coeffs"] for c in v.comps],
-        }
-    if isinstance(v, LElem):
-        return {
-            "kind": "lelem", "nvars": v.nvars, "r": v.r,
-            "terms": [
-                [list(m), i, str(c)]
-                for (m, i), c in sorted(v.terms.items(), key=lambda t: basis_key(t[0]))
-            ],
-        }
-    if isinstance(v, CurrentElem):
-        return {
-            "kind": "current", "chart": v.chart.name, "r": v.r,
-            "terms": [
-                [list(m), i, _elem_data(c)]
-                for (m, i), c in sorted(v.terms.items(), key=lambda t: basis_key(t[0]))
-            ],
-        }
-    if isinstance(v, SemiDirectElem):
-        return {
-            "kind": "semidirect", "chart": v.chart.name, "r": v.r,
-            "v": [_elem_data(c) for c in v.v.coeffs],
-            "c": value_to_data(v.c)["terms"],
-        }
-    if isinstance(v, DiffOp):
-        return {
-            "kind": "diffop", "chart": v.chart.name,
-            "terms": [
-                [list(m), _elem_data(c)]
-                for m, c in sorted(v.terms.items(), key=lambda t: grlex_key(t[0]))
-            ],
-        }
-    if isinstance(v, TensorElem):
-        return {
-            "kind": "tensor", "chart": v.chart.name, "r": v.r,
-            "terms": [
-                [list(dm), [[list(m), i] for m, i in w], _elem_data(c)]
-                for (dm, w), c in sorted(
-                    v.terms.items(),
-                    key=lambda t: (grlex_key(t[0][0]), t[0][1]),
-                )
-            ],
-        }
+    for kind, (cls, to_data, _) in _KINDS.items():
+        if isinstance(v, cls):
+            head = {"kind": kind} if kind == "lelem" else {"kind": kind, "chart": v.chart.name}
+            return {**head, **to_data(v)}
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -231,50 +261,13 @@ def value_from_data(data, chart=None):
     """Rebuild a value from value_to_data output.  Chart-valued kinds need
     the chart passed in (the name field is checked)."""
     kind = data["kind"]
-    if kind == "lelem":
-        return LElem(
-            data["nvars"], data["r"],
-            {(tuple(m), i): Fraction(c) for m, i, c in data["terms"]},
-        )
-    if chart is None:
-        raise ValueError(f"kind {kind!r} needs a chart")
-    if data.get("chart") != chart.name:
-        raise ValueError(f"value was saved on chart {data.get('chart')!r}, not {chart.name!r}")
-    if kind == "elem":
-        return _elem_from(data, chart)
-    if kind == "vfield":
-        return VectorField(chart, [_elem_from(c, chart) for c in data["coeffs"]])
-    if kind == "jet":
-        return Jet(
-            chart, data["order"],
-            {tuple(m): _elem_from(c, chart) for m, c in data["coeffs"]},
-        )
-    if kind == "jetfield":
-        comps = [
-            Jet(chart, data["order"], {tuple(m): _elem_from(c, chart) for m, c in comp})
-            for comp in data["comps"]
-        ]
-        return JetField(chart, data["order"], comps)
-    if kind == "current":
-        return CurrentElem(
-            chart, data["r"],
-            {(tuple(m), i): _elem_from(c, chart) for m, i, c in data["terms"]},
-        )
-    if kind == "semidirect":
-        v = VectorField(chart, [_elem_from(c, chart) for c in data["v"]])
-        c = CurrentElem(
-            chart, data["r"],
-            {(tuple(m), i): _elem_from(e, chart) for m, i, e in data["c"]},
-        )
-        return SemiDirectElem(v, c)
-    if kind == "diffop":
-        return DiffOp(chart, {tuple(m): _elem_from(c, chart) for m, c in data["terms"]})
-    if kind == "tensor":
-        return TensorElem(
-            chart, data["r"],
-            {
-                (tuple(dm), tuple((tuple(m), i) for m, i in w)): _elem_from(c, chart)
-                for dm, w, c in data["terms"]
-            },
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind != "lelem":
+        if chart is None:
+            raise ValueError(f"kind {kind!r} needs a chart")
+        if data.get("chart") != chart.name:
+            raise ValueError(
+                f"value was saved on chart {data.get('chart')!r}, not {chart.name!r}"
+            )
+    return _KINDS[kind][2](data, chart)

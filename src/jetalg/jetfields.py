@@ -35,12 +35,22 @@ import math
 
 from .charts import ChartMismatch
 from .jets import Jet, delta, jet_of, jet_scalar
-from .multipoly import mi_below, mi_binomial, mi_degree, mi_lower, mi_sub, mi_zero
-from .vfields import VectorField
+from .multipoly import (
+    mi_add, mi_below, mi_binomial, mi_degree, mi_lower, mi_sub, mi_zero,
+)
+from .sparse import TupleElem
+from .vfields import VectorField, field_str
 
 
-class JetField:
-    __slots__ = ("chart", "order", "comps")
+class JetField(TupleElem):
+    """One order-k jet per coordinate direction; linear structure from
+    sparse.TupleElem."""
+
+    __slots__ = ()
+
+    # The base slots under their jet-field names.
+    order = TupleElem.grade
+    comps = TupleElem.parts
 
     def __init__(self, chart, order, comps):
         comps = tuple(comps)
@@ -59,72 +69,33 @@ class JetField:
 
     @classmethod
     def zero(cls, chart, order):
-        return cls(chart, order, [Jet.zero(chart, order)] * chart.nparams)
-
-    def _check(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch("jet fields live on different charts")
-        if self.order != other.order:
-            raise ValueError(f"orders differ: {self.order} vs {other.order}")
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
-
-    def __add__(self, other):
-        if not isinstance(other, JetField):
-            return NotImplemented
-        self._check(other)
-        return JetField(
-            self.chart, self.order,
-            [a + b for a, b in zip(self.comps, other.comps)],
-        )
-
-    def __neg__(self):
-        return JetField(self.chart, self.order, [-c for c in self.comps])
-
-    def __sub__(self, other):
-        if not isinstance(other, JetField):
-            return NotImplemented
-        return self + (-other)
+        return cls._new(chart, order, [Jet.zero(chart, order)] * chart.nparams)
 
     def scale(self, a):
         """Left action of A: multiply every coefficient by a."""
-        return JetField(self.chart, self.order, [c.scale(a) for c in self.comps])
+        return JetField._new(self.chart, self.order, [c.scale(a) for c in self.comps])
 
     def scale_jet(self, j):
         """Multiply every component by an order-matched jet."""
-        return JetField(self.chart, self.order, [j * c for c in self.comps])
+        return JetField._new(self.chart, self.order, [j * c for c in self.comps])
 
     def anchor(self):
         """Evaluate at t = 0: the underlying vector field."""
-        return VectorField(self.chart, [c.eval_diagonal() for c in self.comps])
+        return VectorField._new(self.chart, None, [c.eval_diagonal() for c in self.comps])
 
     def jf_order(self):
         """Minimum t-valuation over the components; k+1 when zero."""
         return min(c.t_order() for c in self.comps)
 
     def truncated(self, k):
-        return JetField(self.chart, k, [c.truncated(k) for c in self.comps])
+        return JetField._new(self.chart, k, [c.truncated(k) for c in self.comps])
 
     def bracket(self, other):
         self._check(other)
         return _half_action(self, other) - _half_action(other, self)
 
-    def __eq__(self, other):
-        if not isinstance(other, JetField):
-            return NotImplemented
-        self._check(other)
-        return all(a == b for a, b in zip(self.comps, other.comps))
-
-    __hash__ = None
-
     def __str__(self):
-        parts = [
-            f"[{c}]*d/d{name}"
-            for c, name in zip(self.comps, self.chart.params)
-            if not c.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
+        return field_str(self, "[{}]*d/d{}")
 
     def __repr__(self):
         return f"JetField(order={self.order}, {str(self)!r})"
@@ -156,20 +127,18 @@ def _half_action(u, w):
                 for b, cb in wj.terms.items():
                     if not b[i]:
                         continue
-                    m = mi_lower(tuple(x + y for x, y in zip(a, b)), i)
+                    m = mi_lower(mi_add(a, b), i)
                     if mi_degree(m) <= k:
                         pairs.setdefault(m, []).append((ca, cb, b[i]))
         out.append(Jet._from_products(chart, k, pairs))
-    return JetField(chart, k, out)
+    return JetField._new(chart, k, out)
 
 
 def jf_from_pair(a, v, k):
     """The decomposable a # v: component i is a * jet_of(v_i)."""
     if a.chart is not v.chart and a.chart != v.chart:
         raise ChartMismatch("scalar and field live on different charts")
-    return JetField(
-        v.chart, k, [jet_of(c, k).scale(a) for c in v.coeffs]
-    )
+    return JetField._new(v.chart, k, [jet_of(c, k).scale(a) for c in v.coeffs])
 
 
 def jf_from_vf(v, k):

@@ -27,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multipoly import (
-    grlex_key, mi_check, mi_degree, mi_factorial, mi_lower, mi_range, mi_split,
-    mi_zero, pow_by_squaring,
+    grlex_key, indexed_names, mi_add, mi_check, mi_degree, mi_factorial,
+    mi_lower, mi_range, mi_split, mi_zero, mono_str, pow_by_squaring,
 )
 from .sparse import SparseElem
 
@@ -70,7 +70,7 @@ class Jet(SparseElem):
             d1 = mi_degree(m1)
             for m2, c2 in other.terms.items():
                 if d1 + mi_degree(m2) <= k:
-                    m = tuple(a + b for a, b in zip(m1, m2))
+                    m = mi_add(m1, m2)
                     pairs.setdefault(m, []).append((c1, c2, 1))
         return Jet._from_products(self.chart, k, pairs)
 
@@ -126,26 +126,14 @@ class Jet(SparseElem):
             {m: c for m, c in self.terms.items() if mi_degree(m) <= k},
         )
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = _tnames(self.chart)
-        parts = []
-        for m, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0])):
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
-            )
-            parts.append(f"({c})*{mono}" if mono else f"({c})")
-        return " + ".join(parts)
+    _key_order = staticmethod(grlex_key)
+
+    def _term_str(self, m, c):
+        mono = mono_str(indexed_names("t", self.chart.nparams), m)
+        return f"({c})*{mono}" if mono else f"({c})"
 
     def __repr__(self):
         return f"Jet(order={self.order}, {str(self)!r})"
-
-
-def _tnames(chart):
-    if chart.nparams == 1:
-        return ("t",)
-    return tuple(f"t{i + 1}" for i in range(chart.nparams))
 
 
 def jet_along(f, k, step):

@@ -29,8 +29,10 @@ from fractions import Fraction
 from .charts import ChartMismatch
 from .jets import delta_power, jet_scalar
 from .jetfields import JetField
-from .multipoly import mi_check, mi_degree, mi_lower, mi_range
-from .sparse import SparseElem
+from .multipoly import (
+    indexed_names, mi_add, mi_check, mi_degree, mi_lower, mi_range, mono_str,
+)
+from .sparse import SparseElem, TupleElem, accumulate
 from .vfields import VectorField
 
 
@@ -69,63 +71,40 @@ def basis_bracket(a, i, b, j, r):
     monomials with |m| > r.  Returns dict (m, q) -> int."""
     out = {}
     if b[i]:
-        m = mi_lower(tuple(x + y for x, y in zip(a, b)), i)
+        m = mi_lower(mi_add(a, b), i)
         if mi_degree(m) <= r:
-            out[(m, j)] = out.get((m, j), 0) + b[i]
+            accumulate(out, (m, j), b[i])
     if a[j]:
-        m = mi_lower(tuple(x + y for x, y in zip(a, b)), j)
+        m = mi_lower(mi_add(a, b), j)
         if mi_degree(m) <= r:
-            out[(m, i)] = out.get((m, i), 0) - a[j]
+            accumulate(out, (m, i), -a[j])
     return {k: c for k, c in out.items() if c}
 
 
-class LElem:
-    """Rational-coefficient element of L^(r)."""
+def _basis_str(m, i, nvars):
+    names = indexed_names("X", nvars)
+    return f"{mono_str(names, m)}*d/d{names[i]}"
 
-    __slots__ = ("nvars", "r", "terms")
 
-    def __init__(self, nvars, r, terms=()):
-        clean = {}
-        for key, c in (terms.items() if isinstance(terms, dict) else terms):
-            key = basis_check(nvars, r, key)
-            c = Fraction(c)
-            if c:
-                new = clean.get(key, Fraction(0)) + c
-                if new:
-                    clean[key] = new
-                elif key in clean:
-                    del clean[key]
-        self.nvars = nvars
-        self.r = r
-        self.terms = clean
+class LElem(SparseElem):
+    """Rational-coefficient element of L^(r): a SparseElem whose chart slot
+    holds the number of variables and whose coefficients are Fractions."""
+
+    __slots__ = ()
+
+    # The base slots under their L^(r) names.
+    nvars = SparseElem.chart
+    r = SparseElem.grade
+
+    _coef = staticmethod(Fraction)
+
+    @staticmethod
+    def _key(nvars, r, key):
+        return basis_check(nvars, r, key)
 
     def _check(self, other):
         if self.nvars != other.nvars or self.r != other.r:
             raise ValueError("truncation data differs")
-
-    def __add__(self, other):
-        if not isinstance(other, LElem):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LElem(self.nvars, self.r, out)
-
-    def __neg__(self):
-        return LElem(self.nvars, self.r, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, Fraction)):
-            return NotImplemented
-        return LElem(self.nvars, self.r, {k: v * c for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def bracket(self, other):
         self._check(other)
@@ -133,53 +112,23 @@ class LElem:
         for (a, i), ca in self.terms.items():
             for (b, j), cb in other.terms.items():
                 for key, c in basis_bracket(a, i, b, j, self.r).items():
-                    out[key] = out.get(key, Fraction(0)) + ca * cb * c
-        return LElem(self.nvars, self.r, out)
+                    accumulate(out, key, ca * cb * c)
+        return LElem._new(self.nvars, self.r, out)
 
     def degree_slice(self, d):
         """Terms of degree d ( = |m| - 1 )."""
-        return LElem(
+        return LElem._new(
             self.nvars, self.r,
             {k: c for k, c in self.terms.items() if mi_degree(k[0]) - 1 == d},
         )
 
-    def is_zero(self):
-        return not self.terms
+    _key_order = staticmethod(basis_key)
 
-    def __eq__(self, other):
-        if not isinstance(other, LElem):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __str__(self):
-        return _terms_str(self.terms, self.nvars, fmt=str)
+    def _term_str(self, key, c):
+        return f"({c})*{_basis_str(*key, self.nvars)}"
 
     def __repr__(self):
         return f"LElem(r={self.r}, {str(self)!r})"
-
-
-def _xnames(nvars):
-    if nvars == 1:
-        return ("X",)
-    return tuple(f"X{i + 1}" for i in range(nvars))
-
-
-def _basis_str(m, i, nvars):
-    names = _xnames(nvars)
-    mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
-    return f"{mono}*d/d{names[i]}"
-
-
-def _terms_str(terms, nvars, fmt):
-    if not terms:
-        return "0"
-    parts = []
-    for (m, i), c in sorted(terms.items(), key=lambda t: basis_key(t[0])):
-        parts.append(f"({fmt(c)})*{_basis_str(m, i, nvars)}")
-    return " + ".join(parts)
 
 
 class CurrentElem(SparseElem):
@@ -212,50 +161,34 @@ class CurrentElem(SparseElem):
             self.chart, self.r, {k: v.apply(c) for k, c in self.terms.items()}
         )
 
-    def __str__(self):
-        return _terms_str(self.terms, self.chart.nparams, fmt=str)
+    _key_order = staticmethod(basis_key)
+
+    def _term_str(self, key, c):
+        return f"({c})*{_basis_str(*key, self.chart.nparams)}"
 
     def __repr__(self):
         return f"CurrentElem(r={self.r}, {str(self)!r})"
 
 
-class SemiDirectElem:
-    """Pair (vector field, current element) in the semidirect product."""
+class SemiDirectElem(TupleElem):
+    """Pair (vector field, current element) in the semidirect product, at
+    the truncation r of its current part; linear structure from
+    sparse.TupleElem."""
 
-    __slots__ = ("v", "c")
+    __slots__ = ()
+
+    r = TupleElem.grade  # the base slot under its truncation name
+    v = property(lambda self: self.parts[0])
+    c = property(lambda self: self.parts[1])
 
     def __init__(self, v, c):
         if not isinstance(v, VectorField) or not isinstance(c, CurrentElem):
             raise TypeError("expected (VectorField, CurrentElem)")
         if v.chart is not c.chart and v.chart != c.chart:
             raise ChartMismatch("parts live on different charts")
-        self.v = v
-        self.c = c
-
-    @property
-    def chart(self):
-        return self.v.chart
-
-    @property
-    def r(self):
-        return self.c.r
-
-    def _check(self, other):
-        if self.r != other.r:
-            raise ValueError("truncation orders differ")
-
-    def __add__(self, other):
-        if not isinstance(other, SemiDirectElem):
-            return NotImplemented
-        return SemiDirectElem(self.v + other.v, self.c + other.c)
-
-    def __neg__(self):
-        return SemiDirectElem(-self.v, -self.c)
-
-    def __sub__(self, other):
-        if not isinstance(other, SemiDirectElem):
-            return NotImplemented
-        return self + (-other)
+        self.chart = v.chart
+        self.r = c.r
+        self.parts = (v, c)
 
     def bracket(self, other):
         """[(v1, c1), (v2, c2)] =
@@ -267,14 +200,7 @@ class SemiDirectElem:
             + other.c.differentiate(self.v)
             - self.c.differentiate(other.v)
         )
-        return SemiDirectElem(v, c)
-
-    def __eq__(self, other):
-        if not isinstance(other, SemiDirectElem):
-            return NotImplemented
-        return self.v == other.v and self.c == other.c
-
-    __hash__ = None
+        return SemiDirectElem._new(self.chart, self.r, (v, c))
 
     def __str__(self):
         return f"({self.v} ; {self.c})"

@@ -27,6 +27,7 @@ are packed and unpacked only at the edges: the public constructor,
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
@@ -48,7 +49,7 @@ def mi_unit(n, i):
 def mi_add(a, b):
     if len(a) != len(b):
         raise ValueError("multi-index length mismatch")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mi_sub(a, b):
@@ -144,6 +145,18 @@ def mi_below(m):
         out = [k + (e,) for k in out for e in r]
     out.sort(key=grlex_key)
     return out
+
+
+def mono_str(names, m):
+    """Display of the exponent tuple m over the variable names, as
+    x^2*y; empty for the zero multi-index."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
+
+
+def indexed_names(stem, n):
+    """Display names of n formal variables: the stem alone for one, else
+    stem1..stemn."""
+    return (stem,) if n == 1 else tuple(f"{stem}{i + 1}" for i in range(n))
 
 
 def _as_fraction(c):
@@ -417,8 +430,12 @@ class Poly:
         return _make(self.vars, {m: v * n for m, v in self.nums.items()}, self.den * d)
 
     def __pow__(self, e):
+        """self ** e; raises ValueError before the first product when the
+        power's degree, e * degree (exact over Q), leaves the bound."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
+        top = mono_layout(len(self.vars))[1]
+        degree_check(e * self.degree() << top, top)
         return pow_by_squaring(Poly.one(self.vars), self, e)
 
     def partial(self, i):
@@ -458,21 +475,12 @@ class Poly:
     def __hash__(self):
         return hash((self.vars, self.den, frozenset(self.nums.items())))
 
-    def _mono_str(self, m):
-        parts = []
-        for name, e in zip(self.vars, m):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
         if not self.nums:
             return "0"
         pieces = []
         for i, (m, c) in enumerate(self.sorted_terms()):
-            mono = self._mono_str(m)
+            mono = mono_str(self.vars, m)
             mag = abs(c)
             if mono and mag == 1:
                 body = mono

@@ -42,11 +42,10 @@ class Sampler:
         caps = [max_deg] * chart.nparams + [
             min(g.degree - 1, max_deg) for g in chart.gens
         ]
-        out = {}
-        for _ in range(terms):
-            m = tuple(self.rng.randint(0, c) for c in caps)
-            out[m] = out.get(m, 0) + self.fraction()
-        return Poly(chart.allvars, out)
+        return Poly(chart.allvars, [
+            (tuple(self.rng.randint(0, c) for c in caps), self.fraction())
+            for _ in range(terms)
+        ])
 
     def elem(self, chart, max_deg=2, terms=2, max_s=1):
         s = self.rng.randint(0, max_s) if chart.denominator.degree() > 0 else 0
@@ -83,11 +82,10 @@ class Sampler:
 
     def lelem(self, nvars, r, terms=2):
         basis = basis_elements(nvars, r)
-        out = {}
-        for _ in range(terms):
-            key = basis[self.rng.randrange(len(basis))]
-            out[key] = out.get(key, Fraction(0)) + self.fraction()
-        return LElem(nvars, r, out)
+        return LElem(nvars, r, [
+            (basis[self.rng.randrange(len(basis))], self.fraction())
+            for _ in range(terms)
+        ])
 
     def current(self, chart, r, terms=2, max_deg=2, max_s=1):
         basis = basis_elements(chart.nparams, r)

@@ -1,14 +1,23 @@
-"""Sparse free modules over a chart ring.
+"""The two module bases: sparse sums of basis keys and fixed tuples of parts.
 
-Jets, current elements, differential operators and D (x) U(L^(r)) are
-finite sums of basis keys with chart-ring coefficients.  They share one
-storage rule -- ``terms`` maps key -> RingElem and never stores a zero --
-and with it the linear structure.  Since no zero is stored, equality is
-plain dict equality (coefficients compare by RingElem equality).
+SparseElem: jets, current elements, differential operators, D (x) U(L^(r))
+and L^(r) are finite sums of basis keys.  ``terms`` maps key -> coefficient
+and never stores a zero, so equality is plain dict equality.  A subclass
+fixes what ``grade`` means (jet order or truncation r; None for differential
+operators), supplies ``_key(chart, grade, key)`` to normalise and check one
+caller-given key, ``_key_order`` and ``_term_str`` for display, and adds its
+product.  The hook ``_coef`` checks one caller-given coefficient: a RingElem
+by default, while LElem converts with ``Fraction`` and keeps the number of
+variables in the ``chart`` slot.  ``if c`` is the zero test of both
+coefficient rings (``RingElem.__bool__``).
 
-A subclass fixes what ``grade`` means (jet order or truncation r; None for
-differential operators), supplies ``_key(chart, grade, key)`` to normalise
-and check one caller-given key, and adds its product and display.
+TupleElem: vector fields, jet fields and semidirect pairs are a fixed tuple
+of ``parts`` (ring or module elements) with partwise linear structure.  A
+subclass names the slots, checks caller input in its constructor, and adds
+its scalar action, bracket and display.
+
+Both bases check that two operands share chart and grade (``_check``); their
+``_new`` is the trusted constructor for internal results.
 """
 
 from __future__ import annotations
@@ -23,10 +32,29 @@ def accumulate(out, key, c):
     out[key] = c if got is None else got + c
 
 
-class SparseElem:
-    """dict key -> nonzero RingElem on a chart, at a fixed grade."""
+class _Linear:
+    """Chart and grade slots, the operand check and subtraction."""
 
-    __slots__ = ("chart", "grade", "terms")
+    __slots__ = ("chart", "grade")
+
+    def _check(self, other):
+        if self.chart is not other.chart and self.chart != other.chart:
+            raise ChartMismatch(f"{type(self).__name__}s live on different charts")
+        if self.grade != other.grade:
+            raise ValueError(f"orders differ: {self.grade} vs {other.grade}")
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    __hash__ = None
+
+
+class SparseElem(_Linear):
+    """dict key -> nonzero coefficient on a chart, at a fixed grade."""
+
+    __slots__ = ("terms",)
 
     def __init__(self, chart, r, terms=()):
         """Validating constructor for caller input: terms is a dict or
@@ -35,22 +63,26 @@ class SparseElem:
         clean = {}
         for key, c in (terms.items() if isinstance(terms, dict) else terms):
             key = self._key(chart, r, key)
-            if not isinstance(c, RingElem):
-                raise TypeError("coefficients must be RingElem")
-            if not c.is_zero():
+            c = self._coef(c)
+            if c:
                 accumulate(clean, key, c)
         self.chart = chart
         self.grade = r
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+        self.terms = {k: c for k, c in clean.items() if c}
+
+    @staticmethod
+    def _coef(c):
+        if not isinstance(c, RingElem):
+            raise TypeError("coefficients must be RingElem")
+        return c
 
     @classmethod
     def _new(cls, chart, grade, terms):
-        """Trusted constructor for internal results, whose keys are valid by
-        construction; only the zero coefficients are dropped."""
+        """Trusted constructor; only the zero coefficients are dropped."""
         self = object.__new__(cls)
         self.chart = chart
         self.grade = grade
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        self.terms = {k: c for k, c in terms.items() if c}
         return self
 
     @classmethod
@@ -63,11 +95,13 @@ class SparseElem:
     def zero(cls, chart, grade=None):
         return cls._new(chart, grade, {})
 
-    def _check(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch(f"{type(self).__name__}s live on different charts")
-        if self.grade != other.grade:
-            raise ValueError(f"orders differ: {self.grade} vs {other.grade}")
+    def sorted_items(self):
+        """(key, coefficient) pairs in the display order of the keys,
+        ``_key_order``."""
+        return sorted(self.terms.items(), key=lambda t: self._key_order(t[0]))
+
+    def __str__(self):
+        return " + ".join(self._term_str(k, c) for k, c in self.sorted_items()) or "0"
 
     def get(self, key):
         """Coefficient at a normalised key (zero when absent)."""
@@ -91,13 +125,8 @@ class SparseElem:
             self.chart, self.grade, {k: -c for k, c in self.terms.items()}
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, a):
-        """Multiply every coefficient by the scalar a (the left A-action)."""
+        """Multiply every coefficient by the scalar a (the left action)."""
         return self._new(
             self.chart, self.grade, {k: a * c for k, c in self.terms.items()}
         )
@@ -108,4 +137,38 @@ class SparseElem:
         self._check(other)
         return self.terms == other.terms
 
-    __hash__ = None
+
+class TupleElem(_Linear):
+    """A fixed tuple of parts on a chart, at a fixed grade; partwise linear
+    structure."""
+
+    __slots__ = ("parts",)
+
+    @classmethod
+    def _new(cls, chart, grade, parts):
+        """Trusted constructor: the parts are valid by construction."""
+        self = object.__new__(cls)
+        self.chart = chart
+        self.grade = grade
+        self.parts = tuple(parts)
+        return self
+
+    def is_zero(self):
+        return all(p.is_zero() for p in self.parts)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._new(
+            self.chart, self.grade, [a + b for a, b in zip(self.parts, other.parts)]
+        )
+
+    def __neg__(self):
+        return self._new(self.chart, self.grade, [-p for p in self.parts])
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return all(a == b for a, b in zip(self.parts, other.parts))

@@ -11,6 +11,7 @@ from jetalg.charts import (
     NotInvertible, RingElem, ZeroDenominator, validate_chart,
 )
 from jetalg.fileio import loads_chart
+from jetalg.fixtures import standard_chart
 from jetalg.multipoly import DEGREE_LIMIT, Poly
 
 from conftest import make_sampler
@@ -404,3 +405,30 @@ def test_sum_products_beyond_the_degree_bound_raises(loc_x):
     with pytest.raises(ValueError):  # big * 1 over g^0 lifted to g^1 = x
         charts.sum_products(loc_x, [(big, loc_x.one(), 1), (loc_x.inv_denominator(), x, 1)])
     assert charts.sum_products(loc_x, [(big, loc_x.one(), 1), (x, x, 1)]).num.degree() == DEGREE_LIMIT - 1
+
+
+def test_power_without_generators_checks_the_bound_first(loc_x, elliptic, monkeypatch):
+    bases = [(c.param(0) + 1, c.param(0) * c.inv_denominator()) for c in (loc_x, elliptic)]
+    calls = []
+    mul = RingElem.__mul__
+    monkeypatch.setattr(RingElem, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for a, b in bases:
+        with pytest.raises(ValueError, match="total degree 100000 exceeds the bound"):
+            a ** 100000
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            b ** DEGREE_LIMIT
+    assert calls == []
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), name=st.sampled_from(["loc_x", "elliptic", "affine2"]),
+       e=st.integers(0, 5))
+def test_power_is_the_repeated_product(seed, name, e):
+    # with or without a generator in the numerator: same numerator, same s
+    chart = standard_chart(name)
+    a = make_sampler("pow", seed).elem(chart, max_s=2)
+    want = chart.one()
+    for _ in range(e):
+        want = want * a
+    got = a ** e
+    assert (got.num, got.s) == (want.num, want.s)

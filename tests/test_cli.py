@@ -316,3 +316,12 @@ def test_large_first_power_is_not_a_nesting_error(capsys):
                     "--order", "1")
     assert code == 0
     assert out == "((x^1501 + 1)/(x)^1500) + ((x^1501 - 1500)/(x)^1501)*t\n"
+
+
+def test_power_beyond_the_degree_bound_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, err = run_err(capsys, "jet", "--chart", "loc_x", "--expr", "(x+1)^100000",
+                        "--order", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == "error: total degree 100000 exceeds the bound 32767\n"

@@ -351,3 +351,23 @@ def test_str_and_fileio_roundtrip_three_vars(a):
     assert str(p) == ref_str(a, VARS3)
     back = _poly_from(json.loads(json.dumps(_poly_data(p))), VARS3)
     assert back == p and str(back) == str(p)
+
+
+def test_power_beyond_the_degree_bound_raises_before_any_product(monkeypatch):
+    # e * degree is the exact degree of a power over Q, so the bound is
+    # checked up front, not at the product that crosses it
+    x = Poly.variable(VARS, "x")
+    y = Poly.variable(VARS, "y")
+    xy1 = x * y + 1
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    with pytest.raises(ValueError, match="total degree 100000 exceeds the bound 32767"):
+        (x + 1) ** 100000
+    with pytest.raises(ValueError, match="total degree 32768 exceeds"):
+        xy1 ** (DEGREE_LIMIT // 2)
+    assert calls == []
+    monkeypatch.undo()
+    assert (x * y) ** (DEGREE_LIMIT // 2 - 1) == Poly(VARS, {(16383, 16383): 1})
+    assert (y ** (DEGREE_LIMIT - 1)).degree() == DEGREE_LIMIT - 1
+    assert Poly.zero(VARS) ** 100000 == Poly.zero(VARS)

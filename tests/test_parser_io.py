@@ -1,6 +1,7 @@
 """Expression parsing, chart/atlas files, and value serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from jetalg.fileio import (
     SchemaError, load_atlas, load_chart, loads_atlas, loads_chart,
     value_from_data, value_to_data,
 )
-from jetalg.fixtures import standard_chart
+from jetalg.fixtures import STANDARD_ATLASES, STANDARD_CHARTS, standard_chart
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import CurrentElem, phi
 from jetalg.parser import (
@@ -247,3 +248,17 @@ def test_sampled_elements_roundtrip_through_str_and_data(seed, name, max_deg):
     assert parse_expression(str(e), chart) == e
     data = json.loads(json.dumps(value_to_data(e)))
     assert value_from_data(data, chart) == e
+
+
+# -- the built-in fixture data and the shipped chart files are the same data
+
+CHART_DIR = Path(__file__).resolve().parent.parent / "charts"
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_CHARTS))
+def test_builtin_chart_equals_its_chart_file(name):
+    assert json.loads((CHART_DIR / f"{name}.json").read_text()) == STANDARD_CHARTS[name]
+
+
+def test_builtin_p1_atlas_equals_its_chart_file():
+    assert json.loads((CHART_DIR / "p1_atlas.json").read_text()) == STANDARD_ATLASES["p1"]

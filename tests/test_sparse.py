@@ -1,16 +1,23 @@
-"""The sparse-module base shared by Jet, CurrentElem, DiffOp and TensorElem:
-module axioms on sampled elements, and the checks of the public
-constructors that the trusted internal constructor skips."""
+"""The two module bases: sparse.SparseElem (Jet, CurrentElem, DiffOp,
+TensorElem, LElem) and sparse.TupleElem (VectorField, JetField,
+SemiDirectElem).  Module axioms on sampled elements, and the checks of the
+public constructors that the trusted internal constructors skip."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetalg.charts import ChartMismatch
 from jetalg.envalg import DiffOp, TensorElem
 from jetalg.fixtures import standard_chart
+from jetalg.jetfields import JetField
 from jetalg.jets import Jet
-from jetalg.liealg import CurrentElem, basis_key
+from jetalg.liealg import CurrentElem, LElem, SemiDirectElem, basis_key
 from jetalg.multipoly import mi_range
 from jetalg.sampling import Sampler
+from jetalg.sparse import SparseElem, TupleElem
+from jetalg.vfields import VectorField
 
 CHARTS = {name: standard_chart(name) for name in ("elliptic", "affine2")}
 R = 2
@@ -38,11 +45,22 @@ SAMPLERS = {
     "CurrentElem": lambda smp, chart: smp.current(chart, R, terms=3),
     "DiffOp": _diffop,
     "TensorElem": _tensor,
+    "VectorField": lambda smp, chart: smp.vfield(chart),
+    "JetField": lambda smp, chart: smp.jetfield(chart, R, density=3),
+    "SemiDirectElem": lambda smp, chart: smp.semidirect(chart, R),
+    "LElem": lambda smp, chart: smp.lelem(chart.nparams, 3, terms=3),
 }
+
+# The scalars each type is scaled by: chart-ring elements, rationals for
+# L^(r) (SemiDirectElem has no scalar action).
+RATIONAL = {"LElem"}
+UNSCALED = {"SemiDirectElem"}
 
 
 def _no_stored_zero(e):
-    return all(not c.is_zero() for c in e.terms.values())
+    if isinstance(e, TupleElem):
+        return True
+    return all(c != 0 for c in e.terms.values())
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLERS))
@@ -53,14 +71,28 @@ def test_module_axioms(kind, seed, chart):
     smp = Sampler(seed)
     a = SAMPLERS[kind](smp, chart)
     b = SAMPLERS[kind](smp, chart)
-    s = smp.elem(chart)
     assert a + b == b + a
     assert (a - a).is_zero()
-    assert (a + b).scale(s) == a.scale(s) + b.scale(s)
     assert -(-a) == a
-    assert a.scale(chart.zero()).is_zero()
-    for e in (a, b, a + b, a - b, -a, a.scale(s), (a + b).scale(s)):
+    assert type(a + b) is type(a - b) is type(-a) is type(a)
+    results = [a, b, a + b, a - b, -a]
+    if kind not in UNSCALED:
+        s = smp.fraction() if kind in RATIONAL else smp.elem(chart)
+        zero = Fraction(0) if kind in RATIONAL else chart.zero()
+        assert (a + b).scale(s) == a.scale(s) + b.scale(s)
+        assert a.scale(zero).is_zero()
+        results += [a.scale(s), (a + b).scale(s)]
+    for e in results:
         assert _no_stored_zero(e)
+
+
+def test_every_linear_type_sits_on_one_base():
+    for cls in (Jet, CurrentElem, DiffOp, TensorElem, LElem):
+        assert issubclass(cls, SparseElem)
+    for cls in (VectorField, JetField, SemiDirectElem):
+        assert issubclass(cls, TupleElem)
+        for name in ("__add__", "__neg__", "__sub__", "__eq__", "_check", "is_zero"):
+            assert name not in vars(cls), (cls.__name__, name)
 
 
 def test_repeated_keys_sum(elliptic):
@@ -110,3 +142,80 @@ def test_different_modules_do_not_add(loc_x):
         j + d
     with pytest.raises(TypeError):
         d - j
+
+
+# -- the tuple types and LElem keep the checks of their constructors and
+# operand checks
+
+
+def test_tuple_constructors_check_part_count(loc_x):
+    one = loc_x.one()
+    with pytest.raises(ValueError):
+        VectorField(loc_x, [one, one])
+    with pytest.raises(ValueError):
+        JetField(loc_x, 1, [])
+
+
+def test_tuple_constructors_check_part_types(loc_x):
+    one = loc_x.one()
+    with pytest.raises(TypeError):
+        VectorField(loc_x, [1])
+    with pytest.raises(TypeError):
+        JetField(loc_x, 1, [one])
+    with pytest.raises(TypeError):
+        SemiDirectElem(one, CurrentElem.zero(loc_x, 2))
+    with pytest.raises(TypeError):
+        SemiDirectElem(VectorField.zero(loc_x), Jet.zero(loc_x, 2))
+    with pytest.raises(TypeError):
+        LElem(1, 2, {((1,), 0): one})
+
+
+def test_tuple_constructors_check_chart_and_order(loc_x, elliptic):
+    with pytest.raises(ChartMismatch):
+        VectorField(loc_x, [elliptic.one()])
+    with pytest.raises(ChartMismatch):
+        JetField(loc_x, 1, [Jet.zero(elliptic, 1)])
+    with pytest.raises(ValueError):
+        JetField(loc_x, 2, [Jet.zero(loc_x, 1)])
+    with pytest.raises(ChartMismatch):
+        SemiDirectElem(VectorField.zero(loc_x), CurrentElem.zero(elliptic, 2))
+
+
+def test_operands_on_different_charts_or_orders(loc_x, elliptic):
+    vl, ve = VectorField.zero(loc_x), VectorField.zero(elliptic)
+    j1, j2 = JetField.zero(loc_x, 1), JetField.zero(loc_x, 2)
+    s2 = SemiDirectElem(vl, CurrentElem.zero(loc_x, 2))
+    s3 = SemiDirectElem(vl, CurrentElem.zero(loc_x, 3))
+    se = SemiDirectElem(ve, CurrentElem.zero(elliptic, 2))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a == b):
+        with pytest.raises(ChartMismatch):
+            op(vl, ve)
+        with pytest.raises(ChartMismatch):
+            op(JetField.zero(elliptic, 1), j1)
+        with pytest.raises(ValueError):
+            op(j1, j2)
+        with pytest.raises(ValueError):
+            op(s2, s3)
+        with pytest.raises(ChartMismatch):
+            op(s2, se)
+
+
+def test_lelem_truncation_data_mismatch_is_a_value_error():
+    a = LElem(1, 2, {((1,), 0): 1})
+    other_nvars = LElem(2, 2, {((1, 0), 0): 1})
+    other_r = LElem(1, 3, {((1,), 0): 1})
+    for b in (other_nvars, other_r):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x == y,
+                   lambda x, y: x.bracket(y)):
+            with pytest.raises(ValueError):
+                op(a, b)
+
+
+def test_tuple_types_do_not_mix(loc_x):
+    v = VectorField.zero(loc_x)
+    u = JetField.zero(loc_x, 1)
+    with pytest.raises(TypeError):
+        v + u
+    with pytest.raises(TypeError):
+        u - v
+    assert (v == u) is False
