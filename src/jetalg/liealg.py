@@ -106,6 +106,9 @@ class LElem(SparseElem):
         if self.nvars != other.nvars or self.r != other.r:
             raise ValueError("truncation data differs")
 
+    def get(self, key):
+        return self.terms.get(key, Fraction(0))
+
     def bracket(self, other):
         self._check(other)
         out = {}

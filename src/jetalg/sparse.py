@@ -48,8 +48,6 @@ class _Linear:
             return NotImplemented
         return self + (-other)
 
-    __hash__ = None
-
 
 class SparseElem(_Linear):
     """dict key -> nonzero coefficient on a chart, at a fixed grade."""

@@ -75,6 +75,8 @@ def test_module_axioms(kind, seed, chart):
     assert (a - a).is_zero()
     assert -(-a) == a
     assert type(a + b) is type(a - b) is type(-a) is type(a)
+    with pytest.raises(TypeError):
+        hash(a)
     results = [a, b, a + b, a - b, -a]
     if kind not in UNSCALED:
         s = smp.fraction() if kind in RATIONAL else smp.elem(chart)
@@ -198,6 +200,12 @@ def test_operands_on_different_charts_or_orders(loc_x, elliptic):
             op(s2, s3)
         with pytest.raises(ChartMismatch):
             op(s2, se)
+
+
+def test_lelem_coefficient_lookup():
+    a = LElem(1, 2, [(((1,), 0), "1/2"), (((2,), 0), 1), (((2,), 0), -1)])
+    assert a.terms == {((1,), 0): Fraction(1, 2)}
+    assert a.get(((1,), 0)) == Fraction(1, 2) and a.get(((2,), 0)) == 0
 
 
 def test_lelem_truncation_data_mismatch_is_a_value_error():
