@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetalg.charts import ChartMismatch
+from jetalg.charts import ChartMismatch, RingElem
 from jetalg.envalg import DiffOp, TensorElem
 from jetalg.fixtures import standard_chart
 from jetalg.jetfields import JetField
@@ -59,7 +59,7 @@ UNSCALED = {"SemiDirectElem"}
 
 def _no_stored_zero(e):
     if isinstance(e, TupleElem):
-        return True
+        return all(_no_stored_zero(p) for p in e.parts if not isinstance(p, RingElem))
     return all(c != 0 for c in e.terms.values())
 
 
