@@ -491,9 +491,9 @@ class RingElem:
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
         if max(self.num.support_vars(), default=-1) < self.chart.nparams:
-            # no generator occurs, so no power needs reducing: num^e over
-            # g^(s e), with Poly's degree bound checked before any product
-            return RingElem._new(self.chart, self.num ** e, self.s * e)
+            # no generator: nothing reduces, the degree is exactly e * degree
+            top = mono_layout(len(self.chart.allvars))[1]
+            degree_check(e * self.num.degree() << top, top)
         return pow_by_squaring(self.chart.one(), self, e)
 
     def __eq__(self, other):
