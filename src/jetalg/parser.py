@@ -157,23 +157,20 @@ def parse_ast(src):
     return _Parser(src).parse()
 
 
-def _eval_ring(ast, chart):
+def _eval(ast, leaf, inverse):
+    """Evaluate a parse tree: leaf(kind, value, pos) gives the element of a
+    "num" or "name" node, inverse(x) the inverse of a denominator."""
     op = ast[0]
-    if op == "num":
-        return chart.elem(ast[1])
-    if op == "name":
-        name = ast[1]
-        if name in chart.allvars:
-            return chart.var(name)
-        raise UnknownSymbol(name, ast[2])
+    if op in ("num", "name"):
+        return leaf(*ast)
     if op == "neg":
-        return -_eval_ring(ast[1], chart)
+        return -_eval(ast[1], leaf, inverse)
     if op == "pow":
-        return _eval_ring(ast[1], chart) ** ast[2]
+        return _eval(ast[1], leaf, inverse) ** ast[2]
     if op == "inv":
-        return _invert(_eval_ring(ast[1], chart))
-    lhs = _eval_ring(ast[1], chart)
-    rhs = _eval_ring(ast[2], chart)
+        return inverse(_eval(ast[1], leaf, inverse))
+    lhs = _eval(ast[1], leaf, inverse)
+    rhs = _eval(ast[2], leaf, inverse)
     if op == "+":
         return lhs + rhs
     if op == "-":
@@ -181,7 +178,7 @@ def _eval_ring(ast, chart):
     if op == "*":
         return lhs * rhs
     if op == "/":
-        return lhs * _invert(rhs)
+        return lhs * inverse(rhs)
     raise AssertionError(f"unhandled node {op!r}")
 
 
@@ -195,12 +192,12 @@ def _invert(elem):
         ) from None
 
 
-def _evaluate(src, evaluate, ctx):
-    """evaluate(ast, ctx) on the parse of src.  Parsing and evaluation
-    recurse once per nesting level, so an expression deeper than the
-    interpreter's recursion limit raises ExprSyntaxError."""
+def _evaluate(src, leaf, inverse):
+    """_eval(ast, leaf, inverse) on the parse of src.  Parsing and
+    evaluation recurse once per nesting level, so an expression deeper than
+    the interpreter's recursion limit raises ExprSyntaxError."""
     try:
-        return evaluate(parse_ast(src), ctx)
+        return _eval(parse_ast(src), leaf, inverse)
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply", 0) from None
 
@@ -208,35 +205,14 @@ def _evaluate(src, evaluate, ctx):
 def parse_expression(src, chart):
     """Parse src to a RingElem on the (validated) chart."""
     chart.validate()
-    return _evaluate(src, _eval_ring, chart)
 
-
-def _eval_poly(ast, vars):
-    op = ast[0]
-    if op == "num":
-        return Poly.const(vars, ast[1])
-    if op == "name":
-        name = ast[1]
-        if name in vars:
-            return Poly.variable(vars, name)
-        raise UnknownSymbol(name, ast[2])
-    if op == "neg":
-        return -_eval_poly(ast[1], vars)
-    if op == "pow":
-        return _eval_poly(ast[1], vars) ** ast[2]
-    if op == "inv":
-        return _const_inverse(_eval_poly(ast[1], vars))
-    lhs = _eval_poly(ast[1], vars)
-    rhs = _eval_poly(ast[2], vars)
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs * _const_inverse(rhs)
-    raise AssertionError(f"unhandled node {op!r}")
+    def leaf(kind, val, pos):
+        if kind == "num":
+            return chart.elem(val)
+        if val in chart.allvars:
+            return chart.var(val)
+        raise UnknownSymbol(val, pos)
+    return _evaluate(src, leaf, _invert)
 
 
 def _const_inverse(poly):
@@ -252,4 +228,12 @@ def parse_poly(src, vars):
     """Parse src to a Poly over the given variable names; division is only
     allowed by rational constants here (used for chart definitions, where
     the ring is not localized yet)."""
-    return _evaluate(src, _eval_poly, tuple(vars))
+    vars = tuple(vars)
+
+    def leaf(kind, val, pos):
+        if kind == "num":
+            return Poly.const(vars, val)
+        if val in vars:
+            return Poly.variable(vars, val)
+        raise UnknownSymbol(val, pos)
+    return _evaluate(src, leaf, _const_inverse)

@@ -30,9 +30,6 @@ class Sampler:
     def __init__(self, seed):
         self.rng = random.Random(seed)
 
-    def integer(self, lo=-3, hi=3):
-        return self.rng.randint(lo, hi)
-
     def fraction(self, lo=-3, hi=3, maxden=2):
         return Fraction(self.rng.randint(lo, hi), self.rng.randint(1, maxden))
 
