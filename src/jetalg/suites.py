@@ -77,10 +77,10 @@ class SuiteEnv:
         return CheckRecord(check, statement, params, "pass" if ok else "fail", witness)
 
 
-def _records(env, suite, checks):
-    """Record each (check, statement, params, ok, inputs) that checks
+def _records(env, suite, items):
+    """Record each (check, statement, params, ok, inputs) that items
     yields, before the generator goes on to the next check."""
-    return [env.record(suite, *item) for item in checks]
+    return [env.record(suite, *item) for item in items]
 
 
 def _chart_suite(env, suite, seed_label, checks, var="k"):
