@@ -18,14 +18,15 @@ validate_transition checks x_of_y(y_of_x) and y_of_x(x_of_y) against the
 identity and also anchors the formulas to the overlap values G and H.
 
 transition_l transports a basis element X^m d/dX_p of the from-side fibre to
-a current element on the to side, using the coefficient formula
 
-  X^m d/dX_p  ->  sum_{0<=k<=m} (-1)^{|m|-|k|} binom(m,k) x^{m-k} *
-                  sum_q [ G(y+Y)^k * h_qp(G(y+Y))  -  x^k h_qp ] d/dY_q
+  sum_q (G(y+Y) - x)^m * h_qp(G(y+Y)) d/dY_q,     h_qp = dH_q/dx_p,
 
-with h_qp = dH_q/dx_p and x^k shorthand for prod G_i^{k_i}; everything in
-the bracket is expanded as a jet in the Y increments, exact at the requested
-truncation because the substituted series has positive valuation.
+one jet product in the Y increments per q, exact at the requested truncation
+because G(y+Y) - x has positive valuation.  This is the coefficient formula
+sum_{k<=m} (-1)^{|m|-|k|} binom(m,k) x^{m-k} [G(y+Y)^k h_qp(G(y+Y)) - x^k h_qp]
+(x^k = prod G_i^{k_i}) summed by the binomial theorem in the commutative
+truncated jet ring: its first part is (G(y+Y) - x)^m h_qp(G(y+Y)) and its
+second x^m h_qp (1 - 1)^m, which is 0 for |m| >= 1.
 
 transition_via_iso computes the same map through the jet-field model: apply
 the inverse isomorphism on the from side (delta powers in the x-frame),
@@ -36,8 +37,8 @@ routes are independent implementations and the test suites compare them.
 Composition of transitions is A-linear in the output coefficients, so a
 cocycle check over a common triple-overlap ring is the coefficientwise
 composite; exactness at a fixed truncation follows from the filtration
-property (the image of X^m only has monomials of degree >= |m|), which
-filtration_check verifies directly.
+property (the image of X^m only has monomials of degree >= |m|), which the
+product above has by construction and filtration_check verifies directly.
 """
 
 from __future__ import annotations
@@ -48,10 +49,7 @@ from .charts import ChartMismatch, NotInvertible
 from .jets import Jet, jet_along, jet_scalar
 from .jetfields import JetField, decompose
 from .liealg import CurrentElem
-from .multipoly import (
-    mi_below, mi_binomial, mi_check, mi_degree, mi_range, mi_split, mi_sub,
-    mi_unit,
-)
+from .multipoly import mi_check, mi_degree, mi_range, mi_split, mi_unit
 from .vfields import VectorField
 
 
@@ -196,7 +194,7 @@ class TransitionPair:
         self.H = H
         self.formulas = formulas
         self._frames = None
-        self._comp = {}      # r -> (Gy, dG_products, hcomp matrix)
+        self._comp = {}      # r -> (dG_products, hcomp matrix)
         self._tl = {}        # (m, p, r) -> CurrentElem
 
     # -- frames
@@ -242,8 +240,7 @@ class TransitionPair:
         if got is not None:
             return got
         n = self.overlap.nparams
-        Gy = [frame_jet(self.y_frame, g, r) for g in self.G]
-        dG = [Gy[i] - jet_scalar(self.G[i], r) for i in range(n)]
+        dG = [frame_jet(self.y_frame, g, r) - jet_scalar(g, r) for g in self.G]
         for d in dG:
             if d.t_order() < 1:
                 raise InverseCheckFailed(
@@ -263,7 +260,7 @@ class TransitionPair:
             ]
             for q in range(n)
         ]
-        data = (Gy, products, hcomp)
+        data = (products, hcomp)
         self._comp[r] = data
         return data
 
@@ -291,7 +288,7 @@ def validate_transition(tp, jet_order=2):
             for b in range(a + 1, n):
                 if frame[a].bracket(frame[b]) != zero:
                     raise InverseCheckFailed("frame fields do not commute")
-    Gy, products, _ = tp._composition_data(jet_order)
+    products, _ = tp._composition_data(jet_order)
     for q in range(n):
         comp = _subst(frame_jet(x_frame, tp.H[q], jet_order), products)
         expected = jet_scalar(tp.H[q], jet_order) + Jet(
@@ -347,35 +344,12 @@ def transition_l(tp, m, p, r):
     got = tp._tl.get((m, p, r))
     if got is not None:
         return got
-    Gy, products, hcomp = tp._composition_data(r)
-    comps = [Jet.zero(tp.overlap, r) for _ in range(n)]
-    gy_pows = {}
-    for k in mi_below(m):
-        if mi_degree(k) == 0:
-            gy_pows[k] = jet_scalar(tp.overlap.one(), r)
-        else:
-            i, prev = mi_split(k)
-            gy_pows[k] = gy_pows[prev] * Gy[i]
-        sign = (-1) ** (mi_degree(m) - mi_degree(k)) * mi_binomial(m, k)
-        outer = tp.overlap.one()
-        for i, e in enumerate(mi_sub(m, k)):
-            outer = outer * tp.G[i] ** e
-        xk = tp.overlap.one()
-        for i, e in enumerate(k):
-            xk = xk * tp.G[i] ** e
-        for q in range(n):
-            h = hcomp[q][p]
-            bracket = gy_pows[k] * h - jet_scalar(xk * tp.dH_dx(q, p), r)
-            comps[q] = comps[q] + bracket.scale(outer * sign)
-    terms = {}
-    for q in range(n):
-        for mm, c in comps[q].coeffs.items():
-            if mi_degree(mm) == 0:
-                raise ArithmeticError(
-                    "transition produced a constant term; G/H are inconsistent"
-                )
-            terms[(mm, q)] = c
-    out = CurrentElem(tp.overlap, r, terms)
+    products, hcomp = tp._composition_data(r)
+    out = CurrentElem(tp.overlap, r, {
+        (mm, q): c
+        for q in range(n)
+        for mm, c in (products[m] * hcomp[q][p]).coeffs.items()
+    })
     tp._tl[(m, p, r)] = out
     return out
 

@@ -69,7 +69,7 @@ from fractions import Fraction
 
 from .multipoly import (
     FIELD_MASK, Poly, _make, degree_check, mi_check, mono_layout,
-    poly_div_exact, pow_by_squaring,
+    poly_div_exact, pow_by_squaring, power_check,
 )
 
 
@@ -492,8 +492,7 @@ class RingElem:
             raise ValueError("exponent must be a non-negative integer")
         if max(self.num.support_vars(), default=-1) < self.chart.nparams:
             # no generator: nothing reduces, the degree is exactly e * degree
-            top = mono_layout(len(self.chart.allvars))[1]
-            degree_check(e * self.num.degree() << top, top)
+            power_check(self.num, e)
         return pow_by_squaring(self.chart.one(), self, e)
 
     def __eq__(self, other):

@@ -181,6 +181,8 @@ def _check_vars(vars):
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
+# Bits of a constant power: it then prints under CPython's 4300-digit limit.
+CONST_POW_BITS = 1 << 13
 
 _LAYOUTS = {}
 
@@ -206,6 +208,19 @@ def degree_check(k, top):
         raise ValueError(
             f"total degree {k >> top} exceeds the bound {DEGREE_LIMIT - 1}"
         )
+
+
+def power_check(p, e):
+    """Raise ValueError, before p ** e is computed, unless its degree e * degree
+    is within the bound and, for a constant p other than 0 and +-1, e times
+    the larger bit length of p's numerator and denominator is at most
+    CONST_POW_BITS."""
+    top = mono_layout(len(p.vars))[1]
+    degree_check(e * p.degree() << top, top)
+    bits = max(abs(p.nums[0]).bit_length(), p.den.bit_length()) if p.degree() == 0 else 0
+    if bits > 1 and e * bits > CONST_POW_BITS:
+        raise ValueError(f"power {e} of a {bits}-bit constant exceeds the bound "
+                         f"of {CONST_POW_BITS} bits")
 
 
 def mono_pack(m, n):
@@ -431,11 +446,10 @@ class Poly:
 
     def __pow__(self, e):
         """self ** e; raises ValueError before the first product when the
-        power's degree, e * degree (exact over Q), leaves the bound."""
+        power leaves a bound (see power_check)."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        top = mono_layout(len(self.vars))[1]
-        degree_check(e * self.degree() << top, top)
+        power_check(self, e)
         return pow_by_squaring(Poly.one(self.vars), self, e)
 
     def partial(self, i):

@@ -7,7 +7,10 @@ from jetalg.atlas import (
     transition_via_iso, transport_current, validate_transition,
 )
 from jetalg.fileio import loads_chart
+from jetalg.fixtures import standard_atlas, standard_chart
 from jetalg.liealg import CurrentElem
+from jetalg.multipoly import mi_degree, mi_range
+from transref import ref_transition_l
 
 
 def test_builtin_atlases_validate(p1, p1_pair):
@@ -164,3 +167,45 @@ def test_degenerate_triple_with_identities(loc_x):
 def test_missing_transition(p1_pair):
     with pytest.raises(MissingTransition):
         p1_pair.transition("inf", "elsewhere")
+
+
+def _differential_pairs():
+    """(id, pair): every transition of p1 and p1_pair, the identity on
+    each standard chart, and three two-parameter transitions on affine2
+    with invertible Jacobians."""
+    a2 = standard_chart("affine2")
+    x1, x2 = a2.param(0), a2.param(1)
+    shear = (x1 + x2 ** 2, x2)
+    pairs = [
+        ("affine2-shear", TransitionPair("a", "b", a2, (x1, x2), shear)),
+        ("affine2-unshear", TransitionPair("b", "a", a2, shear, (x1, x2))),
+        ("affine2-mixed", TransitionPair(
+            "c", "d", a2, (x1 + x2 ** 2, x2 + 3), (2 * x1 - x2, x2))),
+    ]
+    for name in ("p1", "p1_pair"):
+        for (a, b), tp in standard_atlas(name).transitions.items():
+            pairs.append((f"{name}-{a}:{b}", tp))
+    for name in ("loc_x", "affine2", "elliptic"):
+        pairs.append((f"{name}-identity", identity_transition(standard_chart(name))))
+    return pairs
+
+
+DIFFERENTIAL_PAIRS = _differential_pairs()
+
+
+@pytest.mark.parametrize("tp", [tp for _, tp in DIFFERENTIAL_PAIRS],
+                         ids=[i for i, _ in DIFFERENTIAL_PAIRS])
+def test_closed_form_matches_binomial_sum_and_iso_route(tp):
+    """The one-product transition_l equals the binomial sum it collapses
+    (transref.py) and the independent isomorphism route, on every basis
+    element X^m d/dX_p with 1 <= |m| <= r <= 4."""
+    validate_transition(tp, jet_order=2)
+    n = tp.overlap.nparams
+    for r in range(1, 5):
+        for m in mi_range(n, r):
+            if mi_degree(m) == 0:
+                continue
+            for p in range(n):
+                got = transition_l(tp, m, p, r)
+                assert got == ref_transition_l(tp, m, p, r), (m, p, r)
+                assert got == transition_via_iso(tp, m, p, r), (m, p, r)

@@ -325,3 +325,14 @@ def test_power_beyond_the_degree_bound_exits_2_quickly(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err == "error: total degree 100000 exceeds the bound 32767\n"
+
+
+@pytest.mark.parametrize("expr,e", [("2^100000", 100000),
+                                    ("2^1000000000", 1000000000)])
+def test_constant_power_beyond_the_bit_bound_exits_2_quickly(capsys, expr, e):
+    start = time.perf_counter()
+    code, err = run_err(capsys, "jet", "--chart", "loc_x", "--expr", expr,
+                        "--order", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == f"error: power {e} of a 2-bit constant exceeds the bound of 8192 bits\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
-    DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree,
+    CONST_POW_BITS, DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree,
     mi_factorial, mi_le, mi_range, mi_sub, poly_div_exact,
 )
 from jetalg.fileio import _poly_data, _poly_from
@@ -267,6 +267,19 @@ def test_products_beyond_the_degree_bound_raise():
     with pytest.raises(ValueError):
         half * other
     assert (x ** (DEGREE_LIMIT - 1)).degree() == DEGREE_LIMIT - 1
+
+
+def test_constant_powers_beyond_the_bit_bound_raise():
+    # e * max(bit length of numerator, of denominator) is checked before
+    # the first product; 0 and +-1 have no bound
+    for c, bits in ((3, 2), (Fraction(1, 7), 3), (Fraction(-5, 3), 3)):
+        p = Poly.const(VARS, c)
+        e = CONST_POW_BITS // bits
+        assert p ** e == Poly.const(VARS, Fraction(c) ** e)
+        with pytest.raises(ValueError, match="constant exceeds the bound"):
+            p ** (e + 1)
+    for c in (0, 1, -1):
+        assert Poly.const(VARS, c) ** (10 ** 9 + 1) == Poly.const(VARS, c)
 
 
 def test_div_exact_rejects_a_divisor_exceeding_any_single_field():

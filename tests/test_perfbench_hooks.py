@@ -1,14 +1,17 @@
-"""What the benchmark in ``perfbench/`` relies on in ``jetalg.suites``.
+"""What the benchmark in ``perfbench/`` relies on in ``jetalg``.
 
 ``perfbench/workloads.py`` times each check as the gap between two calls of
 ``SuiteEnv.record``, which it replaces for the pass, and wraps each entry of
 ``_SUITE_FUNCS``; ``perfbench/layers.py`` finds the suite functions in the
-module by their ``__name__``.  The file is imported here as it is, so a
-change to the suites that breaks those hooks fails the tests, not only a
-benchmark run."""
+module by their ``__name__``.  Each of the three workloads' tiny passes at
+seed 42 must meet the gate the benchmark applies to it.  The file is
+imported here as it is, so a change to jetalg that breaks a hook or a
+workload fails the tests, not only a benchmark run."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from jetalg import suites
 from jetalg.fixtures import standard_chart
@@ -31,6 +34,21 @@ def test_verify_all_tiny_pass_meets_its_gate():
     details = wl.run(wl.setup(42, "tiny"), None, 42, "tiny", workloads.Verdicts())
     assert wl.gate(42, "tiny", {"details": details}) == []
     assert suites.SuiteEnv.record is record and suites._SUITE_FUNCS == funcs
+
+
+@pytest.mark.parametrize("name", ["transport", "deep-jet"])
+def test_generated_tiny_pass_meets_its_gate(name):
+    # The drawn inputs must hash to the recorded seed-42 value, the pass
+    # must run the expected number of checks, and every check must hold.
+    workloads = _workloads()
+    wl = workloads.WORKLOADS[name]
+    state = wl.setup(42, "tiny")
+    inputs, input_sha256 = wl.inputs(state, 42, "tiny")
+    verdicts = workloads.Verdicts()
+    wl.run(state, inputs, 42, "tiny", verdicts)
+    result = {"checks": len(verdicts.latencies), "input_sha256": input_sha256}
+    assert wl.gate(42, "tiny", result) == []
+    assert verdicts.failures == []
 
 
 def test_suite_functions_are_module_functions_under_their_names():
