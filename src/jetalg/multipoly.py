@@ -215,9 +215,9 @@ def power_check(p, e):
     is within the bound and, for a constant p other than 0 and +-1, e times
     the larger bit length of p's numerator and denominator is at most
     CONST_POW_BITS."""
-    top = mono_layout(len(p.vars))[1]
-    degree_check(e * p.degree() << top, top)
-    bits = max(abs(p.nums[0]).bit_length(), p.den.bit_length()) if p.degree() == 0 else 0
+    top, d = mono_layout(len(p.vars))[1], p.degree()
+    degree_check(e * d << top, top)
+    bits = max(abs(p.nums[0]).bit_length(), p.den.bit_length()) if d == 0 else 0
     if bits > 1 and e * bits > CONST_POW_BITS:
         raise ValueError(f"power {e} of a {bits}-bit constant exceeds the bound "
                          f"of {CONST_POW_BITS} bits")
