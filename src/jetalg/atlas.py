@@ -34,6 +34,17 @@ decompose into function # field pairs, rewrite the fields in the y-frame by
 the chain rule, re-expand as y-frame jets and read off coefficients.  The two
 routes are independent implementations and the test suites compare them.
 
+transition_via_iso keeps its own cache per truncation r (TransitionPair._iso,
+filled by _iso_data): the powers dx^m, |m| <= r, of the x-frame increments
+dx_i = G_i - G_i(x + X), and a memo from a decomposed field eta to the
+y-frame jets of eta(H_q), one per q.  The memo is keyed on the exact content
+of eta's coefficients (s, content denominator and integer numerators), so
+equal keys are equal fields; decompose only yields monomial multiples of the
+x-frame fields, at most n * C(n + r, r) of them per pair.  The cache shares
+nothing with _comp or _tl, and transition_via_iso never calls
+_composition_data or transition_l: the two routes check each other, so the
+only code they share stays at or below frame_jet.
+
 Composition of transitions is A-linear in the output coefficients, so a
 cocycle check over a common triple-overlap ring is the coefficientwise
 composite; exactness at a fixed truncation follows from the filtration
@@ -196,6 +207,7 @@ class TransitionPair:
         self._frames = None
         self._comp = {}      # r -> (dG_products, hcomp matrix)
         self._tl = {}        # (m, p, r) -> CurrentElem
+        self._iso = {}       # r -> (dx powers, y-frame jet memo); iso route only
 
     # -- frames
 
@@ -354,35 +366,56 @@ def transition_l(tp, m, p, r):
     return out
 
 
+def _iso_data(tp, r):
+    """transition_via_iso's cache at truncation r: the powers dx^m for every
+    |m| <= r of the x-frame increments dx_i = G_i - G_i(x + X), and the
+    memo of y-frame jets (see the module docstring)."""
+    got = tp._iso.get(r)
+    if got is not None:
+        return got
+    n = tp.overlap.nparams
+    dx = [jet_scalar(g, r) - frame_jet(tp.x_frame, g, r) for g in tp.G]
+    powers = {}
+    for m in mi_range(n, r):
+        if mi_degree(m) == 0:
+            powers[m] = jet_scalar(tp.overlap.one(), r)
+            continue
+        i, prev = mi_split(m)
+        powers[m] = powers[prev] * dx[i]
+    got = tp._iso[r] = (powers, {})
+    return got
+
+
 def transition_via_iso(tp, m, p, r):
     """The same transport computed through the jet-field isomorphism:
     inverse map on the from side (delta powers in the x-frame), smash
     decomposition, chain rule into the y-frame, re-expansion as y-frame
     jets, and coefficient read-off."""
     n = tp.overlap.nparams
-    m = tuple(m)
+    m = mi_check(m, n)
     if not 1 <= mi_degree(m) <= r:
         raise ValueError(f"monomial degree must lie in 1..{r}")
+    if not 0 <= p < n:
+        raise IndexError(f"direction {p} out of range")
     x_frame, y_frame = tp._ensure_frames()
-    one = jet_scalar(tp.overlap.one(), r)
-    dx = [
-        jet_scalar(tp.G[i], r) - frame_jet(x_frame, tp.G[i], r)
-        for i in range(n)
-    ]
-    dxm = one
-    for i, e in enumerate(m):
-        for _ in range(e):
-            dxm = dxm * dx[i]
+    powers, memo = _iso_data(tp, r)
     comps = [Jet.zero(tp.overlap, r) for _ in range(n)]
-    comps[p] = dxm.scale(tp.overlap.one() * Fraction((-1) ** mi_degree(m)))
+    comps[p] = powers[m].scale(tp.overlap.one() * Fraction((-1) ** mi_degree(m)))
     u = JetField(tp.overlap, r, comps)
     pairs = decompose(u, params=list(tp.G), basis=list(x_frame))
     out = [Jet.zero(tp.overlap, r) for _ in range(n)]
     for a, eta in pairs:
-        for q in range(n):
-            b = eta.apply(tp.H[q])
-            if not b.is_zero():
-                out[q] = out[q] + frame_jet(y_frame, b, r).scale(a)
+        key = tuple((c.s, c.num.den, frozenset(c.num.nums.items()))
+                    for c in eta.coeffs)
+        jets = memo.get(key)
+        if jets is None:
+            jets = memo[key] = [
+                None if b.is_zero() else frame_jet(y_frame, b, r)
+                for b in (eta.apply(h) for h in tp.H)
+            ]
+        for q, jet in enumerate(jets):
+            if jet is not None:
+                out[q] = out[q] + jet.scale(a)
     terms = {}
     for q in range(n):
         for mm, c in out[q].coeffs.items():

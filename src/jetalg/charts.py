@@ -68,8 +68,8 @@ import math
 from fractions import Fraction
 
 from .multipoly import (
-    FIELD_MASK, Poly, _make, degree_check, mi_check, mono_layout,
-    poly_div_exact, pow_by_squaring, power_check,
+    DEGREE_LIMIT, FIELD_MASK, Poly, _make, degree_check, mi_check, mono_layout,
+    mono_unpack, poly_div_exact, pow_by_squaring, power_check,
 )
 
 
@@ -147,6 +147,7 @@ class ChartSpec:
         self._dg = None      # dg[i] : RingElem, total derivative of g
         self._g_over_y = []  # g / y_j as Poly
         self._kernels = {}   # (i, generators, quotient) -> derive kernel
+        self._weights = None  # (weights, slack, denominator) of reduced_power_check
 
     # -- basic shape
 
@@ -291,6 +292,31 @@ class ChartSpec:
             return poly
         return _make(self.allvars, nums, den)
 
+    def reduced_power_check(self, num, e):
+        """Raise ValueError, before num ** e is computed, when its reduced
+        form could leave the degree bound.  Parameters weigh 1 and generator
+        y_j weighs w_j = weight(q_j) / d_j, the weight of a polynomial being
+        the largest weighted degree of its monomials.  A reduction step then
+        never raises the weight, so reduce(num ** e) weighs at most
+        e * weight(num), and its generator exponents, each below d_j, add at
+        most the slack sum_j (d_j - 1) * max(0, 1 - w_j) to its total
+        degree."""
+        if self._weights is None:  # kept as integers over one denominator
+            w = [Fraction(1)] * self.nparams
+            for gs in self.gens:
+                w.append(_weight(gs.rhs, w) / gs.degree)
+            slack = sum((gs.degree - 1) * max(0, 1 - wj)
+                        for gs, wj in zip(self.gens, w[self.nparams:]))
+            den = math.lcm(*(x.denominator for x in w))
+            self._weights = ([int(x * den) for x in w], int(slack * den), den)
+        w, slack, den = self._weights
+        bound = (e * _weight(num, w) + slack) // den
+        if bound >= DEGREE_LIMIT:
+            raise ValueError(
+                f"power {e} can reach total degree {bound} after reduction, "
+                f"beyond the bound {DEGREE_LIMIT - 1}"
+            )
+
     def _q_power(self, j, e):
         """q_j^e, the e-th power of generator j's relation right-hand side;
         like g_pow, filled one power at a time by a loop."""
@@ -400,6 +426,14 @@ def validate_chart(chart):
     chart.validate()
 
 
+def _weight(p, w):
+    """Largest weighted degree sum_v e_v * w[v] of the monomials of p (0 for
+    p = 0); w may stop after the last variable that occurs in p."""
+    n = len(p.vars)
+    return max((sum(e * x for e, x in zip(mono_unpack(k, n), w)) for k in p.nums),
+               default=0)
+
+
 class RingElem:
     """num / g^s on a chart; num is stored relation-reduced."""
 
@@ -493,6 +527,8 @@ class RingElem:
         if max(self.num.support_vars(), default=-1) < self.chart.nparams:
             # no generator: nothing reduces, the degree is exactly e * degree
             power_check(self.num, e)
+        else:  # reduction lowers the degree: bound it from weights
+            self.chart.reduced_power_check(self.num, e)
         return pow_by_squaring(self.chart.one(), self, e)
 
     def __eq__(self, other):

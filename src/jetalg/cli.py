@@ -31,6 +31,9 @@ from .vfields import VectorField
 
 DEFAULT_CHARTS = ("affine2", "loc_x", "elliptic")
 DEFAULT_ATLAS = "p1"
+# verify's input limits, checked before any work
+MAX_SAMPLES = 100
+MAX_VERIFY_ORDER = 16
 
 
 def _resolve_chart(label):
@@ -322,15 +325,19 @@ def cmd_cocycle(args):
 
 
 def cmd_verify(args):
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ValueError(
+            f"--samples must be >= 1 and <= {MAX_SAMPLES}, got {args.samples}")
+    orders = [int(p) for p in args.orders.split(",")]
+    if not orders or any(k < 1 for k in orders):
+        raise ValueError("--orders must be positive integers, comma separated")
+    if max(orders) > MAX_VERIFY_ORDER or len(set(orders)) < len(orders):
+        raise ValueError(f"--orders must be distinct and at most "
+                         f"{MAX_VERIFY_ORDER}, got {args.orders!r}")
     chart_labels = list(args.chart) if args.chart else list(DEFAULT_CHARTS)
     charts = [_resolve_chart(label) for label in chart_labels]
     atlas_label = args.atlas if args.atlas else DEFAULT_ATLAS
     atlas = _resolve_atlas(atlas_label)
-    orders = [int(p) for p in args.orders.split(",")]
-    if not orders or any(k < 1 for k in orders):
-        raise ValueError("--orders must be positive integers, comma separated")
     report = run_verification(
         args.suite, charts, atlas, orders, args.samples, args.seed,
         chart_labels=chart_labels, atlas_label=atlas_label)

@@ -161,6 +161,12 @@ def decompose(u, params=None, basis=None):
         params = [chart.param(i) for i in range(n)]
     if basis is None:
         basis = [VectorField.coordinate(chart, i) for i in range(n)]
+    pows = []  # pows[i][e] = params[i]^e for e <= u.order, one product each
+    for x in params:
+        row = [chart.one()]
+        for _ in range(u.order):
+            row.append(row[-1] * x)
+        pows.append(row)
     out = []
     for p in range(n):
         for m, c in u.comps[p].coeffs.items():
@@ -169,11 +175,11 @@ def decompose(u, params=None, basis=None):
                 sign = (-1) ** (sm + mi_degree(l))
                 a = c * mi_binomial(m, l) * sign
                 for i, e in enumerate(mi_sub(m, l)):
-                    a = a * params[i] ** e
+                    a = a * pows[i][e]
                 eta = basis[p]
                 coef = chart.one()
                 for i, e in enumerate(l):
-                    coef = coef * params[i] ** e
+                    coef = coef * pows[i][e]
                 out.append((a, eta.scale(coef)))
     return out
 

@@ -181,8 +181,9 @@ def _check_vars(vars):
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
-# Bits of a constant power: it then prints under CPython's 4300-digit limit.
-CONST_POW_BITS = 1 << 13
+# Bits of the coefficients of a power: it then prints under CPython's
+# 4300-digit int-to-string limit.
+POW_BITS = 1 << 13
 
 _LAYOUTS = {}
 
@@ -212,15 +213,20 @@ def degree_check(k, top):
 
 def power_check(p, e):
     """Raise ValueError, before p ** e is computed, unless its degree e * degree
-    is within the bound and, for a constant p other than 0 and +-1, e times
-    the larger bit length of p's numerator and denominator is at most
-    CONST_POW_BITS."""
+    is within the bound and e * bits <= POW_BITS, where bits is the larger
+    bit length of the sum of |numerators| and of the content denominator.
+    Every numerator of p ** e is at most that sum to the e, and its content
+    denominator is den ** e, so both stay within POW_BITS bits; for a
+    constant, bits is the bit length of its numerator or denominator.  A
+    single term with coefficient 0 or +-1 (bits <= 1) has no bound."""
     top, d = mono_layout(len(p.vars))[1], p.degree()
     degree_check(e * d << top, top)
-    bits = max(abs(p.nums[0]).bit_length(), p.den.bit_length()) if d == 0 else 0
-    if bits > 1 and e * bits > CONST_POW_BITS:
-        raise ValueError(f"power {e} of a {bits}-bit constant exceeds the bound "
-                         f"of {CONST_POW_BITS} bits")
+    bits = max(sum(map(abs, p.nums.values())).bit_length(), p.den.bit_length())
+    if bits > 1 and e * bits > POW_BITS:
+        what = (f"{bits}-bit constant" if d == 0
+                else f"polynomial with a {bits}-bit coefficient sum")
+        raise ValueError(f"power {e} of a {what} exceeds the bound of "
+                         f"{POW_BITS} bits")
 
 
 def mono_pack(m, n):

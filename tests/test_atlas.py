@@ -1,5 +1,6 @@
 import pytest
 
+from jetalg import atlas
 from jetalg.atlas import (
     AtlasSpec, InverseCheckFailed, JacobianNotInvertible, MissingTransition,
     TransitionPair, cocycle_check, compose_formula, filtration_check,
@@ -209,3 +210,51 @@ def test_closed_form_matches_binomial_sum_and_iso_route(tp):
                 got = transition_l(tp, m, p, r)
                 assert got == ref_transition_l(tp, m, p, r), (m, p, r)
                 assert got == transition_via_iso(tp, m, p, r), (m, p, r)
+
+
+def _fresh(tp):
+    """A copy of tp with every cache empty."""
+    return TransitionPair(tp.from_name, tp.to_name, tp.overlap, tp.G, tp.H,
+                          tp.formulas)
+
+
+def _basis(tp, r):
+    n = tp.overlap.nparams
+    return [(m, p) for m in mi_range(n, r) if mi_degree(m) >= 1
+            for p in range(n)]
+
+
+@pytest.mark.parametrize("tp", [tp for _, tp in DIFFERENTIAL_PAIRS],
+                         ids=[i for i, _ in DIFFERENTIAL_PAIRS])
+def test_iso_route_never_uses_the_coefficient_route(tp, monkeypatch):
+    """transition_via_iso keeps its own cache: with _composition_data and
+    transition_l made to raise, a fresh pair still gives the image that
+    transition_l gives, for every r <= 4."""
+    want = {(m, p, r): transition_l(tp, m, p, r)
+            for r in range(1, 5) for m, p in _basis(tp, r)}
+
+    def refuse(*_args):
+        raise AssertionError("the isomorphism route reached the coefficient route")
+
+    monkeypatch.setattr(TransitionPair, "_composition_data", refuse)
+    monkeypatch.setattr(atlas, "transition_l", refuse)
+    fresh = _fresh(tp)
+    for (m, p, r), ce in want.items():
+        assert transition_via_iso(fresh, m, p, r) == ce, (m, p, r)
+
+
+@pytest.mark.parametrize("tp", [tp for _, tp in DIFFERENTIAL_PAIRS],
+                         ids=[i for i, _ in DIFFERENTIAL_PAIRS])
+def test_iso_cache_is_order_independent(tp):
+    """Each image computed on a pair whose iso cache is already warm, with m
+    taken in ascending or in descending order, equals and prints exactly as
+    the image computed on a pair with a cold cache."""
+    for r in range(1, 5):
+        basis = _basis(tp, r)
+        cold = {(m, p): transition_via_iso(_fresh(tp), m, p, r) for m, p in basis}
+        for order in (basis, basis[::-1]):
+            warm = _fresh(tp)
+            for m, p in order:
+                got = transition_via_iso(warm, m, p, r)
+                assert got == cold[(m, p)], (m, p, r)
+                assert str(got) == str(cold[(m, p)]), (m, p, r)

@@ -432,3 +432,45 @@ def test_power_is_the_repeated_product(seed, name, e):
         want = want * a
     got = a ** e
     assert (got.num, got.s) == (want.num, want.s)
+
+
+WEIGHT_CHARTS = [
+    standard_chart("elliptic"),  # w_y = 3/2, no slack
+    loads_chart({"name": "sqrt_x", "params": ["x"], "denominator": "y",
+                 "gens": [{"name": "y", "degree": 2, "rhs": "x"}]}),
+    loads_chart({"name": "sqrt_2", "params": ["x"], "denominator": "y",
+                 "gens": [{"name": "y", "degree": 2, "rhs": "2"}]}),
+    loads_chart({"name": "tower", "params": ["x"], "denominator": "y*z",
+                 "gens": [{"name": "y", "degree": 2, "rhs": "x"},
+                          {"name": "z", "degree": 3, "rhs": "y + 1"}]}),
+]
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), idx=st.integers(0, len(WEIGHT_CHARTS) - 1),
+       e=st.integers(0, 6))
+def test_reduced_power_stays_within_the_weight_bound(seed, idx, e):
+    # reduction never raises the weighted degree, and generator exponents
+    # below d_j add at most the slack: the bound reduced_power_check uses
+    chart = WEIGHT_CHARTS[idx]
+    a = make_sampler("pow-weight", seed).elem(chart, max_deg=3, max_s=1)
+    chart.reduced_power_check(a.num, e)
+    w, slack, den = chart._weights
+    assert (a ** e).num.degree() * den <= e * charts._weight(a.num, w) + slack
+
+
+def test_power_with_a_generator_checks_the_bound_first(elliptic, monkeypatch):
+    # y weighs 3/2 on elliptic (y^2 = x^3 - x + 1): y^e reduces to degree
+    # at most 3e/2, so 21845 is the largest exponent accepted
+    y = elliptic.gen(0)
+    elliptic.reduced_power_check(y.num, 21845)
+    with pytest.raises(ValueError, match="power 21846 can reach total degree 32769"):
+        elliptic.reduced_power_check(y.num, 21846)
+    bases = (y, y + elliptic.param(0), y * elliptic.inv_denominator())
+    calls = []
+    mul = RingElem.__mul__
+    monkeypatch.setattr(RingElem, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for base in bases:
+        with pytest.raises(ValueError, match="after reduction, beyond the bound 32767"):
+            base ** 100000
+    assert calls == []

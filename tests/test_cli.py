@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from jetalg import cli
 from jetalg.cli import main
 
 P1_ATLAS_FILE = str(Path(__file__).resolve().parent.parent / "charts" / "p1_atlas.json")
@@ -226,6 +227,23 @@ def test_verify_nonpositive_samples_exits_2(capsys):
     assert err.startswith("error: --samples must be >= 1")
 
 
+@pytest.mark.parametrize("flag,value,msg", [
+    ("--samples", "101", "--samples must be >= 1 and <= 100, got 101"),
+    ("--samples", "100000000", "--samples must be >= 1 and <= 100, got 100000000"),
+    ("--orders", "1,17", "--orders must be distinct and at most 16, got '1,17'"),
+    ("--orders", "2,1,2", "--orders must be distinct and at most 16, got '2,1,2'"),
+])
+def test_verify_limits_exit_2_before_any_work(capsys, monkeypatch, flag, value, msg):
+    def refuse(*_args, **_kw):
+        raise AssertionError("verification started")
+
+    monkeypatch.setattr(cli, "run_verification", refuse)
+    monkeypatch.setattr(cli, "_resolve_chart", refuse)
+    code, err = run_err(capsys, "verify", "--suite", "pbw", flag, value)
+    assert code == 2
+    assert err == f"error: {msg}\n"
+
+
 def test_verify_deterministic(capsys, tmp_path):
     f1 = tmp_path / "r1.json"
     f2 = tmp_path / "r2.json"
@@ -336,3 +354,21 @@ def test_constant_power_beyond_the_bit_bound_exits_2_quickly(capsys, expr, e):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err == f"error: power {e} of a 2-bit constant exceeds the bound of 8192 bits\n"
+
+
+@pytest.mark.parametrize("chart,expr,msg", [
+    ("elliptic", "y^100000",
+     "power 100000 can reach total degree 150000 after reduction, beyond the bound 32767"),
+    ("loc_x", "(1048576*x+1)^800",
+     "power 800 of a polynomial with a 21-bit coefficient sum exceeds the bound of 8192 bits"),
+])
+def test_unbounded_power_exits_2_quickly(capsys, chart, expr, msg):
+    # a power with a generator (reduction lowers its degree) and a power
+    # whose coefficients would outgrow CPython's int-to-string limit are
+    # refused before their first product
+    start = time.perf_counter()
+    code, err = run_err(capsys, "jet", "--chart", chart, "--expr", expr,
+                        "--order", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == f"error: {msg}\n"

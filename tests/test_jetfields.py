@@ -8,6 +8,7 @@ from jetalg.jets import delta, jet_of
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
+from decompref import ref_decompose
 
 
 def three_term_bracket(a1, g1, a2, g2, k):
@@ -130,6 +131,27 @@ def test_decompose_reassembles(all_charts):
             for a, eta in decompose(u):
                 acc = acc + jf_from_pair(a, eta, k)
             assert acc == u
+
+
+def test_decompose_matches_the_per_pair_power_loop(all_charts, p1):
+    """decompose, with its table of parameter powers, returns the pairs of
+    the loop that takes a fresh params[i] ** e per pair (decompref.py): the
+    same pairs in the same order, printed byte for byte alike.  Sampled jet
+    fields on every standard chart in its own coordinates, and on every p1
+    overlap in the pair's x-frame (params G, basis the x-frame fields)."""
+    cases = [(chart, chart.name, None, None) for chart in all_charts]
+    for (a, b), tp in sorted(p1.transitions.items()):
+        cases.append((tp.overlap, f"p1-{a}:{b}", list(tp.G), list(tp.x_frame)))
+    for chart, label, params, basis in cases:
+        smp = make_sampler("jf-decompose-ref", label)
+        for k in (1, 2, 3, 4):
+            u = smp.jetfield(chart, k)
+            got = decompose(u, params=params, basis=basis)
+            want = ref_decompose(u, params=params, basis=basis)
+            assert len(got) == len(want) > 0
+            for (a, eta), (ra, reta) in zip(got, want):
+                assert str(a) == str(ra) and str(eta) == str(reta), (label, k)
+                assert a == ra and eta == reta
 
 
 def test_localization_geometric_example(loc_x):

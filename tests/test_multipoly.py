@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
-    CONST_POW_BITS, DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree,
-    mi_factorial, mi_le, mi_range, mi_sub, poly_div_exact,
+    POW_BITS, DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree,
+    mi_factorial, mi_le, mi_range, mi_sub, poly_div_exact, power_check,
 )
 from jetalg.fileio import _poly_data, _poly_from
 
@@ -274,12 +274,31 @@ def test_constant_powers_beyond_the_bit_bound_raise():
     # the first product; 0 and +-1 have no bound
     for c, bits in ((3, 2), (Fraction(1, 7), 3), (Fraction(-5, 3), 3)):
         p = Poly.const(VARS, c)
-        e = CONST_POW_BITS // bits
+        e = POW_BITS // bits
         assert p ** e == Poly.const(VARS, Fraction(c) ** e)
         with pytest.raises(ValueError, match="constant exceeds the bound"):
             p ** (e + 1)
     for c in (0, 1, -1):
         assert Poly.const(VARS, c) ** (10 ** 9 + 1) == Poly.const(VARS, c)
+
+
+def test_polynomial_powers_beyond_the_bit_bound_raise():
+    # e * max(bit length of the sum of |numerators|, of the denominator) is
+    # checked before the first product; every coefficient of an accepted
+    # power has a numerator and a denominator of at most POW_BITS bits
+    x = Poly.variable(VARS, VARS[0])
+    big = 1048576 * x + 1
+    for c in (big ** (POW_BITS // 21)).terms.values():
+        assert max(abs(c.numerator), c.denominator).bit_length() <= POW_BITS
+    for p, bits in ((big, 21), (x + 1, 2), (x * Fraction(1, 3) - 1, 3),
+                    (Poly(VARS, {(1, 0): 3, (0, 1): -2, (0, 0): 2}), 3)):
+        e = POW_BITS // bits
+        power_check(p, e)
+        with pytest.raises(ValueError, match=f"power {e + 1} of a polynomial "
+                           f"with a {bits}-bit coefficient sum exceeds"):
+            p ** (e + 1)
+    for p in (x, -x, x * x):  # one term with coefficient +-1: no bound
+        assert (p ** 10000).degree() == 10000 * p.degree()
 
 
 def test_div_exact_rejects_a_divisor_exceeding_any_single_field():
