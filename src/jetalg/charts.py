@@ -65,10 +65,11 @@ exactly zero midway; it is the same ring element in every case.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .multipoly import (
-    DEGREE_LIMIT, FIELD_MASK, Poly, _make, degree_check, mi_check, mono_layout,
+    FIELD_MASK, Poly, _make, degree_check, mi_check, mono_layout,
     mono_unpack, poly_div_exact, pow_by_squaring, power_check,
 )
 
@@ -147,7 +148,7 @@ class ChartSpec:
         self._dg = None      # dg[i] : RingElem, total derivative of g
         self._g_over_y = []  # g / y_j as Poly
         self._kernels = {}   # (i, generators, quotient) -> derive kernel
-        self._weights = None  # (weights, slack, denominator) of reduced_power_check
+        self._power_weights = None  # see power_weights
 
     # -- basic shape
 
@@ -292,30 +293,38 @@ class ChartSpec:
             return poly
         return _make(self.allvars, nums, den)
 
-    def reduced_power_check(self, num, e):
-        """Raise ValueError, before num ** e is computed, when its reduced
-        form could leave the degree bound.  Parameters weigh 1 and generator
-        y_j weighs w_j = weight(q_j) / d_j, the weight of a polynomial being
-        the largest weighted degree of its monomials.  A reduction step then
-        never raises the weight, so reduce(num ** e) weighs at most
-        e * weight(num), and its generator exponents, each below d_j, add at
-        most the slack sum_j (d_j - 1) * max(0, 1 - w_j) to its total
-        degree."""
-        if self._weights is None:  # kept as integers over one denominator
-            w = [Fraction(1)] * self.nparams
+    def power_weights(self):
+        """The weights of multipoly.power_check, computed once.  In degree
+        y_j weighs w_j = weight(q_j) / d_j (parameters 1; a polynomial's
+        weight is the largest weighted degree of its monomials), and the y_l,
+        l <= j, left below d_l add at most sum (d_l - 1) * max(0, 1 - w_l).
+        In the norm y_j weighs the least power of two 2^wbits_j whose d_j-th
+        power is at least max(1, N(q_j)); 2^dbits_j is the least whose d_j-th
+        power is at least q_j.den * prod_l 2^(dbits_l * A_l), A_l the largest
+        y_l exponent in q_j."""
+        if self._power_weights is None:
+            n, k = len(self.allvars), self.nparams
+            w, wbits, dbits = [Fraction(1)] * k, [0] * k, [0] * k
             for gs in self.gens:
-                w.append(_weight(gs.rhs, w) / gs.degree)
-            slack = sum((gs.degree - 1) * max(0, 1 - wj)
-                        for gs, wj in zip(self.gens, w[self.nparams:]))
+                q, d = gs.rhs, gs.degree
+                exps = [mono_unpack(m, n) for m in q.nums]
+                w.append(max((sum(map(operator.mul, a, w)) for a in exps),
+                             default=Fraction(0)) / d)
+                norm = sum(abs(c) << sum(map(operator.mul, a, wbits))
+                           for a, c in zip(exps, q.nums.values()))
+                need = (max(1, -(-norm // q.den)) - 1).bit_length()
+                wbits.append(-(-need // d))
+                high = [max(col) for col in zip([0] * n, *exps)]
+                need = (q.den - 1).bit_length() + sum(map(operator.mul, high, dbits))
+                dbits.append(-(-need // d))
             den = math.lcm(*(x.denominator for x in w))
-            self._weights = ([int(x * den) for x in w], int(slack * den), den)
-        w, slack, den = self._weights
-        bound = (e * _weight(num, w) + slack) // den
-        if bound >= DEGREE_LIMIT:
-            raise ValueError(
-                f"power {e} can reach total degree {bound} after reduction, "
-                f"beyond the bound {DEGREE_LIMIT - 1}"
-            )
+            shifts, slack, gens = mono_layout(n)[0], 0, []
+            for j, gs in enumerate(self.gens, k):
+                slack += (gs.degree - 1) * max(0, 1 - w[j]) * den
+                gens.append((shifts[j], int((w[j] - 1) * den), int(slack),
+                             wbits[j], dbits[j]))
+            self._power_weights = (den, tuple(gens))
+        return self._power_weights
 
     def _q_power(self, j, e):
         """q_j^e, the e-th power of generator j's relation right-hand side;
@@ -426,14 +435,6 @@ def validate_chart(chart):
     chart.validate()
 
 
-def _weight(p, w):
-    """Largest weighted degree sum_v e_v * w[v] of the monomials of p (0 for
-    p = 0); w may stop after the last variable that occurs in p."""
-    n = len(p.vars)
-    return max((sum(e * x for e, x in zip(mono_unpack(k, n), w)) for k in p.nums),
-               default=0)
-
-
 class RingElem:
     """num / g^s on a chart; num is stored relation-reduced."""
 
@@ -524,11 +525,7 @@ class RingElem:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if max(self.num.support_vars(), default=-1) < self.chart.nparams:
-            # no generator: nothing reduces, the degree is exactly e * degree
-            power_check(self.num, e)
-        else:  # reduction lowers the degree: bound it from weights
-            self.chart.reduced_power_check(self.num, e)
+        power_check(self.num, e, self.chart.power_weights())
         return pow_by_squaring(self.chart.one(), self, e)
 
     def __eq__(self, other):

@@ -31,9 +31,11 @@ from .vfields import VectorField
 
 DEFAULT_CHARTS = ("affine2", "loc_x", "elliptic")
 DEFAULT_ATLAS = "p1"
-# verify's input limits, checked before any work
+# input limits, checked before any work: at MAX_ORDER (every --order and
+# --den-power, and verify's --orders) the built-in charts and atlas answer
+# in well under a second
 MAX_SAMPLES = 100
-MAX_VERIFY_ORDER = 16
+MAX_ORDER = 16
 
 
 def _resolve_chart(label):
@@ -80,9 +82,11 @@ def _parse_monomial(src, n):
 
 
 def _order(text):
-    """argparse type of every --order and --den-power: an integer >= 0."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    """argparse type of every --order and --den-power: an integer >= 0 and
+    <= MAX_ORDER."""
+    if not text.strip().isdecimal() or int(text) > MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0 and <= {MAX_ORDER}, got {text!r}")
     return int(text)
 
 
@@ -241,7 +245,7 @@ def cmd_localize(args):
     lines = [
         f"partial sum S_{m}: {part}",
         f"closed-form defect: {rem}",
-        f"defect order: {defect.jf_order()} (needs >= {m + 1})",
+        f"defect order: {defect.jf_order()} (needs >= {min(m, k) + 1})",
         f"defect matches closed form: {defect == rem}",
     ]
     _emit(args, "\n".join(lines), {
@@ -331,9 +335,9 @@ def cmd_verify(args):
     orders = [int(p) for p in args.orders.split(",")]
     if not orders or any(k < 1 for k in orders):
         raise ValueError("--orders must be positive integers, comma separated")
-    if max(orders) > MAX_VERIFY_ORDER or len(set(orders)) < len(orders):
+    if max(orders) > MAX_ORDER or len(set(orders)) < len(orders):
         raise ValueError(f"--orders must be distinct and at most "
-                         f"{MAX_VERIFY_ORDER}, got {args.orders!r}")
+                         f"{MAX_ORDER}, got {args.orders!r}")
     chart_labels = list(args.chart) if args.chart else list(DEFAULT_CHARTS)
     charts = [_resolve_chart(label) for label in chart_labels]
     atlas_label = args.atlas if args.atlas else DEFAULT_ATLAS
@@ -345,6 +349,78 @@ def cmd_verify(args):
     return 0 if report.passed() else 1
 
 
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+CHART = _arg("--chart", required=True)
+ORDER = _arg("--order", type=_order, required=True)
+
+# name, help, arguments; cmd_<name> runs it, and every one takes --format
+# and --out
+COMMANDS = [
+    ("validate", "validate charts and atlases", [
+        _arg("--chart", action="append",
+             help="built-in chart name or chart JSON file (repeatable)"),
+        _arg("--atlas", help="built-in atlas name or atlas JSON file"),
+        _arg("--order", type=_order, default=2,
+             help="jet order for the atlas inverse checks")]),
+    ("jet", "expand a chart function into its jet", [
+        CHART, _arg("--expr", required=True, help="expression, e.g. '1/x' or 'y^2*x'"),
+        ORDER]),
+    ("delta", "difference of a function and its jet", [
+        CHART, _arg("--expr", help="expression to apply delta to"),
+        _arg("--power", help="monomial 'm1,..,mN': expand a delta power instead"),
+        ORDER]),
+    ("bracket", "bracket of two decomposable jet fields", [
+        CHART, _arg("--left", required=True, help="'coefficient # v1;...;vN'"),
+        _arg("--right", required=True), ORDER]),
+    ("phi", "decompose a jet field into the semidirect model", [
+        CHART, _arg("--field", required=True, help="'coefficient # v1;...;vN'"), ORDER]),
+    ("psi", "assemble a jet field from semidirect data", [
+        CHART, _arg("--vf", help="vector-field part 'v1;...;vN'"),
+        _arg("--term", action="append",
+             help="current term 'm1,..,mN:index:expression' (repeatable)"),
+        ORDER]),
+    ("localize", "partial sums of the localization series for v over the chart "
+                 "denominator", [
+        CHART, _arg("--vf", required=True, help="'v1;...;vN'"),
+        _arg("--den-power", type=_order, help="series cutoff m (default: order)"),
+        ORDER]),
+    ("dop-mul", "compose differential operators in normal form", [
+        CHART,
+        _arg("--left", required=True,
+             help="operator 'expr @ k1,..,kN; ...' ('@ ...' optional per term)"),
+        _arg("--right", required=True),
+        _arg("--apply", help="apply the product to this expression")]),
+    ("av-map", "factor a word of functions and vector fields through operators "
+               "tensor the truncated enveloping algebra", [
+        CHART,
+        _arg("--word", required=True, help="factors 'f expr | v v1;...;vN | ...' in order"),
+        ORDER]),
+    ("transition", "transport a basis vector through a chart transition", [
+        _arg("--atlas", required=True),
+        _arg("--pair", required=True, help="FROM:TO chart names"),
+        _arg("--monomial", required=True, help="'m1,..,mN', positive degree"),
+        _arg("--index", type=int, default=0),
+        ORDER, _arg("--route", choices=["coeff", "both"], default="both")]),
+    ("cocycle", "check the composition identity on a chart triple", [
+        _arg("--atlas", required=True),
+        _arg("--triple", required=True, help="three chart names, comma separated"),
+        _arg("--monomial", help="restrict to one monomial 'm1,..,mN'"),
+        _arg("--index", type=int, help="restrict to one coordinate index"),
+        ORDER]),
+    ("verify", "run the seeded verification suites", [
+        _arg("--suite", default="all", choices=list(SUITE_IDS) + ["all"]),
+        _arg("--chart", action="append",
+             help="chart to verify on (repeatable; default: built-ins)"),
+        _arg("--atlas", help="atlas for transition suites (default: p1)"),
+        _arg("--orders", default="1,2,3", help="comma-separated jet orders"),
+        _arg("--samples", type=int, default=8),
+        _arg("--seed", type=int, default=0)]),
+]
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="jetalg",
@@ -353,119 +429,13 @@ def build_parser():
                     "transitions over the rationals.")
     ap.add_argument("--version", action="version", version=f"jetalg {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
+    for name, help, args in COMMANDS:
+        p = sub.add_parser(name, help=help)
+        for flags, kw in args:
+            p.add_argument(*flags, **kw)
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
-
-    p = sub.add_parser("validate", help="validate charts and atlases")
-    p.add_argument("--chart", action="append",
-                   help="built-in chart name or chart JSON file (repeatable)")
-    p.add_argument("--atlas", help="built-in atlas name or atlas JSON file")
-    p.add_argument("--order", type=_order, default=2,
-                   help="jet order for the atlas inverse checks")
-    add_output(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("jet", help="expand a chart function into its jet")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--expr", required=True, help="expression, e.g. '1/x' or 'y^2*x'")
-    p.add_argument("--order", type=_order, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_jet)
-
-    p = sub.add_parser("delta", help="difference of a function and its jet")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--expr", help="expression to apply delta to")
-    p.add_argument("--power", help="monomial 'm1,..,mN': expand a delta power instead")
-    p.add_argument("--order", type=_order, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("bracket", help="bracket of two decomposable jet fields")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--left", required=True, help="'coefficient # v1;...;vN'")
-    p.add_argument("--right", required=True)
-    p.add_argument("--order", type=_order, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_bracket)
-
-    p = sub.add_parser("phi", help="decompose a jet field into the semidirect model")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--field", required=True, help="'coefficient # v1;...;vN'")
-    p.add_argument("--order", type=_order, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("psi", help="assemble a jet field from semidirect data")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--vf", help="vector-field part 'v1;...;vN'")
-    p.add_argument("--term", action="append",
-                   help="current term 'm1,..,mN:index:expression' (repeatable)")
-    p.add_argument("--order", type=_order, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("localize",
-                       help="partial sums of the localization series for v over "
-                            "the chart denominator")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--vf", required=True, help="'v1;...;vN'")
-    p.add_argument("--den-power", type=_order, help="series cutoff m (default: order)")
-    p.add_argument("--order", type=_order, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_localize)
-
-    p = sub.add_parser("dop-mul", help="compose differential operators in normal form")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--left", required=True,
-                   help="operator 'expr @ k1,..,kN; ...' ('@ ...' optional per term)")
-    p.add_argument("--right", required=True)
-    p.add_argument("--apply", help="apply the product to this expression")
-    add_output(p)
-    p.set_defaults(func=cmd_dop_mul)
-
-    p = sub.add_parser("av-map",
-                       help="factor a word of functions and vector fields through "
-                            "operators tensor the truncated enveloping algebra")
-    p.add_argument("--chart", required=True)
-    p.add_argument("--word", required=True,
-                   help="factors 'f expr | v v1;...;vN | ...' in order")
-    p.add_argument("--order", type=_order, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_av_map)
-
-    p = sub.add_parser("transition",
-                       help="transport a basis vector through a chart transition")
-    p.add_argument("--atlas", required=True)
-    p.add_argument("--pair", required=True, help="FROM:TO chart names")
-    p.add_argument("--monomial", required=True, help="'m1,..,mN', positive degree")
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--order", type=_order, required=True)
-    p.add_argument("--route", choices=["coeff", "both"], default="both")
-    add_output(p)
-    p.set_defaults(func=cmd_transition)
-
-    p = sub.add_parser("cocycle", help="check the composition identity on a chart triple")
-    p.add_argument("--atlas", required=True)
-    p.add_argument("--triple", required=True, help="three chart names, comma separated")
-    p.add_argument("--monomial", help="restrict to one monomial 'm1,..,mN'")
-    p.add_argument("--index", type=int, help="restrict to one coordinate index")
-    p.add_argument("--order", type=_order, required=True)
-    add_output(p)
-    p.set_defaults(func=cmd_cocycle)
-
-    p = sub.add_parser("verify", help="run the seeded verification suites")
-    p.add_argument("--suite", default="all", choices=list(SUITE_IDS) + ["all"])
-    p.add_argument("--chart", action="append",
-                   help="chart to verify on (repeatable; default: built-ins)")
-    p.add_argument("--atlas", help="atlas for transition suites (default: p1)")
-    p.add_argument("--orders", default="1,2,3", help="comma-separated jet orders")
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
-    p.set_defaults(func=cmd_verify)
-
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return ap
 
 

@@ -188,7 +188,8 @@ def localization_partial_sum(g, v, m, k):
     """S_m = sum_{r=0}^{m} (1/g^{r+1}) delta(g)^r (1 # v) at order k.
 
     g must be invertible on the chart.  For m >= k this equals
-    1 # (1/g) v exactly."""
+    1 # (1/g) v exactly: delta(g)^r has t-order >= r, so every term with
+    r > k is zero at order k and the sum stops at min(m, k)."""
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
     chart = v.chart
@@ -198,7 +199,7 @@ def localization_partial_sum(g, v, m, k):
     eta = jf_from_vf(v, k)
     dg_pow = jet_scalar(chart.one(), k)
     ginv_pow = ginv
-    for r in range(m + 1):
+    for r in range(min(m, k) + 1):
         if r:
             dg_pow = dg_pow * dg
             ginv_pow = ginv_pow * ginv

@@ -211,22 +211,48 @@ def degree_check(k, top):
         )
 
 
-def power_check(p, e):
-    """Raise ValueError, before p ** e is computed, unless its degree e * degree
-    is within the bound and e * bits <= POW_BITS, where bits is the larger
-    bit length of the sum of |numerators| and of the content denominator.
-    Every numerator of p ** e is at most that sum to the e, and its content
-    denominator is den ** e, so both stay within POW_BITS bits; for a
-    constant, bits is the bit length of its numerator or denominator.  A
-    single term with coefficient 0 or +-1 (bits <= 1) has no bound."""
-    top, d = mono_layout(len(p.vars))[1], p.degree()
-    degree_check(e * d << top, top)
-    bits = max(sum(map(abs, p.nums.values())).bit_length(), p.den.bit_length())
-    if bits > 1 and e * bits > POW_BITS:
-        what = (f"{bits}-bit constant" if d == 0
-                else f"polynomial with a {bits}-bit coefficient sum")
-        raise ValueError(f"power {e} of a {what} exceeds the bound of "
-                         f"{POW_BITS} bits")
+def power_check(p, e, weights=(1, ())):
+    """Raise ValueError, before p ** e is computed, unless the degree and the
+    coefficient bits of its reduced form stay within the bounds; return both
+    estimates.  weights is a chart's power_weights(): (den, gens) with one
+    (shift, excess, slack, wbits, dbits) per generator y_j; the default
+    weighs every variable 1, for powers that nothing reduces.
+
+    Degree: a variable weighs den and y_j den + excess.  Reduction never
+    raises the weighted degree, and the y_j exponents it leaves add at most
+    the slack of the highest y_j in p.  Bits: with y_j weighing 2^wbits, the
+    norm N(p) = sum |c| prod W^a of the numerators is submultiplicative and
+    never raised by reduction, and reducing y_j^a adds at most a * dbits bits
+    to the content denominator.  So every numerator and the denominator of
+    the power take at most e * bits bits: the larger bit length of N(p) and
+    p.den, plus sum_j A_j * dbits_j for A_j the largest y_j exponent in p.
+    Without generators in p the degree is exactly e * degree and N(p) the
+    sum of |numerators|; bits <= 1 (0, or +-1 of norm 1) has no bit bound."""
+    top = mono_layout(len(p.vars))[1]
+    den, gens = weights
+    wdeg, norm, high = 0, 0, [0] * len(gens)
+    for k, c in p.nums.items():
+        w, b = (k >> top) * den, 0
+        for j, (sh, excess, _, wbits, _) in enumerate(gens):
+            a = (k >> sh) & FIELD_MASK
+            w, b, high[j] = w + a * excess, b + a * wbits, max(high[j], a)
+        wdeg, norm = max(wdeg, w), norm + (abs(c) << b)
+    last = max((j for j, a in enumerate(high) if a), default=-1)
+    bound = (e * wdeg + (gens[last][2] if last >= 0 else 0)) // den
+    if bound >= DEGREE_LIMIT:
+        raise ValueError(
+            f"total degree {bound} exceeds the bound {DEGREE_LIMIT - 1}" if last < 0
+            else f"power {e} can reach total degree {bound} after reduction, "
+                 f"beyond the bound {DEGREE_LIMIT - 1}")
+    bits = (max(norm.bit_length(), p.den.bit_length())
+            + sum(a * g[4] for a, g in zip(high, gens)))
+    total = e * bits if bits > 1 and e else 1
+    if total > POW_BITS:
+        what = (f"can reach {total}-bit coefficients after reduction, beyond"
+                if last >= 0 else f"of a {bits}-bit constant exceeds" if not wdeg
+                else f"of a polynomial with a {bits}-bit coefficient sum exceeds")
+        raise ValueError(f"power {e} {what} the bound of {POW_BITS} bits")
+    return bound, total
 
 
 def mono_pack(m, n):

@@ -12,7 +12,7 @@ from jetalg.charts import (
 )
 from jetalg.fileio import loads_chart
 from jetalg.fixtures import standard_chart
-from jetalg.multipoly import DEGREE_LIMIT, Poly
+from jetalg.multipoly import DEGREE_LIMIT, Poly, power_check
 
 from conftest import make_sampler
 from derivref import ref_derive
@@ -435,7 +435,7 @@ def test_power_is_the_repeated_product(seed, name, e):
 
 
 WEIGHT_CHARTS = [
-    standard_chart("elliptic"),  # w_y = 3/2, no slack
+    standard_chart("elliptic"),  # w_y = 3/2, no slack; W_y = 2
     loads_chart({"name": "sqrt_x", "params": ["x"], "denominator": "y",
                  "gens": [{"name": "y", "degree": 2, "rhs": "x"}]}),
     loads_chart({"name": "sqrt_2", "params": ["x"], "denominator": "y",
@@ -443,29 +443,70 @@ WEIGHT_CHARTS = [
     loads_chart({"name": "tower", "params": ["x"], "denominator": "y*z",
                  "gens": [{"name": "y", "degree": 2, "rhs": "x"},
                           {"name": "z", "degree": 3, "rhs": "y + 1"}]}),
+    # rational relations: reduction also grows the content denominator
+    loads_chart({"name": "third", "params": ["x"], "denominator": "y",
+                 "gens": [{"name": "y", "degree": 2, "rhs": "1/3*x + 1"}]}),
+    chart_from(RATIONAL_TOWER),
 ]
+QUARTER = loads_chart({"name": "quarter", "params": ["x"], "denominator": "y",
+                       "gens": [{"name": "y", "degree": 2, "rhs": "x/4 + 1/4"}]})
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), idx=st.integers(0, len(WEIGHT_CHARTS) - 1),
        e=st.integers(0, 6))
 def test_reduced_power_stays_within_the_weight_bound(seed, idx, e):
-    # reduction never raises the weighted degree, and generator exponents
-    # below d_j add at most the slack: the bound reduced_power_check uses
+    # reduction never raises the weighted degree or the weighted norm, and
+    # reducing y_j^a adds at most a * dbits_j bits to the content
+    # denominator: the power's degree, numerators and denominator stay
+    # within the estimates power_check returns
     chart = WEIGHT_CHARTS[idx]
     a = make_sampler("pow-weight", seed).elem(chart, max_deg=3, max_s=1)
-    chart.reduced_power_check(a.num, e)
-    w, slack, den = chart._weights
-    assert (a ** e).num.degree() * den <= e * charts._weight(a.num, w) + slack
+    degree, bits = power_check(a.num, e, chart.power_weights())
+    got = (a ** e).num
+    assert got.degree() <= degree
+    assert max(map(abs, got.nums.values()), default=got.den).bit_length() <= bits
+    assert got.den.bit_length() <= bits
+
+
+def test_generator_powers_stay_within_the_estimates():
+    # powers of a generator come close to the estimates: W_y = 2 on
+    # elliptic, and on y^2 = (x + 1)/4 the norm weight is 1 while the
+    # content denominator 4^(e/2) = 2^e takes the dbits_y = 1 bit per power
+    for chart in WEIGHT_CHARTS + [QUARTER]:
+        for j in range(chart.ngens):
+            for e in range(13):
+                y = chart.gen(j)
+                degree, bits = power_check(y.num, e, chart.power_weights())
+                got = (y ** e).num
+                assert got.degree() <= degree
+                assert max(map(abs, got.nums.values())).bit_length() <= bits
+                assert got.den.bit_length() <= bits
+    y = WEIGHT_CHARTS[4].gen(0)  # y^2 = x/3 + 1: y^40 = (x/3 + 1)^20
+    assert (y ** 40).num.den == 3 ** 20
+    y = QUARTER.gen(0)
+    assert power_check(y.num, 12, QUARTER.power_weights())[1] == 24
+    assert (y ** 12).num.den == 2 ** 12
 
 
 def test_power_with_a_generator_checks_the_bound_first(elliptic, monkeypatch):
-    # y weighs 3/2 on elliptic (y^2 = x^3 - x + 1): y^e reduces to degree
-    # at most 3e/2, so 21845 is the largest exponent accepted
-    y = elliptic.gen(0)
-    elliptic.reduced_power_check(y.num, 21845)
-    with pytest.raises(ValueError, match="power 21846 can reach total degree 32769"):
-        elliptic.reduced_power_check(y.num, 21846)
+    # y weighs 3/2 in degree and W_y = 2 in the norm on elliptic
+    # (y^2 = x^3 - x + 1): y^e reduces to degree at most 3e/2 with
+    # coefficients of at most 2e bits, so the bit bound binds first and
+    # y^4096 is the largest power accepted, as for (x + 1)^4096
+    y, weights = elliptic.gen(0), elliptic.power_weights()
+    assert power_check(y.num, 4096, weights) == (6144, 8192)
+    with pytest.raises(ValueError, match="power 4097 can reach 8194-bit coefficients "
+                                         "after reduction, beyond the bound of 8192 bits"):
+        power_check(y.num, 4097, weights)
+    # y^2 = x has N(q) = 1, so only the degree bounds the powers of y:
+    # y^e reduces to degree at most (e + 1) / 2
+    sqrt_x = WEIGHT_CHARTS[1]
+    r, weights = sqrt_x.gen(0), sqrt_x.power_weights()
+    assert power_check(r.num, 65534, weights) == (32767, 1)
+    with pytest.raises(ValueError, match="power 65535 can reach total degree 32768"):
+        r ** 65535
+    assert r ** 65534 == sqrt_x.param(0) ** 32767
     bases = (y, y + elliptic.param(0), y * elliptic.inv_denominator())
     calls = []
     mul = RingElem.__mul__
@@ -473,4 +514,6 @@ def test_power_with_a_generator_checks_the_bound_first(elliptic, monkeypatch):
     for base in bases:
         with pytest.raises(ValueError, match="after reduction, beyond the bound 32767"):
             base ** 100000
+        with pytest.raises(ValueError, match="after reduction, beyond the bound of 8192 bits"):
+            base ** 20000
     assert calls == []

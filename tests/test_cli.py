@@ -308,6 +308,55 @@ def test_negative_order_exits_2(capsys, argv):
     assert f"error: argument {flag}: must be an integer >= 0" in captured.err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--atlas", "p1", "--order", "17"],
+    ["jet", "--chart", "elliptic", "--expr", "y", "--order", "17"],
+    ["delta", "--chart", "loc_x", "--expr", "x", "--order", "300"],
+    ["bracket", "--chart", "loc_x", "--left", "1 # x", "--right", "1 # 1",
+     "--order", "17"],
+    ["phi", "--chart", "loc_x", "--field", "1 # x^2", "--order", "17"],
+    ["psi", "--chart", "loc_x", "--vf", "x", "--order", "17"],
+    ["localize", "--chart", "loc_x", "--vf", "x", "--order", "2", "--den-power", "17"],
+    ["localize", "--chart", "loc_x", "--vf", "x", "--order", "2", "--den-power", "8000"],
+    ["localize", "--chart", "loc_x", "--vf", "1", "--order", "17"],
+    ["av-map", "--chart", "loc_x", "--word", "v x", "--order", "17"],
+    ["transition", "--atlas", "p1", "--pair", "std:inf", "--monomial", "1",
+     "--order", "17"],
+    ["cocycle", "--atlas", "p1", "--triple", "std,inf,shift", "--order", "17"],
+])
+def test_order_above_the_maximum_exits_2(capsys, argv):
+    # every --order and --den-power is at most MAX_ORDER, the bound of
+    # verify's --orders
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = "--den-power" if "--den-power" in argv else "--order"
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: must be an integer >= 0 and <= {cli.MAX_ORDER}, "
+        f"got {argv[-1]!r}")
+
+
+def test_maximum_order_is_valid(capsys):
+    code, out = run(capsys, "localize", "--chart", "elliptic", "--vf", "y",
+                    "--order", str(cli.MAX_ORDER), "--den-power", str(cli.MAX_ORDER))
+    assert code == 0 and out.endswith("defect matches closed form: True\n")
+
+
+def test_localize_beyond_the_order_needs_order_plus_one(capsys):
+    # for m > k the partial sum is already exact at order k: the defect is
+    # zero and the order it needs is k + 1, not m + 1
+    code, out = run(capsys, "localize", "--chart", "loc_x", "--vf", "1",
+                    "--order", "2", "--den-power", "5")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "closed-form defect: 0",
+        "defect order: 3 (needs >= 3)",
+        "defect matches closed form: True",
+    ]
+
+
 def test_order_zero_is_valid(capsys):
     code, out = run(capsys, "bracket", "--chart", "loc_x", "--left", "1 # x",
                     "--right", "1 # 1", "--order", "0")
@@ -361,11 +410,14 @@ def test_constant_power_beyond_the_bit_bound_exits_2_quickly(capsys, expr, e):
      "power 100000 can reach total degree 150000 after reduction, beyond the bound 32767"),
     ("loc_x", "(1048576*x+1)^800",
      "power 800 of a polynomial with a 21-bit coefficient sum exceeds the bound of 8192 bits"),
+    ("elliptic", "y^20000",
+     "power 20000 can reach 40000-bit coefficients after reduction, beyond the bound of 8192 bits"),
 ])
 def test_unbounded_power_exits_2_quickly(capsys, chart, expr, msg):
-    # a power with a generator (reduction lowers its degree) and a power
-    # whose coefficients would outgrow CPython's int-to-string limit are
-    # refused before their first product
+    # powers whose degree or coefficients would leave the bounds are
+    # refused before their first product: with a generator (reduction
+    # lowers its degree), without one (coefficients beyond CPython's
+    # int-to-string limit), and with a generator inside the degree bound
     start = time.perf_counter()
     code, err = run_err(capsys, "jet", "--chart", chart, "--expr", expr,
                         "--order", "1")
