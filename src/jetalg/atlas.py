@@ -59,8 +59,8 @@ from fractions import Fraction
 from .charts import ChartMismatch, NotInvertible
 from .jets import Jet, jet_along, jet_scalar
 from .jetfields import JetField, decompose
-from .liealg import CurrentElem
-from .multipoly import mi_check, mi_degree, mi_range, mi_split, mi_unit
+from .liealg import CurrentElem, basis_check
+from .multipoly import mi_degree, mi_range, mi_split, mi_unit
 from .vfields import VectorField
 
 
@@ -348,11 +348,7 @@ def transition_l(tp, m, p, r):
     """Transport X^m d/dX_p (from-side current basis) across tp: a current
     element over the overlap chart in the Y increments, truncated at r."""
     n = tp.overlap.nparams
-    m = mi_check(m, n)
-    if not 1 <= mi_degree(m) <= r:
-        raise ValueError(f"monomial degree must lie in 1..{r}")
-    if not 0 <= p < n:
-        raise IndexError(f"direction {p} out of range")
+    m, p = basis_check(n, r, (m, p))
     got = tp._tl.get((m, p, r))
     if got is not None:
         return got
@@ -392,11 +388,7 @@ def transition_via_iso(tp, m, p, r):
     decomposition, chain rule into the y-frame, re-expansion as y-frame
     jets, and coefficient read-off."""
     n = tp.overlap.nparams
-    m = mi_check(m, n)
-    if not 1 <= mi_degree(m) <= r:
-        raise ValueError(f"monomial degree must lie in 1..{r}")
-    if not 0 <= p < n:
-        raise IndexError(f"direction {p} out of range")
+    m, p = basis_check(n, r, (m, p))
     x_frame, y_frame = tp._ensure_frames()
     powers, memo = _iso_data(tp, r)
     comps = [Jet.zero(tp.overlap, r) for _ in range(n)]

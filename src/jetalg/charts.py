@@ -231,19 +231,19 @@ class ChartSpec:
         self._build_derivative_tables()
 
     def _build_derivative_tables(self):
-        # dy[j][i] = dy_j/dx_i by implicit differentiation of y_j^d = q_j:
-        #   d * y_j^(d-1) * dy_j/dx_i = dq_j/dx_i + sum_{l<j} dq_j/dy_l * dy_l/dx_i
-        # and 1/y_j = (g/y_j)/g; the right side is the total derivative of
-        # q_j, which only reaches the rows of earlier generators.
+        # dy_j/dx_i = D_i(q_j) / (d * y_j^(d-1)), by differentiating y_j^d = q_j,
+        # with 1/y_j = (g/y_j)/g.  D_i(q_j) reads only the rows of earlier
+        # generators; g is derived last, at s = 0, where dg is not read.
         self._dy = []
         for j, gs in enumerate(self.gens):
             d = gs.degree
             inv_lead = RingElem(
                 self, self._g_over_y[j] ** (d - 1) * Fraction(1, d), d - 1
             )
-            self._dy.append([self._total_derivative(gs.rhs, i) * inv_lead
-                             for i in range(self.nparams)])
-        self._dg = [self._total_derivative(self.denominator, i) for i in range(self.nparams)]
+            q = RingElem(self, gs.rhs)
+            self._dy.append([q.derive(i) * inv_lead for i in range(self.nparams)])
+        g = RingElem(self, self.denominator)
+        self._dg = [g.derive(i) for i in range(self.nparams)]
 
     def _require_valid(self):
         if not self._validated:
@@ -349,16 +349,6 @@ class ChartSpec:
             cache[len(cache)] = cache[len(cache) - 1] * self.denominator
         return cache[s]
 
-    def _total_derivative(self, poly, i):
-        """d/dx_i of a polynomial in params and generators, as a RingElem,
-        through ring arithmetic; builds the tables of dy_j/dx_i and dg/dx_i."""
-        out = RingElem(self, poly.partial(i))
-        for j in range(self.ngens):
-            dp = poly.partial(self.gen_index(j))
-            if not dp.is_zero():
-                out = out + RingElem(self, dp) * self._dy[j][i]
-        return out
-
     def _kernel(self, i, used, quotient):
         """The kernel table entry of d/dx_i (see the module docstring) for
         numerators whose packed keys OR to ``used``, with the quotient-rule
@@ -381,11 +371,11 @@ class ChartSpec:
             return got
         mults = [(i, self.one(), 0)]
         for j in range(self.ngens):
-            dy = self._dy[j][i]
-            if occur >> j & 1 and not dy.is_zero():
+            if occur >> j & 1 and self._dy[j][i]:
+                dy = self._dy[j][i]
                 mults.append((self.gen_index(j), dy, dy.s))
-        dg = self._dg[i]
-        if quotient and not dg.is_zero():
+        if quotient and self._dg[i]:
+            dg = self._dg[i]
             mults.append((None, -dg, dg.s + 1))
         top = max(o for _, _, o in mults)
         lifted = [(v, self.reduce(m.num * self.g_pow(top - o))) for v, m, o in mults]
@@ -525,7 +515,13 @@ class RingElem:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        power_check(self.num, e, self.chart.power_weights())
+        weights = self.chart.power_weights()
+        power_check(self.num, e, weights)
+        if self.s:  # the power sits over g^(e*s)
+            try:
+                power_check(self.chart.denominator, e * self.s, weights)
+            except ValueError as err:
+                raise ValueError(f"denominator g^{e * self.s}: {err}") from None
         return pow_by_squaring(self.chart.one(), self, e)
 
     def __eq__(self, other):

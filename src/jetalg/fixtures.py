@@ -1,125 +1,47 @@
-"""Built-in example charts and atlases.
+"""Built-in example charts and atlases, each read from its file in the
+package's ``charts`` directory and named after it.
 
-Three charts exercise the three ring features: a plain affine plane, a
-localized line, and a curve chart with one algebraic generator.  The
-projective-line atlas comes in two flavours: `p1` keeps three charts with
-all six directed transitions declared over the common triple-overlap ring
-(so cocycle checks are possible), and `p1_pair` is the two-chart version
-over the ordinary pair overlap.
-
-The CLI accepts these by name wherever a chart/atlas file is expected.
+Three charts exercise the three ring features: the affine plane
+``affine2``, the localized line ``loc_x`` and the curve chart ``elliptic``
+with one algebraic generator.  The projective-line atlas ``p1`` has three
+charts (w = 1/x, v = 1/(x - 1)) and all six directed transitions over the
+common triple overlap, so that composites stay on one ring and cocycles can
+be checked; ``p1_pair`` is the two-chart version over the pair overlap.
+Each transition also carries closed coordinate-change formulas, so mutual
+inverseness is checked by substitution.  The CLI accepts these names
+wherever a chart/atlas file is expected.
 """
 
 from __future__ import annotations
 
+import json
+import os
+
 from . import fileio
 
-STANDARD_CHARTS = {
-    "affine2": {
-        "name": "affine2",
-        "params": ["x1", "x2"],
-        "gens": [],
-        "denominator": "1",
-    },
-    "loc_x": {
-        "name": "loc_x",
-        "params": ["x"],
-        "gens": [],
-        "denominator": "x",
-    },
-    "elliptic": {
-        "name": "elliptic",
-        "params": ["x"],
-        "gens": [{"name": "y", "degree": 2, "rhs": "x^3 - x + 1"}],
-        "denominator": "y",
-    },
-}
+CHART_DIR = os.path.join(os.path.dirname(__file__), "charts")
 
-_P1_CHARTS = [
-    {"name": "std", "params": ["x"], "gens": [], "denominator": "1"},
-    {"name": "inf", "params": ["w"], "gens": [], "denominator": "1"},
-    {"name": "shift", "params": ["v"], "gens": [], "denominator": "1"},
-    # pair overlap of std and inf: x invertible
-    {"name": "std_inf", "params": ["x"], "gens": [], "denominator": "x"},
-    # triple overlap: both x and x - 1 invertible
-    {"name": "triple", "params": ["x"], "gens": [], "denominator": "x^2 - x"},
-    # one-parameter rings hosting the coordinate-change formulas
-    {"name": "punctured_0", "params": ["t"], "gens": [], "denominator": "t"},
-    {"name": "punctured_1", "params": ["t"], "gens": [], "denominator": "t - 1"},
-    {"name": "punctured_neg1", "params": ["t"], "gens": [], "denominator": "t + 1"},
-]
+STANDARD_CHARTS, STANDARD_ATLASES = {}, {}
+for _file in sorted(f for f in os.listdir(CHART_DIR) if f.endswith(".json")):
+    with open(os.path.join(CHART_DIR, _file), encoding="utf-8") as _fh:
+        _data = json.load(_fh)
+    _table = STANDARD_ATLASES if "transitions" in _data else STANDARD_CHARTS
+    _table[os.path.splitext(_file)[0]] = _data
 
-STANDARD_ATLASES = {
-    # Projective line, three charts: w = 1/x, v = 1/(x - 1).  All six
-    # directed transitions are declared over the triple overlap so that
-    # any composite stays on one ring; each also carries the coordinate
-    # change as closed formulas so mutual inverseness is checked by
-    # substitution.
-    "p1": {
-        "name": "p1",
-        "charts": _P1_CHARTS,
-        "transitions": [
-            {"from": "std", "to": "inf", "overlap": "triple",
-             "G": ["x"], "H": ["1/x"],
-             "x_of_y": {"chart": "punctured_0", "exprs": ["1/t"]},
-             "y_of_x": {"chart": "punctured_0", "exprs": ["1/t"]}},
-            {"from": "inf", "to": "std", "overlap": "triple",
-             "G": ["1/x"], "H": ["x"],
-             "x_of_y": {"chart": "punctured_0", "exprs": ["1/t"]},
-             "y_of_x": {"chart": "punctured_0", "exprs": ["1/t"]}},
-            {"from": "inf", "to": "shift", "overlap": "triple",
-             "G": ["1/x"], "H": ["1/(x-1)"],
-             "x_of_y": {"chart": "punctured_neg1", "exprs": ["t/(t + 1)"]},
-             "y_of_x": {"chart": "punctured_1", "exprs": ["-t/(t - 1)"]}},
-            {"from": "shift", "to": "inf", "overlap": "triple",
-             "G": ["1/(x-1)"], "H": ["1/x"],
-             "x_of_y": {"chart": "punctured_1", "exprs": ["-t/(t - 1)"]},
-             "y_of_x": {"chart": "punctured_neg1", "exprs": ["t/(t + 1)"]}},
-            {"from": "std", "to": "shift", "overlap": "triple",
-             "G": ["x"], "H": ["1/(x-1)"],
-             "x_of_y": {"chart": "punctured_0", "exprs": ["(t + 1)/t"]},
-             "y_of_x": {"chart": "punctured_1", "exprs": ["1/(t - 1)"]}},
-            {"from": "shift", "to": "std", "overlap": "triple",
-             "G": ["1/(x-1)"], "H": ["x"],
-             "x_of_y": {"chart": "punctured_1", "exprs": ["1/(t - 1)"]},
-             "y_of_x": {"chart": "punctured_0", "exprs": ["(t + 1)/t"]}},
-        ],
-    },
-    "p1_pair": {
-        "name": "p1_pair",
-        "charts": _P1_CHARTS[:2] + [_P1_CHARTS[3], _P1_CHARTS[5]],
-        "transitions": [
-            {"from": "std", "to": "inf", "overlap": "std_inf",
-             "G": ["x"], "H": ["1/x"],
-             "x_of_y": {"chart": "punctured_0", "exprs": ["1/t"]},
-             "y_of_x": {"chart": "punctured_0", "exprs": ["1/t"]}},
-            {"from": "inf", "to": "std", "overlap": "std_inf",
-             "G": ["1/x"], "H": ["x"],
-             "x_of_y": {"chart": "punctured_0", "exprs": ["1/t"]},
-             "y_of_x": {"chart": "punctured_0", "exprs": ["1/t"]}},
-        ],
-    },
-}
+_cache = {}
 
-_chart_cache = {}
-_atlas_cache = {}
+
+def _standard(kind, table, loads, name):
+    if name not in table:
+        raise KeyError(f"no built-in {kind} {name!r}")
+    if (kind, name) not in _cache:
+        _cache[kind, name] = loads(table[name])
+    return _cache[kind, name]
 
 
 def standard_chart(name):
-    got = _chart_cache.get(name)
-    if got is None:
-        if name not in STANDARD_CHARTS:
-            raise KeyError(f"no built-in chart {name!r}")
-        got = fileio.loads_chart(STANDARD_CHARTS[name])
-        _chart_cache[name] = got
-    return got
+    return _standard("chart", STANDARD_CHARTS, fileio.loads_chart, name)
 
 
 def standard_atlas(name="p1"):
-    got = _atlas_cache.get(name)
-    if got is None:
-        if name not in STANDARD_ATLASES:
-            raise KeyError(f"no built-in atlas {name!r}")
-        got = fileio.loads_atlas(STANDARD_ATLASES[name])
-        _atlas_cache[name] = got
-    return got
+    return _standard("atlas", STANDARD_ATLASES, fileio.loads_atlas, name)

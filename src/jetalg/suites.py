@@ -44,7 +44,6 @@ SUITE_IDS = (
 )
 
 CHART_SUITES = SUITE_IDS[:8]
-ATLAS_SUITES = SUITE_IDS[8:]
 
 
 class SuiteEnv:

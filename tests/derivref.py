@@ -5,7 +5,9 @@ derivative of N (its parameter partial plus, for each generator, its
 generator partial times dy_j/dx_i, summed as ring elements) over g^s, minus
 the quotient-rule term s * N * dg/dx_i over g^(s + 1).  Every step goes
 through RingElem's public arithmetic, so the differential tests can compare
-it with the one-pass kernel of ``RingElem.derive``.
+it with the one-pass kernel of ``RingElem.derive``.  The chart's tables of
+dy_j/dx_i and dg/dx_i that it reads are built with that kernel, so
+``test_charts`` pins them against ``ref_total_derivative``.
 """
 
 from jetalg.charts import RingElem

@@ -15,7 +15,7 @@ from jetalg.fixtures import standard_chart
 from jetalg.multipoly import DEGREE_LIMIT, Poly, power_check
 
 from conftest import make_sampler
-from derivref import ref_derive
+from derivref import ref_derive, ref_total_derivative
 from sumref import ref_sum_products
 from polyref import ref_reduce
 
@@ -321,6 +321,27 @@ def test_derive_matches_reference(affine2, loc_x, elliptic, name, seed, s, dirs)
         got, want = e.derive(i), ref_derive(e, i)
         assert (got.num.nums, got.num.den, got.s) == (want.num.nums, want.num.den, want.s)
         e = got
+
+
+TABLE_CHARTS = [standard_chart(n) for n in ("affine2", "loc_x", "elliptic")] + [
+    _TOWER, _TWO,
+    chart_from({"name": "tower1", "params": ["x"], "denominator": "y*z",
+                "gens": [{"name": "y", "degree": 2, "rhs": "x"},
+                         {"name": "z", "degree": 3, "rhs": "y + 1"}]}),
+]
+
+
+@pytest.mark.parametrize("chart", TABLE_CHARTS, ids=lambda c: c.name)
+def test_derivative_tables_match_the_reference(chart):
+    # RingElem.derive builds the tables dy_j/dx_i and dg/dx_i that
+    # ref_derive reads; pin them against the reference's total derivative
+    # of the relation, d * y_j^(d-1) * dy_j/dx_i = D_i q_j, and of g, so
+    # the reference does not rest on the kernel it is compared with
+    for i in range(chart.nparams):
+        for j, gs in enumerate(chart.gens):
+            lhs = chart.gen(j) ** (gs.degree - 1) * gs.degree * chart._dy[j][i]
+            assert lhs == ref_total_derivative(chart, gs.rhs, i)
+        assert chart._dg[i] == ref_total_derivative(chart, chart.denominator, i)
 
 
 def test_derive_makes_one_reduce_call(elliptic, monkeypatch):

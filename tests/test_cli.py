@@ -10,7 +10,7 @@ import pytest
 from jetalg import cli
 from jetalg.cli import main
 
-P1_ATLAS_FILE = str(Path(__file__).resolve().parent.parent / "charts" / "p1_atlas.json")
+P1_ATLAS_FILE = str(Path(__file__).resolve().parent.parent / "src" / "jetalg" / "charts" / "p1.json")
 
 
 def run(capsys, *argv):
@@ -412,12 +412,17 @@ def test_constant_power_beyond_the_bit_bound_exits_2_quickly(capsys, expr, e):
      "power 800 of a polynomial with a 21-bit coefficient sum exceeds the bound of 8192 bits"),
     ("elliptic", "y^20000",
      "power 20000 can reach 40000-bit coefficients after reduction, beyond the bound of 8192 bits"),
+    ("elliptic", "inv(y)^20000 + 1", "denominator g^20000: "
+     "power 20000 can reach 40000-bit coefficients after reduction, beyond the bound of 8192 bits"),
+    ("elliptic", "inv(y)^100000 + 1", "denominator g^100000: "
+     "power 100000 can reach total degree 150000 after reduction, beyond the bound 32767"),
 ])
 def test_unbounded_power_exits_2_quickly(capsys, chart, expr, msg):
     # powers whose degree or coefficients would leave the bounds are
     # refused before their first product: with a generator (reduction
     # lowers its degree), without one (coefficients beyond CPython's
-    # int-to-string limit), and with a generator inside the degree bound
+    # int-to-string limit), with a generator inside the degree bound, and
+    # over g^e, where the numerator 1 passes but adding 1 would build g^e
     start = time.perf_counter()
     code, err = run_err(capsys, "jet", "--chart", chart, "--expr", expr,
                         "--order", "1")

@@ -25,7 +25,8 @@ GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 INVOCATIONS = [
     # the README examples
-    ["validate", "--chart", "charts/elliptic.json", "--atlas", "charts/p1_atlas.json"],
+    ["validate", "--chart", "src/jetalg/charts/elliptic.json",
+     "--atlas", "src/jetalg/charts/p1.json"],
     ["jet", "--chart", "loc_x", "--expr", "1/x", "--order", "2"],
     ["delta", "--chart", "loc_x", "--expr", "x^2", "--order", "2"],
     ["bracket", "--chart", "loc_x", "--left", "1 # x", "--right", "1 # 1", "--order", "2"],

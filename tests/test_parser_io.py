@@ -6,12 +6,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jetalg
+
 from jetalg.envalg import DiffOp, av_to_tensor, vf_factor
 from jetalg.fileio import (
     SchemaError, load_atlas, load_chart, loads_atlas, loads_chart,
     value_from_data, value_to_data,
 )
-from jetalg.fixtures import STANDARD_ATLASES, STANDARD_CHARTS, standard_chart
+from jetalg.fixtures import (
+    STANDARD_ATLASES, STANDARD_CHARTS, standard_atlas, standard_chart,
+)
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import CurrentElem, phi
 from jetalg.parser import (
@@ -250,15 +254,36 @@ def test_sampled_elements_roundtrip_through_str_and_data(seed, name, max_deg):
     assert value_from_data(data, chart) == e
 
 
-# -- the built-in fixture data and the shipped chart files are the same data
+# -- the built-ins have one home: the chart files shipped in the package
 
-CHART_DIR = Path(__file__).resolve().parent.parent / "charts"
-
-
-@pytest.mark.parametrize("name", sorted(STANDARD_CHARTS))
-def test_builtin_chart_equals_its_chart_file(name):
-    assert json.loads((CHART_DIR / f"{name}.json").read_text()) == STANDARD_CHARTS[name]
+CHART_DIR = Path(jetalg.__file__).resolve().parent / "charts"
+CHART_FILES = sorted(CHART_DIR.glob("*.json"))
 
 
-def test_builtin_p1_atlas_equals_its_chart_file():
-    assert json.loads((CHART_DIR / "p1_atlas.json").read_text()) == STANDARD_ATLASES["p1"]
+def test_every_chart_file_is_a_builtin_under_its_stem():
+    stems = [f.stem for f in CHART_FILES]
+    assert stems == sorted(STANDARD_CHARTS.keys() | STANDARD_ATLASES.keys())
+    assert not STANDARD_CHARTS.keys() & STANDARD_ATLASES.keys()
+    assert {"affine2", "loc_x", "elliptic", "p1", "p1_pair"} <= set(stems)
+
+
+@pytest.mark.parametrize("path", CHART_FILES, ids=lambda f: f.stem)
+def test_loading_a_chart_file_gives_its_builtin(path):
+    if path.stem in STANDARD_CHARTS:
+        assert load_chart(str(path)) == standard_chart(path.stem)
+        return
+    got, want = load_atlas(str(path)), standard_atlas(path.stem)
+    assert (got.name, got.charts) == (want.name, want.charts)
+    assert got.transitions.keys() == want.transitions.keys()
+    for key, tp in got.transitions.items():
+        tq = want.transitions[key]
+        assert tp.overlap == tq.overlap
+        assert (list(tp.G), list(tp.H)) == (list(tq.G), list(tq.H))
+        assert [list(f) for f in tp.formulas] == [list(f) for f in tq.formulas]
+
+
+def test_pyproject_declares_the_chart_files_as_package_data():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        setuptools = tomllib.load(fh)["tool"]["setuptools"]
+    assert setuptools["package-data"]["jetalg"] == ["charts/*.json"]
