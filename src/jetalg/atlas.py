@@ -60,7 +60,7 @@ from .charts import ChartMismatch, NotInvertible
 from .jets import Jet, jet_along, jet_scalar
 from .jetfields import JetField, decompose
 from .liealg import CurrentElem, basis_check
-from .multipoly import mi_degree, mi_range, mi_split, mi_unit
+from .multipoly import mi_degree, mi_powers, mi_split, mi_unit
 from .vfields import VectorField
 
 
@@ -215,19 +215,14 @@ class TransitionPair:
         if self._frames is not None:
             return self._frames
         n = self.overlap.nparams
-        MG = [[self.G[i].derive(l) for l in range(n)] for i in range(n)]
-        MH = [[self.H[j].derive(l) for l in range(n)] for j in range(n)]
-        invMG = mat_inv(MG)
-        invMH = mat_inv(MH)
-        x_frame = tuple(
-            VectorField(self.overlap, [invMG[l][p] for l in range(n)])
-            for p in range(n)
-        )
-        y_frame = tuple(
-            VectorField(self.overlap, [invMH[l][q] for l in range(n)])
-            for q in range(n)
-        )
-        self._frames = (x_frame, y_frame)
+        frames = []
+        for F in (self.G, self.H):  # the x-frame, then the y-frame
+            inv = mat_inv([[F[i].derive(l) for l in range(n)] for i in range(n)])
+            frames.append(tuple(
+                VectorField(self.overlap, [inv[l][p] for l in range(n)])
+                for p in range(n)
+            ))
+        self._frames = tuple(frames)
         return self._frames
 
     @property
@@ -258,13 +253,7 @@ class TransitionPair:
                 raise InverseCheckFailed(
                     "increment series of G has a constant term"
                 )
-        products = {}
-        for m in mi_range(n, r):
-            if mi_degree(m) == 0:
-                products[m] = jet_scalar(self.overlap.one(), r)
-                continue
-            i, prev = mi_split(m)
-            products[m] = products[prev] * dG[i]
+        products = mi_powers(jet_scalar(self.overlap.one(), r), dG, r)
         hcomp = [
             [
                 _subst(frame_jet(self.x_frame, self.dH_dx(q, p), r), products)
@@ -316,28 +305,23 @@ def validate_transition(tp, jet_order=2):
 
 def _validate_formulas(tp):
     x_of_y, y_of_x = tp.formulas
-    x_side = y_of_x[0].chart
-    y_side = x_of_y[0].chart
-    n = tp.overlap.nparams
+    # per direction: the formulas, their inverse (whose chart holds the
+    # identity's parameters), and the overlap values they map from and to
+    directions = (
+        ("x_of_y", x_of_y, "y_of_x", y_of_x, tp.H, "G", tp.G),
+        ("y_of_x", y_of_x, "x_of_y", x_of_y, tp.G, "H", tp.H),
+    )
     try:
-        for i in range(n):
-            if compose_formula(x_of_y[i], y_of_x) != x_side.param(i):
-                raise InverseCheckFailed(
-                    f"x_of_y[{i}] composed with y_of_x is not the identity"
-                )
-            if compose_formula(x_of_y[i], tp.H) != tp.G[i]:
-                raise InverseCheckFailed(
-                    f"x_of_y[{i}] does not reproduce G_{i} on the overlap"
-                )
-        for q in range(n):
-            if compose_formula(y_of_x[q], x_of_y) != y_side.param(q):
-                raise InverseCheckFailed(
-                    f"y_of_x[{q}] composed with x_of_y is not the identity"
-                )
-            if compose_formula(y_of_x[q], tp.G) != tp.H[q]:
-                raise InverseCheckFailed(
-                    f"y_of_x[{q}] does not reproduce H_{q} on the overlap"
-                )
+        for name, fs, other, inverse, args, target, values in directions:
+            for i, f in enumerate(fs):
+                if compose_formula(f, inverse) != inverse[0].chart.param(i):
+                    raise InverseCheckFailed(
+                        f"{name}[{i}] composed with {other} is not the identity"
+                    )
+                if compose_formula(f, args) != values[i]:
+                    raise InverseCheckFailed(
+                        f"{name}[{i}] does not reproduce {target}_{i} on the overlap"
+                    )
     except NotInvertible as e:
         raise InverseCheckFailed(
             f"formula substitution needs an unavailable inverse: {e}"
@@ -369,15 +353,8 @@ def _iso_data(tp, r):
     got = tp._iso.get(r)
     if got is not None:
         return got
-    n = tp.overlap.nparams
     dx = [jet_scalar(g, r) - frame_jet(tp.x_frame, g, r) for g in tp.G]
-    powers = {}
-    for m in mi_range(n, r):
-        if mi_degree(m) == 0:
-            powers[m] = jet_scalar(tp.overlap.one(), r)
-            continue
-        i, prev = mi_split(m)
-        powers[m] = powers[prev] * dx[i]
+    powers = mi_powers(jet_scalar(tp.overlap.one(), r), dx, r)
     got = tp._iso[r] = (powers, {})
     return got
 

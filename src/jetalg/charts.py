@@ -126,15 +126,10 @@ class ChartSpec:
     def __init__(self, name, params, gens=(), denominator=None):
         self.name = name
         self.params = tuple(params)
-        names = list(self.params)
-        promoted = []
-        for gspec in gens:
-            names.append(gspec.name)
-            promoted.append(gspec)
-        self.allvars = tuple(names)
+        self.allvars = self.params + tuple(gs.name for gs in gens)
         self.gens = tuple(
             GenSpec(gs.name, gs.degree, gs.rhs.extended(self.allvars))
-            for gs in promoted
+            for gs in gens
         )
         if denominator is None:
             denominator = Poly.one(self.allvars)
@@ -146,7 +141,7 @@ class ChartSpec:
         self._gpow_raw = {0: one}  # s -> unreduced Poly g^s
         self._dy = None      # dy[j][i] : RingElem
         self._dg = None      # dg[i] : RingElem, total derivative of g
-        self._g_over_y = []  # g / y_j as Poly
+        self._g_over_y = None  # [j] -> g / y_j as Poly
         self._kernels = {}   # (i, generators, quotient) -> derive kernel
         self._power_weights = None  # see power_weights
 
@@ -209,25 +204,25 @@ class ChartSpec:
                     f"generator {gs.name}: rhs may only use parameters and earlier generators"
                 )
         # relations are now usable; reduce g and check generator invertibility
+        # (a refusal leaves the chart as it was)
         self._validated = True
         try:
             g = self.reduce(self.denominator)
+            if g.is_zero():
+                raise ZeroDenominator("denominator reduces to 0")
+            g_over_y = []
+            for gs in self.gens:
+                quot = poly_div_exact(g, Poly.variable(self.allvars, gs.name))
+                if quot is None:
+                    raise MissingInvertibleGenerator(
+                        f"generator {gs.name} must divide the denominator"
+                    )
+                g_over_y.append(quot)
         except Exception:
             self._validated = False
             raise
-        if g.is_zero():
-            self._validated = False
-            raise ZeroDenominator("denominator reduces to 0")
         self.denominator = g
-        for j, gs in enumerate(self.gens):
-            yvar = Poly.variable(self.allvars, gs.name)
-            quot = poly_div_exact(g, yvar)
-            if quot is None:
-                self._validated = False
-                raise MissingInvertibleGenerator(
-                    f"generator {gs.name} must divide the denominator"
-                )
-            self._g_over_y.append(quot)
+        self._g_over_y = g_over_y
         self._build_derivative_tables()
 
     def _build_derivative_tables(self):

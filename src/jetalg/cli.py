@@ -15,7 +15,7 @@ from .atlas import (
     MissingTransition, TransitionError, cocycle_check, transition_l,
     transition_via_iso,
 )
-from .charts import ChartError, validate_chart
+from .charts import ChartError
 from .envalg import av_to_tensor
 from .fileio import SchemaError, load_atlas, load_chart, value_to_data
 from .fixtures import STANDARD_ATLASES, STANDARD_CHARTS, standard_atlas, standard_chart
@@ -78,6 +78,9 @@ def _parse_monomial(src, n):
     if len(m) != n or any(e < 0 for e in m):
         raise ExprSyntaxError(
             f"monomial needs {n} non-negative exponent(s), got {src!r}", 0)
+    if mi_degree(m) > MAX_ORDER:
+        raise ExprSyntaxError(
+            f"monomial {src!r} has total degree above {MAX_ORDER}", 0)
     return m
 
 
@@ -143,26 +146,33 @@ def _emit(args, text, data):
         sys.stdout.write(payload)
 
 
+def _show(args, value):
+    """Emit a computed value as text or JSON; exit code 0."""
+    _emit(args, str(value), value_to_data(value))
+    return 0
+
+
 def cmd_validate(args):
     lines = []
     failed = False
-    for label in args.chart or []:
-        chart = _resolve_chart(label)
-        try:
-            validate_chart(chart)
-            lines.append(f"chart {chart.name}: ok")
-        except ChartError as e:
-            lines.append(f"chart {chart.name}: FAILED ({e})")
-            failed = True
+    targets = [("chart", label) for label in args.chart or []]
     if args.atlas:
-        atlas = _resolve_atlas(args.atlas)
+        targets.append(("atlas", args.atlas))
+    for kind, label in targets:
+        name = label  # until the file is loaded
         try:
-            atlas.validate(args.order)
-            lines.append(
-                f"atlas {atlas.name}: ok "
-                f"({len(atlas.charts)} charts, {len(atlas.transitions)} transitions)")
+            if kind == "chart":
+                name = _resolve_chart(label).name  # loading validates it
+                lines.append(f"chart {name}: ok")
+            else:
+                atlas = _resolve_atlas(label)
+                name = atlas.name
+                atlas.validate(args.order)
+                lines.append(
+                    f"atlas {name}: ok "
+                    f"({len(atlas.charts)} charts, {len(atlas.transitions)} transitions)")
         except (ChartError, TransitionError) as e:
-            lines.append(f"atlas {atlas.name}: FAILED ({e})")
+            lines.append(f"{kind} {name}: FAILED ({e})")
             failed = True
     if not lines:
         raise ValueError("nothing to validate: pass --chart and/or --atlas")
@@ -173,9 +183,7 @@ def cmd_validate(args):
 def cmd_jet(args):
     chart = _resolve_chart(args.chart)
     f = parse_expression(args.expr, chart)
-    j = jet_of(f, args.order)
-    _emit(args, str(j), value_to_data(j))
-    return 0
+    return _show(args, jet_of(f, args.order))
 
 
 def cmd_delta(args):
@@ -183,29 +191,22 @@ def cmd_delta(args):
     if (args.expr is None) == (args.power is None):
         raise ValueError("pass exactly one of --expr or --power")
     if args.expr is not None:
-        j = delta(parse_expression(args.expr, chart), args.order)
-    else:
-        m = _parse_monomial(args.power, chart.nparams)
-        j = delta_power(chart, m, args.order)
-    _emit(args, str(j), value_to_data(j))
-    return 0
+        return _show(args, delta(parse_expression(args.expr, chart), args.order))
+    m = _parse_monomial(args.power, chart.nparams)
+    return _show(args, delta_power(chart, m, args.order))
 
 
 def cmd_bracket(args):
     chart = _resolve_chart(args.chart)
     u = _parse_jetfield(args.left, chart, args.order)
     w = _parse_jetfield(args.right, chart, args.order)
-    b = u.bracket(w)
-    _emit(args, str(b), value_to_data(b))
-    return 0
+    return _show(args, u.bracket(w))
 
 
 def cmd_phi(args):
     chart = _resolve_chart(args.chart)
     u = _parse_jetfield(args.field, chart, args.order)
-    p = phi(u)
-    _emit(args, str(p), value_to_data(p))
-    return 0
+    return _show(args, phi(u))
 
 
 def cmd_psi(args):
@@ -227,9 +228,7 @@ def cmd_psi(args):
             raise ValueError(f"term {spec!r} out of range for order {k}")
         terms.append(((m, i), parse_expression(pieces[2], chart)))
     p = SemiDirectElem(v, CurrentElem(chart, k, terms))
-    u = psi(p, k)
-    _emit(args, str(u), value_to_data(u))
-    return 0
+    return _show(args, psi(p, k))
 
 
 def cmd_localize(args):
@@ -263,19 +262,14 @@ def cmd_dop_mul(args):
     right = _parse_diffop(args.right, chart)
     prod = left * right
     if args.apply is not None:
-        result = prod.apply(parse_expression(args.apply, chart))
-        _emit(args, str(result), value_to_data(result))
-    else:
-        _emit(args, str(prod), value_to_data(prod))
-    return 0
+        return _show(args, prod.apply(parse_expression(args.apply, chart)))
+    return _show(args, prod)
 
 
 def cmd_av_map(args):
     chart = _resolve_chart(args.chart)
     word = _parse_av_word(args.word, chart)
-    t = av_to_tensor(word, args.order)
-    _emit(args, str(t), value_to_data(t))
-    return 0
+    return _show(args, av_to_tensor(word, args.order))
 
 
 def cmd_transition(args):

@@ -108,8 +108,8 @@ def loads_atlas(data):
             if cname not in charts:
                 raise SchemaError(f"{tpath}.{label}", f"unknown chart {cname!r}")
         overlap = charts[ov]
-        G = [parse_expression(s, overlap) for s in _get(t, tpath, "G", list)]
-        H = [parse_expression(s, overlap) for s in _get(t, tpath, "H", list)]
+        G = _exprs(t, tpath, "G", overlap)
+        H = _exprs(t, tpath, "H", overlap)
         formulas = None
         have = [k for k in ("x_of_y", "y_of_x") if k in t]
         if len(have) == 1:
@@ -131,10 +131,18 @@ def _formula_tuple(data, path, charts):
     cname = _get(data, path, "chart", str)
     if cname not in charts:
         raise SchemaError(f"{path}.chart", f"unknown chart {cname!r}")
-    chart = charts[cname]
-    return tuple(
-        parse_expression(s, chart) for s in _get(data, path, "exprs", list)
-    )
+    return tuple(_exprs(data, path, "exprs", charts[cname]))
+
+
+def _exprs(data, path, key, chart):
+    """The list of expression strings at data[key], each parsed over chart."""
+    out = []
+    for idx, src in enumerate(_get(data, path, key, list)):
+        if not isinstance(src, str):
+            raise SchemaError(f"{path}.{key}[{idx}]",
+                              f"expected str, got {type(src).__name__}")
+        out.append(parse_expression(src, chart))
+    return out
 
 
 def load_atlas(filename):

@@ -36,7 +36,7 @@ import math
 from .charts import ChartMismatch
 from .jets import Jet, delta, jet_of, jet_scalar
 from .multipoly import (
-    mi_add, mi_below, mi_binomial, mi_degree, mi_lower, mi_sub, mi_zero,
+    mi_add, mi_below, mi_binomial, mi_degree, mi_lower, mi_powers, mi_sub, mi_zero,
 )
 from .sparse import TupleElem
 from .vfields import VectorField, field_str
@@ -161,26 +161,15 @@ def decompose(u, params=None, basis=None):
         params = [chart.param(i) for i in range(n)]
     if basis is None:
         basis = [VectorField.coordinate(chart, i) for i in range(n)]
-    pows = []  # pows[i][e] = params[i]^e for e <= u.order, one product each
-    for x in params:
-        row = [chart.one()]
-        for _ in range(u.order):
-            row.append(row[-1] * x)
-        pows.append(row)
+    xpow = mi_powers(chart.one(), params, u.order)
     out = []
     for p in range(n):
         for m, c in u.comps[p].coeffs.items():
             sm = mi_degree(m)
             for l in mi_below(m):
                 sign = (-1) ** (sm + mi_degree(l))
-                a = c * mi_binomial(m, l) * sign
-                for i, e in enumerate(mi_sub(m, l)):
-                    a = a * pows[i][e]
-                eta = basis[p]
-                coef = chart.one()
-                for i, e in enumerate(l):
-                    coef = coef * pows[i][e]
-                out.append((a, eta.scale(coef)))
+                a = c * mi_binomial(m, l) * sign * xpow[mi_sub(m, l)]
+                out.append((a, basis[p].scale(xpow[l])))
     return out
 
 

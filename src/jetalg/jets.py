@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .multipoly import (
     grlex_key, indexed_names, mi_add, mi_check, mi_degree, mi_factorial,
-    mi_lower, mi_range, mi_split, mi_zero, mono_str, pow_by_squaring,
+    mi_lower, mi_powers, mi_range, mi_split, mi_zero, mono_str, pow_by_squaring,
 )
 from .sparse import SparseElem
 
@@ -189,14 +189,13 @@ def taylor_identity_check(f, k):
 
     Both hold exactly at every truncation order.  Returns True/False."""
     chart = f.chart
-    n = chart.nparams
     lhs_a = jet_of(f, k)
     lhs_b = jet_scalar(f, k)
     rhs_a = Jet.zero(chart, k)
     rhs_b = Jet.zero(chart, k)
-    for m in mi_range(n, k):
+    deltas = [delta(chart.param(i), k) for i in range(chart.nparams)]
+    for m, dp in mi_powers(jet_scalar(chart.one(), k), deltas, k).items():
         dmf = f.derive_multi(m)
-        dp = delta_power(chart, m, k)
         sign = Fraction((-1) ** mi_degree(m), mi_factorial(m))
         rhs_a = rhs_a + dp.scale(dmf * sign)
         rhs_b = rhs_b + (jet_of(dmf, k) * dp).scale(Fraction(1, mi_factorial(m)))

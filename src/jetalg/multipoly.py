@@ -26,6 +26,7 @@ are packed and unpacked only at the edges: the public constructor,
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Mapping
@@ -139,11 +140,18 @@ def _mi_of_degree(n, d):
 
 def mi_below(m):
     """All multi-indices k with k <= m componentwise, graded-lex sorted."""
-    ranges = [range(x + 1) for x in m]
-    out = [()]
-    for r in ranges:
-        out = [k + (e,) for k in out for e in r]
-    out.sort(key=grlex_key)
+    return sorted(itertools.product(*(range(x + 1) for x in m)), key=grlex_key)
+
+
+def mi_powers(one, factors, k):
+    """{m: prod_i factors[i]^{m_i}} for every |m| <= k, in mi_range order:
+    each entry is one product of the entry below it (mi_split) and a
+    factor, starting from the unit ``one``."""
+    ms = mi_range(len(factors), k)
+    out = {ms[0]: one}
+    for m in ms[1:]:
+        i, prev = mi_split(m)
+        out[m] = out[prev] * factors[i]
     return out
 
 

@@ -92,25 +92,21 @@ class _Parser:
             raise ExprSyntaxError("unexpected trailing input", pos)
         return ast
 
-    def expr(self):
-        node = self.term()
+    def _chain(self, ops, operand):
+        """operand ((op in ops) operand)*, folded to the left."""
+        node = operand()
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = (val, node, self.term(), pos)
-            else:
+            if kind != "op" or val not in ops:
                 return node
+            self.next()
+            node = (val, node, operand(), pos)
+
+    def expr(self):
+        return self._chain("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = (val, node, self.unary(), pos)
-            else:
-                return node
+        return self._chain("*/", self.unary)
 
     def unary(self):
         kind, val, pos = self.peek()

@@ -40,9 +40,6 @@ class Report:
     params: dict
     records: list = field(default_factory=list)
 
-    def add(self, record):
-        self.records.append(record)
-
     def extend(self, records):
         self.records.extend(records)
 

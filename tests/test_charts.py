@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from jetalg import charts
 from jetalg.charts import (
-    ChartMismatch, MissingInvertibleGenerator, NonMonicRelation,
+    ChartMismatch, ChartSpec, GenSpec, MissingInvertibleGenerator, NonMonicRelation,
     NotInvertible, RingElem, ZeroDenominator, validate_chart,
 )
 from jetalg.fileio import loads_chart
 from jetalg.fixtures import standard_chart
 from jetalg.multipoly import DEGREE_LIMIT, Poly, power_check
+from jetalg.parser import parse_poly
 
 from conftest import make_sampler
 from derivref import ref_derive, ref_total_derivative
@@ -41,6 +42,20 @@ def test_generator_must_divide_denominator():
         chart_from({"name": "bad", "params": ["x"],
                     "gens": [{"name": "y", "degree": 2, "rhs": "x^3"}],
                     "denominator": "1"})
+
+
+def test_refused_chart_is_left_as_it_was():
+    # the second generator z does not divide g = y: validate refuses the
+    # chart without keeping the reduced g or the quotient g / y
+    vars = ("x", "y", "z")
+    den = parse_poly("y", vars)
+    c = ChartSpec("two", ["x"], [GenSpec("y", 2, parse_poly("x", vars[:1])),
+                                 GenSpec("z", 2, parse_poly("x", vars[:2]))], den)
+    for _ in range(2):
+        with pytest.raises(MissingInvertibleGenerator, match="generator z"):
+            c.validate()
+        assert c.denominator == den and c._g_over_y is None
+        assert not c._validated
 
 
 def test_relation_degree_must_be_at_least_two():

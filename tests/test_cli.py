@@ -70,6 +70,53 @@ def test_validate_bad_atlas_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+BAD_CHART = {"name": "bad", "params": ["x"],
+             "gens": [{"name": "y", "degree": 2, "rhs": "x^3"}],
+             "denominator": "1"}
+
+
+def test_validate_reports_every_target_when_one_fails(capsys, tmp_path):
+    # loading a file validates its charts, so a refusal at load time is a
+    # FAILED line under the label given, next to the lines that pass
+    chart_fn = tmp_path / "bad.json"
+    chart_fn.write_text(json.dumps(BAD_CHART))
+    atlas_fn = tmp_path / "bad_atlas.json"
+    atlas_fn.write_text(json.dumps({"name": "a", "charts": [BAD_CHART]}))
+    argv = ["validate", "--chart", "affine2", "--chart", str(chart_fn),
+            "--atlas", str(atlas_fn)]
+    reason = "generator y must divide the denominator"
+    lines = [
+        "chart affine2: ok",
+        f"chart {chart_fn}: FAILED ({reason})",
+        f"atlas {atlas_fn}: FAILED ({reason})",
+    ]
+    code, out = run(capsys, *argv)
+    assert code == 1 and out.splitlines() == lines
+    code, data = run_json(capsys, *argv)
+    assert code == 1 and data == {"results": lines, "ok": False}
+
+
+@pytest.mark.parametrize("where,path", [
+    (("G",), "transitions[0].G[0]"),
+    (("H",), "transitions[0].H[0]"),
+    (("x_of_y", "exprs"), "transitions[0].x_of_y.exprs[0]"),
+])
+@pytest.mark.parametrize("value", [3, None])
+def test_non_string_atlas_expression_exits_2(capsys, tmp_path, where, path, value):
+    from jetalg.fixtures import STANDARD_ATLASES
+
+    data = json.loads(json.dumps(STANDARD_ATLASES["p1_pair"]))
+    entry = data["transitions"][0]
+    for key in where:
+        entry = entry[key]
+    entry[0] = value
+    fn = tmp_path / "atlas.json"
+    fn.write_text(json.dumps(data))
+    code, err = run_err(capsys, "validate", "--atlas", str(fn))
+    assert code == 2
+    assert err == f"error: {path}: expected str, got {type(value).__name__}\n"
+
+
 def test_unknown_chart_exits_2(capsys):
     code, _ = run(capsys, "jet", "--chart", "nonsense", "--expr", "x",
                   "--order", "2")
@@ -336,6 +383,34 @@ def test_order_above_the_maximum_exits_2(capsys, argv):
     assert captured.err.splitlines()[-1].endswith(
         f"error: argument {flag}: must be an integer >= 0 and <= {cli.MAX_ORDER}, "
         f"got {argv[-1]!r}")
+
+
+@pytest.mark.parametrize("argv,mono", [
+    (["dop-mul", "--chart", "loc_x", "--left", "1 @ 17", "--right", "1"], "17"),
+    (["dop-mul", "--chart", "loc_x", "--left", "1 @ 5000", "--right", "1",
+      "--apply", "1/x"], "5000"),
+    (["dop-mul", "--chart", "affine2", "--left", "1", "--right", "x1 @ 9,8"], "9,8"),
+    (["delta", "--chart", "loc_x", "--power", "17", "--order", "16"], "17"),
+    (["delta", "--chart", "loc_x", "--power", "1000000", "--order", "16"],
+     "1000000"),
+])
+def test_monomial_above_the_maximum_order_exits_2_quickly(capsys, argv, mono):
+    # operator and delta-power monomials share the bound of every --order
+    start = time.perf_counter()
+    code, err = run_err(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == (f"error: monomial {mono!r} has total degree above "
+                   f"{cli.MAX_ORDER} (position 0)\n")
+
+
+def test_monomial_of_the_maximum_order_is_valid(capsys):
+    code, out = run(capsys, "dop-mul", "--chart", "elliptic", "--left",
+                    f"1 @ {cli.MAX_ORDER}", "--right", "y")
+    assert code == 0 and out.startswith("(")
+    code, out = run(capsys, "delta", "--chart", "affine2", "--power", "8,8",
+                    "--order", str(cli.MAX_ORDER))
+    assert code == 0 and out == "(1)*t1^8*t2^8\n"
 
 
 def test_maximum_order_is_valid(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
     POW_BITS, DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree,
-    mi_factorial, mi_le, mi_range, mi_sub, poly_div_exact, power_check,
+    mi_factorial, mi_le, mi_powers, mi_range, mi_sub, poly_div_exact, power_check,
 )
 from jetalg.fileio import _poly_data, _poly_from
 
@@ -76,6 +76,25 @@ def test_multiindex_helpers():
     ms = list(mi_range(2, 2))
     assert len(ms) == 6
     assert ms == sorted(ms, key=grlex_key)
+
+
+@pytest.mark.parametrize("m", [(0,), (3,), (2, 1), (0, 2), (1, 0, 2)])
+def test_mi_below_is_the_graded_range_under_m(m):
+    assert mi_below(m) == [
+        k for k in mi_range(len(m), mi_degree(m)) if mi_le(k, m)
+    ]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_mi_powers_is_the_table_of_monomial_products(k):
+    table = mi_powers(1, [2, 3, 5], k)
+    assert list(table) == mi_range(3, k)
+    assert table == {m: 2 ** m[0] * 3 ** m[1] * 5 ** m[2] for m in mi_range(3, k)}
+
+
+def test_mi_powers_at_degree_zero_holds_only_the_unit():
+    one = Poly.one(VARS)
+    assert mi_powers(one, [P(x=1), P(y=1)], 0) == {(0, 0): one}
 
 
 @settings(deadline=None, max_examples=60)
