@@ -162,10 +162,9 @@ def compose_formula(f, args):
 def _subst(jet, series_products):
     """Evaluate a jet's polynomial on precomputed monomial products of
     positive-valuation series: sum_m coeff_m * series_products[m]."""
-    out = Jet.zero(jet.chart, jet.order)
-    for m, c in jet.terms.items():
-        out = out + series_products[m].scale(c)
-    return out
+    return Jet.combination(jet.chart, jet.order, [
+        (c, series_products[m], 1) for m, c in jet.terms.items()
+    ])
 
 
 class TransitionPair:
@@ -371,23 +370,21 @@ def transition_via_iso(tp, m, p, r):
     comps = [Jet.zero(tp.overlap, r) for _ in range(n)]
     comps[p] = powers[m].scale(tp.overlap.one() * Fraction((-1) ** mi_degree(m)))
     u = JetField(tp.overlap, r, comps)
-    pairs = decompose(u, params=list(tp.G), basis=list(x_frame))
-    out = [Jet.zero(tp.overlap, r) for _ in range(n)]
-    for a, eta in pairs:
+    items = [[] for _ in range(n)]  # q -> (a, y-frame jet, 1)
+    for a, eta in decompose(u, params=list(tp.G), basis=list(x_frame)):
         key = tuple((c.s, c.num.den, frozenset(c.num.nums.items()))
                     for c in eta.coeffs)
         jets = memo.get(key)
         if jets is None:
             jets = memo[key] = [
-                None if b.is_zero() else frame_jet(y_frame, b, r)
+                Jet.zero(tp.overlap, r) if b.is_zero() else frame_jet(y_frame, b, r)
                 for b in (eta.apply(h) for h in tp.H)
             ]
         for q, jet in enumerate(jets):
-            if jet is not None:
-                out[q] = out[q] + jet.scale(a)
+            items[q].append((a, jet, 1))
     terms = {}
     for q in range(n):
-        for mm, c in out[q].coeffs.items():
+        for mm, c in Jet.combination(tp.overlap, r, items[q]).coeffs.items():
             if mi_degree(mm) == 0:
                 raise ArithmeticError(
                     "isomorphism route produced a nonzero anchor"
@@ -401,10 +398,9 @@ def transport_current(tp, ce, r):
     coefficients.  ce must live on the same overlap chart."""
     if ce.chart is not tp.overlap and ce.chart != tp.overlap:
         raise ChartMismatch("current element must live on the overlap chart")
-    out = CurrentElem.zero(tp.overlap, r)
-    for (m, q), c in ce.terms.items():
-        out = out + transition_l(tp, m, q, r).scale(c)
-    return out
+    return CurrentElem.combination(tp.overlap, r, [
+        (c, transition_l(tp, m, q, r), 1) for (m, q), c in ce.terms.items()
+    ])
 
 
 def filtration_check(tp, m, p, r):

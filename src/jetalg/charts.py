@@ -11,8 +11,10 @@ dy_j/dx_i well defined and turns d/dx_i into a derivation of all of A.
 Elements are kept in normal form: the numerator polynomial is reduced so
 every y_j-exponent is < d_j (substituting the relation for the last generator
 first, which cannot reintroduce later generators), and the denominator is the
-implicit power g^s.  Numerator/denominator pairs are not cancelled; equality
-is decided by cross-multiplication, valid because A is a domain.
+implicit power g^s.  Numerator/denominator pairs are not cancelled.  Equality
+of N/g^s and N'/g^s', s < s', lifts the lower side only: reduce(N g^(s'-s))
+== N', cross-multiplication with g^s cancelled.  Like comparing numerators
+at equal s, this assumes g is not a zero divisor (A is a domain).
 
 Numerators are ``multipoly.Poly`` values: integer numerators over one
 positive content denominator, canonical (the content denominator is coprime
@@ -50,16 +52,18 @@ can carry, which matters on charts without generators, where ``reduce``
 returns its input unchecked.
 
 Sum-of-products kernel.  The Jet, jet-field, current, Leibniz and
-vector-field products sum q * a * b over pairs of elements, once per output
-key, through ``sum_products``.  It groups the triples (a, b, q) by
+vector-field products and the A-linear combinations sum q * a * X
+(``sparse.SparseElem.combination``) sum q * a * b over triples (a, b, q),
+once per output key, through ``sum_products``.  It groups the triples by
 s = a.s + b.s, sweeps each group's integer numerators into one dict over one
 content denominator, lifts each group to S, the largest s of a nonzero
 product, by one product with g^(S - s), and calls ``reduce`` once.  Every
 pair and every lift is checked against the degree bound first.  A single
 triple (over half the calls) is the plain a * b * q, measured faster end to
 end.  Representation rule: the result sits over g^S.  Adding the products
-one at a time gives the same numerator and s unless a partial sum cancels to
-exactly zero midway; it is the same ring element in every case.
+one at a time (for a combination: scaling each X by a and adding) gives the
+same numerator and s unless a partial sum cancels to exactly zero midway; it
+is the same ring element in every case.
 """
 
 from __future__ import annotations
@@ -523,11 +527,11 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.s == other.s:
-            return self.num == other.num
-        lhs = self.chart.reduce(self.num * self.chart.g_pow(other.s))
-        rhs = self.chart.reduce(other.num * self.chart.g_pow(self.s))
-        return lhs == rhs
+        lo, hi = (self, other) if self.s < other.s else (other, self)
+        if lo.s == hi.s:
+            return lo.num == hi.num
+        # lift the lower side only (module docstring)
+        return self.chart.reduce(lo.num * self.chart.g_pow(hi.s - lo.s)) == hi.num
 
     __hash__ = None
 

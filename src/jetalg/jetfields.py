@@ -181,20 +181,12 @@ def localization_partial_sum(g, v, m, k):
     r > k is zero at order k and the sum stops at min(m, k)."""
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
-    chart = v.chart
     ginv = g.invert()
     dg = delta(g, k)
-    acc = JetField.zero(chart, k)
-    eta = jf_from_vf(v, k)
-    dg_pow = jet_scalar(chart.one(), k)
-    ginv_pow = ginv
-    for r in range(min(m, k) + 1):
-        if r:
-            dg_pow = dg_pow * dg
-            ginv_pow = ginv_pow * ginv
-        term = eta.scale_jet(dg_pow).scale(ginv_pow)
-        acc = acc + term
-    return acc
+    items = [(ginv, jet_scalar(v.chart.one(), k), 1)]  # (1/g^{r+1}, delta(g)^r, 1)
+    for _ in range(min(m, k)):
+        items.append((items[-1][0] * ginv, items[-1][1] * dg, 1))
+    return jf_from_vf(v, k).scale_jet(Jet.combination(v.chart, k, items))
 
 
 def localization_remainder(g, v, m, k):
@@ -204,12 +196,14 @@ def localization_remainder(g, v, m, k):
 
     (the s = 0 term reads 1 # (1/g) v).  Exact at every order, and of
     t-valuation >= m+1."""
+    if m < 0:
+        raise ValueError("partial sum index must be >= 0")
     chart = v.chart
     ginv = g.invert()
-    acc = JetField.zero(chart, k)
+    items = []  # per component: (1/g^s, jet of g^{s-1} v_i, sign)
     for s in range(m + 2):
         a = chart.one() if s == 0 else ginv ** s
         w = v.scale(ginv if s == 0 else g ** (s - 1))
         sign = (-1) ** s * math.comb(m + 1, s)
-        acc = acc + jf_from_pair(a * sign, w, k)
-    return acc
+        items.append([(a, jet_of(c, k), sign) for c in w.coeffs])
+    return JetField._new(chart, k, [Jet.combination(chart, k, col) for col in zip(*items)])

@@ -64,15 +64,18 @@ class Jet(SparseElem):
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
+        return Jet._from_products(self.chart, self.order, self._product_pairs(other, 1, {}))
+
+    def _product_pairs(self, other, q, pairs):
+        """Add the triples of q * self * other (the convolution truncated at
+        this order) key by key to pairs, for _from_products; returns pairs."""
         k = self.order
-        pairs = {}
         for m1, c1 in self.terms.items():
             d1 = mi_degree(m1)
             for m2, c2 in other.terms.items():
                 if d1 + mi_degree(m2) <= k:
-                    m = mi_add(m1, m2)
-                    pairs.setdefault(m, []).append((c1, c2, 1))
-        return Jet._from_products(self.chart, k, pairs)
+                    pairs.setdefault(mi_add(m1, m2), []).append((c1, c2, q))
+        return pairs
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -189,14 +192,11 @@ def taylor_identity_check(f, k):
 
     Both hold exactly at every truncation order.  Returns True/False."""
     chart = f.chart
-    lhs_a = jet_of(f, k)
-    lhs_b = jet_scalar(f, k)
-    rhs_a = Jet.zero(chart, k)
-    rhs_b = Jet.zero(chart, k)
+    items_a, pairs_b = [], {}
     deltas = [delta(chart.param(i), k) for i in range(chart.nparams)]
     for m, dp in mi_powers(jet_scalar(chart.one(), k), deltas, k).items():
         dmf = f.derive_multi(m)
-        sign = Fraction((-1) ** mi_degree(m), mi_factorial(m))
-        rhs_a = rhs_a + dp.scale(dmf * sign)
-        rhs_b = rhs_b + (jet_of(dmf, k) * dp).scale(Fraction(1, mi_factorial(m)))
-    return lhs_a == rhs_a and lhs_b == rhs_b
+        items_a.append((dmf, dp, Fraction((-1) ** mi_degree(m), mi_factorial(m))))
+        jet_of(dmf, k)._product_pairs(dp, Fraction(1, mi_factorial(m)), pairs_b)
+    return (jet_of(f, k) == Jet.combination(chart, k, items_a)
+            and jet_scalar(f, k) == Jet._from_products(chart, k, pairs_b))

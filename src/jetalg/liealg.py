@@ -27,10 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charts import ChartMismatch
-from .jets import delta_power, jet_scalar
+from .jets import Jet, delta, jet_scalar
 from .jetfields import JetField
 from .multipoly import (
-    indexed_names, mi_add, mi_check, mi_degree, mi_lower, mi_range, mono_str,
+    indexed_names, mi_add, mi_check, mi_degree, mi_lower, mi_powers, mi_range,
+    mi_zero, mono_str,
 )
 from .sparse import SparseElem, TupleElem, accumulate
 from .vfields import VectorField
@@ -229,12 +230,14 @@ def phi(u):
 def psi(p, k):
     """Inverse direction at jet order k >= r: the vector-field part becomes
     constant jets, and g (x) X^m d/dX_i becomes (-1)^|m| g * delta(x)^m on
-    component i (computed honestly as a delta product; this equals g t^m)."""
+    component i (computed honestly as delta products, one table of them per
+    call; this equals g t^m)."""
     chart = p.chart
     if p.r > k:
         raise ValueError(f"truncation {p.r} exceeds jet order {k}")
-    comps = [jet_scalar(c, k) for c in p.v.coeffs]
+    deltas = [delta(chart.param(i), k) for i in range(chart.nparams)]
+    dpow = mi_powers(jet_scalar(chart.one(), k), deltas, p.r)
+    items = [[(c, dpow[mi_zero(chart.nparams)], 1)] for c in p.v.coeffs]
     for (m, i), g in p.c.terms.items():
-        signed = g * Fraction((-1) ** mi_degree(m))
-        comps[i] = comps[i] + delta_power(chart, m, k).scale(signed)
-    return JetField(chart, k, comps)
+        items[i].append((g, dpow[m], (-1) ** mi_degree(m)))
+    return JetField(chart, k, [Jet.combination(chart, k, col) for col in items])

@@ -9,7 +9,8 @@ caller-given key, ``_key_order`` and ``_term_str`` for display, and adds its
 product.  The hook ``_coef`` checks one caller-given coefficient: a RingElem
 by default, while LElem converts with ``Fraction`` and keeps the number of
 variables in the ``chart`` slot.  ``if c`` is the zero test of both
-coefficient rings (``RingElem.__bool__``).
+coefficient rings (``RingElem.__bool__``).  ``combination`` sums q * a * X
+by one ``charts.sum_products`` per key, as the products do: no scaled X.
 
 TupleElem: vector fields, jet fields and semidirect pairs are a fixed tuple
 of ``parts`` (ring or module elements) with partwise linear structure.  A
@@ -88,6 +89,16 @@ class SparseElem(_Linear):
         """Trusted constructor from key -> [(a, b, q)]: each coefficient is
         the charts.sum_products of its triples."""
         return cls._new(chart, grade, {k: sum_products(chart, t) for k, t in pairs.items()})
+
+    @classmethod
+    def combination(cls, chart, grade, items):
+        """sum q * a * X over (a, X, q) items, a a RingElem and q an int or
+        Fraction: one sum_products per output key (module docstring)."""
+        pairs = {}
+        for a, X, q in items:
+            for k, c in X.terms.items():
+                pairs.setdefault(k, []).append((a, c, q))
+        return cls._from_products(chart, grade, pairs)
 
     @classmethod
     def zero(cls, chart, grade=None):

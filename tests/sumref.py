@@ -1,9 +1,11 @@
-"""Reference sum of products built from RingElem arithmetic.
+"""Reference sums of products built from RingElem arithmetic.
 
 The products q * a * b are formed one at a time and added one at a time,
 the way the module products summed before ``charts.sum_products``: each
 product is reduced on its own and each sum over unequal powers of g lifts
-one summand.  The differential tests compare it with the kernel.
+one summand.  The A-linear combinations sum q * a * X are folded the same
+way, one scaled X at a time.  The differential tests compare them with the
+kernel and with ``SparseElem.combination``.
 """
 
 
@@ -19,4 +21,20 @@ def ref_sum_products(chart, triples):
         out = out + p
         if seen and out.is_zero() and n < len(triples) - 1:
             cancelled = True
+    return out, cancelled
+
+
+def ref_combination(zero, items):
+    """(sum, cancelled): sum q * a * X over (a, X, q) items, folded the way
+    the A-linear combinations were summed before ``SparseElem.combination``:
+    each X scaled by a * q, then added to the running sum.  cancelled is set
+    when the partial sum at some key, once nonzero, cancelled to exactly zero
+    before the last item (only then may a coefficient's numerator and power
+    of g differ from the kernel's)."""
+    out, seen, cancelled = zero, set(), False
+    for n, (a, X, q) in enumerate(items):
+        out = out + X.scale(a * q)
+        if n < len(items) - 1 and seen - out.terms.keys():
+            cancelled = True
+        seen |= out.terms.keys()
     return out, cancelled

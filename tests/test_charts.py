@@ -413,6 +413,33 @@ def test_sum_products_matches_reference(affine2, loc_x, elliptic, name, seed, pi
         assert (got.num.nums, got.num.den, got.s) == (want.num.nums, want.num.den, want.s)
 
 
+# -- one-sided equality against two-sided cross-multiplication
+
+def _cross_equal(a, b):
+    """The former RingElem equality: each numerator lifted by the other's
+    full power of g."""
+    c = a.chart
+    return c.reduce(a.num * c.g_pow(b.s)) == c.reduce(b.num * c.g_pow(a.s))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["loc_x", "elliptic", "p1"]), st.integers(0, 2 ** 32 - 1))
+def test_one_sided_equality_matches_cross_multiplication(loc_x, elliptic, name, seed):
+    chart = {"loc_x": loc_x, "elliptic": elliptic, "p1": _P1_TRIPLE}[name]
+    smp = make_sampler("one-sided-eq", seed)
+    num = smp.poly(chart, max_deg=2, terms=3)
+    s, j = smp.rng.randint(0, 2), smp.rng.randint(1, 3)
+    term = Poly.variable(chart.allvars, chart.params[0]) * Fraction(smp.rng.choice([1, -2, 3]), 2)
+    a = RingElem(chart, num, s)
+    same = RingElem(chart, num * chart.g_pow(j), s + j)  # a, written over g^(s+j)
+    off = RingElem(chart, num * chart.g_pow(j) + term, s + j)  # one term more
+    lone = RingElem(chart, term, s + j)  # nonzero, s > 0
+    assert a == same and same == a and a != off and off != a
+    for x, y in ((a, same), (a, off), (chart.zero(), lone)):
+        for u, v in ((x, y), (y, x)):
+            assert (u == v) == _cross_equal(u, v)
+
+
 def test_sum_products_cancelling_to_zero_has_s_zero(elliptic):
     a = elliptic.gen(0) * elliptic.inv_denominator(2)
     b = elliptic.param(0) + 1

@@ -182,6 +182,9 @@ def test_localization_defect(loc_x, elliptic):
 
 
 def test_localization_argument_checks(loc_x):
+    # the remainder refuses m < 0 as the partial sum does
     d = VectorField.coordinate(loc_x, 0)
-    with pytest.raises(ValueError):
-        localization_partial_sum(loc_x.param(0), d, -1, 2)
+    for fn in (localization_partial_sum, localization_remainder):
+        for m in (-1, -2):
+            with pytest.raises(ValueError):
+                fn(loc_x.param(0), d, m, 2)

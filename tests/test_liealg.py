@@ -1,7 +1,8 @@
 from fractions import Fraction
 
+from jetalg import liealg
 from jetalg.jetfields import jf_from_pair, jf_from_vf
-from jetalg.jets import delta
+from jetalg.jets import Jet, delta
 from jetalg.liealg import (
     CurrentElem, LElem, SemiDirectElem, basis_elements, phi, psi,
 )
@@ -172,3 +173,18 @@ def test_polynomial_inputs_lose_nothing_at_high_order(affine2):
         assert psi(phi(u), k) == u
         w = smp.jetfield(affine2, k, max_deg=3, max_s=0)
         assert phi(u.bracket(w)) == phi(u).bracket(phi(w))
+
+
+def test_psi_builds_one_table_of_delta_powers(affine2, monkeypatch):
+    """psi of all 18 basis terms of order 3 on affine2 makes one delta per
+    parameter and one jet product per entry of the table above the unit."""
+    k = 3
+    terms = [(b, affine2.param(b[1])) for b in basis_elements(2, k)]
+    p = SemiDirectElem(VectorField.zero(affine2), CurrentElem(affine2, k, terms))
+    calls = []
+    mul = Jet.__mul__
+    monkeypatch.setattr(liealg, "delta", lambda f, n: calls.append("delta") or delta(f, n))
+    monkeypatch.setattr(Jet, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    u = psi(p, k)
+    assert (calls.count("delta"), calls.count("mul")) == (2, 9)
+    assert phi(u) == p

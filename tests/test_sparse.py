@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetalg.charts import ChartMismatch, RingElem
 from jetalg.envalg import DiffOp, TensorElem
-from jetalg.fixtures import standard_chart
+from jetalg.fixtures import standard_atlas, standard_chart
 from jetalg.jetfields import JetField
 from jetalg.jets import Jet
 from jetalg.liealg import CurrentElem, LElem, SemiDirectElem, basis_key
@@ -18,6 +18,8 @@ from jetalg.multipoly import mi_range
 from jetalg.sampling import Sampler
 from jetalg.sparse import SparseElem, TupleElem
 from jetalg.vfields import VectorField
+
+from sumref import ref_combination
 
 CHARTS = {name: standard_chart(name) for name in ("elliptic", "affine2")}
 R = 2
@@ -227,3 +229,51 @@ def test_tuple_types_do_not_mix(loc_x):
     with pytest.raises(TypeError):
         u - v
     assert (v == u) is False
+
+
+# -- SparseElem.combination against the scale-then-add fold
+
+_P1_TRIPLE = standard_atlas("p1").transition("std", "inf").overlap  # g = x^2 - x
+_QS = [0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3)]
+
+
+def _rep(e):
+    """Every coefficient's exact representation: numerator and power of g."""
+    return {k: (c.num.nums, c.num.den, c.s) for k, c in e.terms.items()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["Jet/elliptic", "Jet/loc_x", "CurrentElem/p1"]),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.sampled_from(_QS)), max_size=6))
+def test_combination_matches_scale_then_add(kind, seed, picks):
+    cls, name = kind.split("/")
+    chart = _P1_TRIPLE if name == "p1" else standard_chart(name)
+    smp = Sampler(seed)
+    # pools of three, so picks repeat and partial sums cancel
+    if cls == "Jet":
+        pool = [smp.jet(chart, 2, max_s=2, density=3) for _ in range(3)]
+    else:
+        pool = [smp.current(chart, 2, terms=3, max_s=2) for _ in range(3)]
+    scalars = [smp.elem(chart, max_s=2) for _ in range(3)]
+    items = [(scalars[i], pool[j], q) for i, j, q in picks]
+    got = type(pool[0]).combination(chart, 2, items)
+    want, cancelled = ref_combination(type(pool[0]).zero(chart, 2), items)
+    assert got == want
+    if not cancelled:
+        assert _rep(got) == _rep(want)
+
+
+def test_combination_sits_over_the_largest_power_of_g(loc_x):
+    # the two summands over x^2 cancel at every key: the fold falls back to
+    # the x^1 of the last summand, combination keeps x^2
+    inv = loc_x.inv_denominator()
+    X = Jet(loc_x, 1, {(0,): inv, (1,): inv})
+    Y = Jet(loc_x, 1, {(0,): loc_x.param(0), (1,): loc_x.one()})
+    items = [(inv, X, 1), (inv, X, -1), (inv, Y, 1)]
+    got = Jet.combination(loc_x, 1, items)
+    want, cancelled = ref_combination(Jet.zero(loc_x, 1), items)
+    assert cancelled and got == want
+    assert [c.s for _, c in got.sorted_items()] == [2, 2]
+    assert [c.s for _, c in want.sorted_items()] == [1, 1]
