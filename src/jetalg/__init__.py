@@ -11,7 +11,7 @@ associated bundle on an atlas.  All arithmetic is exact rational.
 __version__ = "0.1.0"
 
 from .multipoly import Poly, Fraction  # noqa: F401
-from .charts import ChartSpec, RingElem, validate_chart  # noqa: F401
+from .charts import ChartSpec, RingElem  # noqa: F401
 from .vfields import VectorField  # noqa: F401
 from .jets import Jet, jet_of, jet_of_pair, jet_scalar, delta, delta_power  # noqa: F401
 from .jetfields import (  # noqa: F401

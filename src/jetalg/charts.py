@@ -44,26 +44,31 @@ carries, so the element, its numerator and s are the same.  Each chart keeps
 a kernel table (``ChartSpec._kernel``), one entry per direction, set of
 generators present and s > 0, built on first use: each multiplier lifted to
 g^top (M * g^(top - o), reduced), all over one common content denominator.
-``RingElem.derive`` sweeps N once per piece, adds every product into one
-dict of packed monomials and calls ``reduce`` once on the sum.  Before the
-sweep it checks max(N) plus the largest multiplier key against the degree
-bound; this may refuse a derivative whose largest term cancels, but no field
-can carry, which matters on charts without generators, where ``reduce``
-returns its input unchecked.
+``RingElem.derive`` builds each piece's partial numerator, adds its product
+with the lifted multiplier into one dict of packed monomials by
+``multipoly.add_product`` (the quotient piece is N times -dg/dx_i with the
+factor s) and calls ``reduce`` once on the sum.
 
 Sum-of-products kernel.  The Jet, jet-field, current, Leibniz and
 vector-field products and the A-linear combinations sum q * a * X
 (``sparse.SparseElem.combination``) sum q * a * b over triples (a, b, q),
 once per output key, through ``sum_products``.  It groups the triples by
-s = a.s + b.s, sweeps each group's integer numerators into one dict over one
-content denominator, lifts each group to S, the largest s of a nonzero
-product, by one product with g^(S - s), and calls ``reduce`` once.  Every
-pair and every lift is checked against the degree bound first.  A single
-triple (over half the calls) is the plain a * b * q, measured faster end to
-end.  Representation rule: the result sits over g^S.  Adding the products
-one at a time (for a combination: scaling each X by a and adding) gives the
-same numerator and s unless a partial sum cancels to exactly zero midway; it
-is the same ring element in every case.
+s = a.s + b.s, adds each group's products into one dict over one content
+denominator, lifts each group to S, the largest s of a nonzero product, by
+one product with g^(S - s), and calls ``reduce`` once.  A single triple
+(over half the calls) is the plain a * b * q, measured faster end to end.
+Representation rule: the result sits over g^S.  Adding the products one at
+a time (for a combination: scaling each X by a and adding) gives the same
+numerator and s unless a partial sum cancels to exactly zero midway; it is
+the same ring element in every case.
+
+Shared sweep.  ``multipoly.add_product`` (out += f * a * b on packed
+numerator dicts) is the one loop that multiplies two numerators: Poly
+products, each pass of ``reduce`` (one product per power of q_j), each
+piece of a derivation and each product and lift of ``sum_products``.  It
+checks the degree bound of its largest key before any work, so no field can
+carry, also on charts without generators, where ``reduce`` returns its
+input unchecked; it may refuse a result whose largest term cancels.
 """
 
 from __future__ import annotations
@@ -73,8 +78,8 @@ import operator
 from fractions import Fraction
 
 from .multipoly import (
-    FIELD_MASK, Poly, _make, degree_check, mi_check, mono_layout,
-    mono_unpack, poly_div_exact, pow_by_squaring, power_check,
+    FIELD_MASK, Poly, _make, add_product, mi_check, mono_layout, mono_unpack,
+    poly_div_exact, pow_by_squaring, power_check,
 )
 
 
@@ -257,9 +262,11 @@ class ChartSpec:
         earlier variables.  Works on the integer numerators and packed
         monomials: a term with y_j-exponent e >= d_j loses e - e % d_j from
         both the y_j field and the degree field and is multiplied by
-        q_j^(e // d_j); the powers of q_j used in one pass are brought to one
-        common denominator.  Raises ValueError when a pass leaves the degree
-        bound of multipoly."""
+        q_j^t, t = e // d_j.  One pass groups its terms by t (two terms of
+        one group with equal e % d_j have equal e, so the lowered keys stay
+        distinct), brings the powers of q_j to one common denominator and
+        makes one add_product per group.  Raises ValueError when a product
+        could leave the degree bound of multipoly."""
         if not self.gens:
             return poly
         nums, den = poly.nums, poly.den
@@ -270,24 +277,19 @@ class ChartSpec:
             high = [(m, c) for m, c in nums.items() if (m >> sh) & FIELD_MASK >= d]
             if not high:
                 continue
-            qpows = {e: self._q_power(j, e)
-                     for e in {((m >> sh) & FIELD_MASK) // d for m, _ in high}}
-            scale = math.lcm(*(q.den for q in qpows.values()))
-            out = {m: c * scale for m, c in nums.items() if (m >> sh) & FIELD_MASK < d}
-            get = out.get
             step = (1 << sh) + (1 << top)
+            groups = {}
             for m, c in high:
                 e = (m >> sh) & FIELD_MASK
-                q = qpows[e // d]
-                f = c * (scale // q.den)
-                base = m - (e - e % d) * step
-                for m2, c2 in q.nums.items():
-                    mm = base + m2
-                    out[mm] = get(mm, 0) + f * c2
+                groups.setdefault(e // d, {})[m - (e - e % d) * step] = c
+            qpows = {t: self._q_power(j, t) for t in groups}
+            scale = math.lcm(*(q.den for q in qpows.values()))
+            out = {m: c * scale for m, c in nums.items() if (m >> sh) & FIELD_MASK < d}
+            for t, part in groups.items():
+                q = qpows[t]
+                add_product(out, q.nums, part, scale // q.den, top)
             nums = {m: c for m, c in out.items() if c}
             den *= scale
-            if nums:
-                degree_check(max(nums), top)
         if nums is poly.nums:
             return poly
         return _make(self.allvars, nums, den)
@@ -326,39 +328,28 @@ class ChartSpec:
         return self._power_weights
 
     def _q_power(self, j, e):
-        """q_j^e, the e-th power of generator j's relation right-hand side;
-        like g_pow, filled one power at a time by a loop."""
-        cache = self._qpow[j]
-        while len(cache) <= e:
-            cache[len(cache)] = cache[len(cache) - 1] * self.gens[j].rhs
-        return cache[e]
+        """q_j^e, the e-th power of generator j's relation right-hand side."""
+        rhs = self.gens[j].rhs
+        return _fill(self._qpow[j], e, lambda p: p * rhs)
 
     def g_pow(self, s):
-        """Reduced g^s.  The cache holds every power below the largest one
-        asked for and is filled by a loop, so a first large s costs no
-        recursion depth."""
-        cache = self._gpow
-        while len(cache) <= s:
-            cache[len(cache)] = self.reduce(cache[len(cache) - 1] * self.denominator)
-        return cache[s]
+        """Reduced g^s."""
+        return _fill(self._gpow, s, lambda p: self.reduce(p * self.denominator))
 
     def g_pow_raw(self, s):
-        cache = self._gpow_raw
-        while len(cache) <= s:
-            cache[len(cache)] = cache[len(cache) - 1] * self.denominator
-        return cache[s]
+        """Unreduced g^s."""
+        return _fill(self._gpow_raw, s, lambda p: p * self.denominator)
 
     def _kernel(self, i, used, quotient):
         """The kernel table entry of d/dx_i (see the module docstring) for
         numerators whose packed keys OR to ``used``, with the quotient-rule
-        piece when ``quotient`` (s > 0).  Returns (top, den, maxkey, pieces,
-        quot): every multiplier lifted to g^top and reduced, as integer
-        items over the common content denominator den; pieces holds
-        (field shift, step, items) for x_i and for each generator that
-        occurs, quot the items of -dg/dx_i or None; maxkey is the largest
-        multiplier key.  Built on first use and keyed by (i, generators that
-        occur, quotient): at most nparams * 2^ngens * 2 entries, none keyed
-        by an element."""
+        piece when ``quotient`` (s > 0).  Returns (top, den, pieces, quot):
+        every multiplier lifted to g^top and reduced, as a dict of integer
+        numerators over the common content denominator den; pieces holds
+        (field shift, step, numerators) for x_i and for each generator that
+        occurs, quot the numerators of -dg/dx_i or None.  Built on first use
+        and keyed by (i, generators that occur, quotient): at most
+        nparams * 2^ngens * 2 entries, none keyed by an element."""
         shifts, topbit, _ = mono_layout(len(self.allvars))
         occur = 0
         for j in range(self.ngens):
@@ -383,13 +374,12 @@ class ChartSpec:
         den = math.lcm(*(p.den for _, p in lifted))
         pieces, quot = [], None
         for v, p in lifted:
-            items = tuple((mk, c * (den // p.den)) for mk, c in p.nums.items())
+            mult = {mk: c * (den // p.den) for mk, c in p.nums.items()}
             if v is None:
-                quot = items
+                quot = mult
             else:
-                pieces.append((shifts[v], (1 << shifts[v]) + (1 << topbit), items))
-        maxkey = max((max(p.nums) for _, p in lifted), default=0)
-        got = self._kernels[key] = (top, den, maxkey, tuple(pieces), quot)
+                pieces.append((shifts[v], (1 << shifts[v]) + (1 << topbit), mult))
+        got = self._kernels[key] = (top, den, tuple(pieces), quot)
         return got
 
     # -- element constructors
@@ -418,10 +408,6 @@ class ChartSpec:
 
     def inv_denominator(self, s=1):
         return RingElem(self, Poly.one(self.allvars), s)
-
-
-def validate_chart(chart):
-    chart.validate()
 
 
 class RingElem:
@@ -539,8 +525,8 @@ class RingElem:
 
     def derive(self, i):
         """The extended partial derivative d/dx_i (acts on generators through
-        the relation, on 1/g through the quotient rule).  One sweep over the
-        numerator with the chart's kernel table (``ChartSpec._kernel``) and
+        the relation, on 1/g through the quotient rule).  One add_product
+        per piece of the chart's kernel table (``ChartSpec._kernel``) and
         one ``reduce``; see the module docstring.  Raises ValueError when
         the numerator of the result could leave the degree bound."""
         chart = self.chart
@@ -553,24 +539,16 @@ class RingElem:
         used = 0
         for m in nums:
             used |= m
-        top, den, maxkey, pieces, quot = chart._kernel(i, used, s > 0)
-        degree_check(max(nums) + maxkey, mono_layout(len(chart.allvars))[1])
+        top, den, pieces, quot = chart._kernel(i, used, s > 0)
+        topbit = mono_layout(len(chart.allvars))[1]
         out = {}
-        get = out.get
-        for sh, step, items in pieces:
-            for m, c in nums.items():
-                e = (m >> sh) & FIELD_MASK
-                if e:
-                    base, f = m - step, c * e
-                    for mk, ck in items:
-                        k = base + mk
-                        out[k] = get(k, 0) + f * ck
+        for sh, step, mult in pieces:
+            part = {m - step: c * e for m, c in nums.items()
+                    if (e := (m >> sh) & FIELD_MASK)}
+            if part:
+                add_product(out, part, mult, 1, topbit)
         if quot:
-            for m, c in nums.items():
-                f = c * s
-                for mk, ck in quot:
-                    k = m + mk
-                    out[k] = get(k, 0) + f * ck
+            add_product(out, nums, quot, s, topbit)
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
         return RingElem(chart, _make(chart.allvars, out, self.num.den * den), s + top)
@@ -641,22 +619,22 @@ def sum_products(chart, triples):
     sums = {}
     for s, pa, pb, q in pairs:
         f = q.numerator * den // (pa.den * pb.den * q.denominator * lifts[s].den)
-        _add_product(sums.setdefault(s, {}), pa.nums, pb.nums, f, top)
+        add_product(sums.setdefault(s, {}), pa.nums, pb.nums, f, top)
     total = sums.pop(S, {})
     for s, out in sums.items():
-        _add_product(total, out, lifts[s].nums, 1, top)
+        add_product(total, out, lifts[s].nums, 1, top)
     if 0 in total.values():
         total = {m: c for m, c in total.items() if c}
     return RingElem._new(chart, chart.reduce(_make(chart.allvars, total, den)), S)
 
 
-def _add_product(out, a, b, f, top):
-    """out += f * a * b on integer numerators keyed by packed monomials (the
-    degree field at bit top), after checking the degree bound."""
-    degree_check(max(a) + max(b), top)
-    get = out.get
-    for m2, c2 in b.items():
-        c2 *= f
-        for m1, c1 in a.items():
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
+def _fill(cache, e, step):
+    """cache[e] of a power cache, a dict n -> n-th power that holds every n
+    below its length: the missing powers are filled in order by a loop, each
+    step(the one below), so a first large e costs no recursion depth.  The
+    chart's three caches (powers of each q_j, reduced and unreduced powers of
+    g) keep every power they fill; a budget on time or memory must count
+    them here."""
+    while len(cache) <= e:
+        cache[len(cache)] = step(cache[len(cache) - 1])
+    return cache[e]

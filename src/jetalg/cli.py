@@ -305,7 +305,7 @@ def cmd_cocycle(args):
     if args.monomial is not None:
         monos = [_parse_monomial(args.monomial, n)]
     else:
-        monos = [m for m in mi_range(n, min(3, args.order)) if mi_degree(m) >= 1]
+        monos = mi_range(n, min(3, args.order))[1:]
     if args.index is not None:
         _check_index(args.index, n)
     indices = [args.index] if args.index is not None else list(range(n))

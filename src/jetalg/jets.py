@@ -171,17 +171,18 @@ def delta(f, k):
     return jet_scalar(f, k) - jet_of(f, k)
 
 
+def delta_powers(chart, k, r):
+    """{m: prod_i delta(x_i)^{m_i}} as order-k jets for every |m| <= r: one
+    mi_powers table over the deltas of the parameters (computed honestly as
+    products of deltas; each equals (-1)^|m| t^m)."""
+    deltas = [delta(chart.param(i), k) for i in range(chart.nparams)]
+    return mi_powers(jet_scalar(chart.one(), k), deltas, r)
+
+
 def delta_power(chart, m, k):
-    """prod_i delta(x_i)^{m_i} as an order-k jet (computed honestly as a
-    product of deltas; equals (-1)^|m| t^m)."""
-    mi_check(m, chart.nparams)
-    out = jet_scalar(chart.one(), k)
-    for i, e in enumerate(m):
-        if e:
-            d = delta(chart.param(i), k)
-            for _ in range(e):
-                out = out * d
-    return out
+    """prod_i delta(x_i)^{m_i} as an order-k jet: entry m of delta_powers."""
+    m = mi_check(m, chart.nparams)
+    return delta_powers(chart, k, mi_degree(m))[m]
 
 
 def taylor_identity_check(f, k):
@@ -193,8 +194,7 @@ def taylor_identity_check(f, k):
     Both hold exactly at every truncation order.  Returns True/False."""
     chart = f.chart
     items_a, pairs_b = [], {}
-    deltas = [delta(chart.param(i), k) for i in range(chart.nparams)]
-    for m, dp in mi_powers(jet_scalar(chart.one(), k), deltas, k).items():
+    for m, dp in delta_powers(chart, k, k).items():
         dmf = f.derive_multi(m)
         items_a.append((dmf, dp, Fraction((-1) ** mi_degree(m), mi_factorial(m))))
         jet_of(dmf, k)._product_pairs(dp, Fraction(1, mi_factorial(m)), pairs_b)

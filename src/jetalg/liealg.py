@@ -27,11 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charts import ChartMismatch
-from .jets import Jet, delta, jet_scalar
+from .jets import Jet, delta_powers
 from .jetfields import JetField
 from .multipoly import (
-    indexed_names, mi_add, mi_check, mi_degree, mi_lower, mi_powers, mi_range,
-    mi_zero, mono_str,
+    indexed_names, mi_add, mi_check, mi_degree, mi_lower, mi_range, mi_zero,
+    mono_str,
 )
 from .sparse import SparseElem, TupleElem, accumulate
 from .vfields import VectorField
@@ -57,12 +57,7 @@ def basis_check(nvars, r, key):
 
 def basis_elements(nvars, r):
     """All (m, i) with 1 <= |m| <= r, sorted by basis_key."""
-    out = [
-        (m, i)
-        for m in mi_range(nvars, r)
-        if mi_degree(m) >= 1
-        for i in range(nvars)
-    ]
+    out = [(m, i) for m in mi_range(nvars, r)[1:] for i in range(nvars)]
     out.sort(key=basis_key)
     return out
 
@@ -235,8 +230,7 @@ def psi(p, k):
     chart = p.chart
     if p.r > k:
         raise ValueError(f"truncation {p.r} exceeds jet order {k}")
-    deltas = [delta(chart.param(i), k) for i in range(chart.nparams)]
-    dpow = mi_powers(jet_scalar(chart.one(), k), deltas, p.r)
+    dpow = delta_powers(chart, k, p.r)
     items = [[(c, dpow[mi_zero(chart.nparams)], 1)] for c in p.v.coeffs]
     for (m, i), g in p.c.terms.items():
         items[i].append((g, dpow[m], (-1) ** mi_degree(m)))

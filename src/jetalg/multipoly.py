@@ -278,6 +278,23 @@ def mono_unpack(k, n):
     return tuple([(k >> s) & FIELD_MASK for s in mono_layout(n)[0]])
 
 
+def add_product(out, a, b, f, top):
+    """out += f * a * b on integer numerators keyed by packed monomials (the
+    degree field at bit top), after checking the degree bound of the largest
+    product key; a and b are nonempty.  The one loop that multiplies two
+    numerator dicts: Poly products, chart reduction, derivations and sums of
+    products all end here.  A sum that cancels stays in out as 0."""
+    degree_check(max(a) + max(b), top)
+    if len(a) < len(b):
+        a, b = b, a  # the longer dict in the inner loop
+    get = out.get
+    for m2, c2 in b.items():
+        c2 *= f
+        for m1, c1 in a.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+
+
 def pow_by_squaring(one, base, e):
     """base ** e for an integer e >= 0 by binary exponentiation, starting
     from the unit ``one``; shared by Poly, RingElem and Jet."""
@@ -457,18 +474,10 @@ class Poly:
                 return self._scale(other)
             return NotImplemented
         self._check(other)
-        a, b = self.nums, other.nums
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
+        if not self.nums or not other.nums:
             return _make(self.vars, {})
-        degree_check(max(a) + max(b), FIELD_BITS * len(self.vars))
         out = {}
-        get = out.get
-        for m2, c2 in b.items():
-            for m1, c1 in a.items():
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
+        add_product(out, self.nums, other.nums, 1, FIELD_BITS * len(self.vars))
         if 0 in out.values():
             out = {m: c for m, c in out.items() if c}
         return _make(self.vars, out, self.den * other.den)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from jetalg import charts
 from jetalg.charts import (
     ChartMismatch, ChartSpec, GenSpec, MissingInvertibleGenerator, NonMonicRelation,
-    NotInvertible, RingElem, ZeroDenominator, validate_chart,
+    NotInvertible, RingElem, ZeroDenominator,
 )
 from jetalg.fileio import loads_chart
 from jetalg.fixtures import standard_chart
@@ -28,12 +28,12 @@ def chart_from(data):
 def test_affine_line_validates():
     c = chart_from({"name": "a1", "params": ["x"], "gens": [],
                     "denominator": "1"})
-    validate_chart(c)
+    c.validate()
     assert c.nparams == 1 and c.ngens == 0
 
 
 def test_elliptic_chart_validates(elliptic):
-    validate_chart(elliptic)
+    elliptic.validate()
     assert elliptic.ngens == 1
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from jetalg import liealg
+from jetalg import jets
 from jetalg.jetfields import jf_from_pair, jf_from_vf
 from jetalg.jets import Jet, delta
 from jetalg.liealg import (
@@ -183,7 +183,7 @@ def test_psi_builds_one_table_of_delta_powers(affine2, monkeypatch):
     p = SemiDirectElem(VectorField.zero(affine2), CurrentElem(affine2, k, terms))
     calls = []
     mul = Jet.__mul__
-    monkeypatch.setattr(liealg, "delta", lambda f, n: calls.append("delta") or delta(f, n))
+    monkeypatch.setattr(jets, "delta", lambda f, n: calls.append("delta") or delta(f, n))
     monkeypatch.setattr(Jet, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
     u = psi(p, k)
     assert (calls.count("delta"), calls.count("mul")) == (2, 9)

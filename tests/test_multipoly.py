@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
-    POW_BITS, DEGREE_LIMIT, Poly, grlex_key, mi_add, mi_below, mi_binomial, mi_degree,
-    mi_factorial, mi_le, mi_powers, mi_range, mi_sub, poly_div_exact, power_check,
+    POW_BITS, DEGREE_LIMIT, Poly, add_product, grlex_key, mi_add, mi_below,
+    mi_binomial, mi_degree, mi_factorial, mi_le, mi_powers, mi_range, mi_sub,
+    mono_layout, mono_pack, poly_div_exact, power_check,
 )
 from jetalg.fileio import _poly_data, _poly_from
 
@@ -226,6 +227,44 @@ def test_kernel_matches_reference_div_exact(a, b, r):
     assert (got is None) == (want is None)
     if got is not None:
         assert canonical(got) == want
+
+
+int_dicts = st.dictionaries(monomials, st.integers(-30, 30).filter(bool), max_size=6)
+
+
+def _packed(d):
+    return {mono_pack(m, len(VARS)): c for m, c in d.items()}
+
+
+@settings(deadline=None, max_examples=80)
+@given(int_dicts, int_dicts.filter(bool), int_dicts.filter(bool),
+       st.integers(-7, 7).filter(bool), st.booleans())
+def test_add_product_matches_reference(prior, a, b, f, cancel):
+    # out already holds terms, as in reduce; with cancel it also holds
+    # -f * a * b, so every product sum cancels to the prior terms
+    product = ref_scale(ref_mul(a, b), f)
+    if cancel:
+        prior = {m: int(c) for m, c in ref_add(prior, product, -1).items()}
+    out = _packed(prior)
+    add_product(out, _packed(a), _packed(b), f, mono_layout(len(VARS))[1])
+    assert {m: c for m, c in out.items() if c} == _packed(ref_add(prior, product))
+    # a sum that cancels stays in out as 0: every key is kept
+    keys = set(prior) | {mi_add(m1, m2) for m1 in a for m2 in b}
+    assert set(out) == set(_packed(dict.fromkeys(keys)))
+    assert all(isinstance(c, int) for c in out.values())
+
+
+def test_add_product_refuses_the_degree_bound_before_any_work():
+    top = mono_layout(len(VARS))[1]
+    prior = _packed({(1, 1): 5})
+    a = _packed({(0, 0): 1, (DEGREE_LIMIT - 1, 0): 2})
+    b = _packed({(0, 0): 3, (0, 1): 1})
+    out = dict(prior)
+    with pytest.raises(ValueError, match="total degree 32768 exceeds the bound 32767"):
+        add_product(out, a, b, 2, top)
+    assert out == prior
+    add_product(out, a, {0: 3}, 2, top)
+    assert out == _packed({(1, 1): 5, (0, 0): 6, (DEGREE_LIMIT - 1, 0): 12})
 
 
 @settings(deadline=None, max_examples=60)

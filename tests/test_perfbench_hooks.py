@@ -3,28 +3,59 @@
 ``perfbench/workloads.py`` times each check as the gap between two calls of
 ``SuiteEnv.record``, which it replaces for the pass, and wraps each entry of
 ``_SUITE_FUNCS``; ``perfbench/layers.py`` finds the suite functions in the
-module by their ``__name__``.  Each of the three workloads' tiny passes at
-seed 42 must meet the gate the benchmark applies to it.  The file is
-imported here as it is, so a change to jetalg that breaks a hook or a
-workload fails the tests, not only a benchmark run."""
+module by their ``__name__``, and a traced run patches every span of
+``perfbench/layers.py`` by its jetalg attribute name.  Each of the three
+workloads' tiny passes at seed 42 must meet the gate the benchmark applies
+to it.  The files are imported here as they are, so a change to jetalg that
+breaks a hook, a span or a workload fails the tests, not only a benchmark
+run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from jetalg import suites
+from jetalg import sampling, suites
 from jetalg.fixtures import standard_chart
 from jetalg.jetfields import JetField
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _workloads():
+    return _load("perfbench_workloads", WORKLOADS)
+
+
+def test_every_benchmark_span_resolves_to_a_jetalg_attribute(monkeypatch):
+    # layers.py imports its sibling spans.py, as run.py does with
+    # perfbench/ on sys.path
+    monkeypatch.syspath_prepend(str(WORKLOADS.parent))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    try:
+        layers = _load("perfbench_layers", WORKLOADS.parent / "layers.py")
+    finally:
+        sys.modules.pop("spans", None)
+    assert layers.SPANS and layers.SAMPLER_METHODS
+    for name, owner, attr, _stats in layers.SPANS:
+        if isinstance(owner, type):
+            assert owner.__module__.startswith("jetalg."), name
+            assert callable(owner.__dict__.get(attr)), name
+        else:
+            assert owner.__name__.startswith("jetalg."), name
+            assert callable(getattr(owner, attr, None)), name
+    assert [sid for _name, sid, _fn in layers.SUITE_SPANS] == list(suites.SUITE_IDS)
+    for name, _sid, fn_name in layers.SUITE_SPANS:
+        assert callable(getattr(suites, fn_name, None)), name
+    for meth in layers.SAMPLER_METHODS:
+        assert callable(getattr(sampling.Sampler, meth, None)), meth
 
 
 def test_verify_all_tiny_pass_meets_its_gate():
