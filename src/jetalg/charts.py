@@ -329,16 +329,18 @@ class ChartSpec:
 
     def _q_power(self, j, e):
         """q_j^e, the e-th power of generator j's relation right-hand side."""
-        rhs = self.gens[j].rhs
-        return _fill(self._qpow[j], e, lambda p: p * rhs)
+        cache = self._qpow[j]
+        return cache.get(e) or _fill(cache, e, lambda p: p * self.gens[j].rhs)
 
     def g_pow(self, s):
         """Reduced g^s."""
-        return _fill(self._gpow, s, lambda p: self.reduce(p * self.denominator))
+        return self._gpow.get(s) or _fill(
+            self._gpow, s, lambda p: self.reduce(p * self.denominator))
 
     def g_pow_raw(self, s):
         """Unreduced g^s."""
-        return _fill(self._gpow_raw, s, lambda p: p * self.denominator)
+        return self._gpow_raw.get(s) or _fill(
+            self._gpow_raw, s, lambda p: p * self.denominator)
 
     def _kernel(self, i, used, quotient):
         """The kernel table entry of d/dx_i (see the module docstring) for
@@ -629,12 +631,12 @@ def sum_products(chart, triples):
 
 
 def _fill(cache, e, step):
-    """cache[e] of a power cache, a dict n -> n-th power that holds every n
-    below its length: the missing powers are filled in order by a loop, each
-    step(the one below), so a first large e costs no recursion depth.  The
-    chart's three caches (powers of each q_j, reduced and unreduced powers of
-    g) keep every power they fill; a budget on time or memory must count
-    them here."""
+    """cache[e] of a power cache, a dict n -> n-th power (a Poly, so never
+    falsy) that holds every n below its length, for an e it misses: the
+    missing powers are filled in order by a loop, each step(the one below),
+    so a first large e costs no recursion depth.  The chart's three caches
+    (powers of each q_j, reduced and unreduced powers of g) keep every power
+    they fill; a budget on time or memory must count them here."""
     while len(cache) <= e:
         cache[len(cache)] = step(cache[len(cache) - 1])
     return cache[e]
