@@ -12,6 +12,10 @@ PBW basis of U(L^(r)) by swapping adjacent out-of-order pairs and inserting
 the bracket correction, with monomials of degree > r discarded exactly as in
 the truncated bracket.
 
+Products read two bounded tables of ints and multi-index tuples that last
+across products: multipoly.mi_binomials(k) (at most 1024 k) for _leibniz, and
+_expansion(word, r) (at most 4096 keys); cache_info() gives their hit rates.
+
 TensorElem represents elements of D (x) U(L^(r)) as a map
 (derivative multi-index, PBW word) -> ring coefficient.  av_to_tensor sends a
 word in functions and vector fields to this algebra: a function f goes to
@@ -27,13 +31,14 @@ relations and commutators.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .charts import sum_products
 from .liealg import _basis_str, basis_bracket, basis_check, basis_key
 from .multipoly import (
-    grlex_key, mi_below, mi_binomial, mi_check, mi_degree, mi_factorial,
-    mi_lower, mi_range, mi_unit, mi_zero,
+    grlex_key, mi_binomials, mi_check, mi_degree, mi_factorial, mi_lower,
+    mi_range, mi_unit, mi_zero,
 )
 from .sparse import SparseElem, accumulate
 
@@ -53,15 +58,15 @@ def _derivative(table, j):
 
 def _leibniz(a, k, table, l):
     """(a d^k)(b d^l) in normal form, as (m, a, d^j b, binom(k, j)) terms of
-    a sum_{j<=k} binom(k,j) (d^j b) d^{k-j+l}, with the d^j b read from b's
-    derivative table (_derivative); the callers sum the products per m with
-    charts.sum_products.  Distinct j give distinct m."""
+    a sum_{j<=k} binom(k,j) (d^j b) d^{k-j+l} over mi_binomials(k), with d^j b
+    read from b's derivative table (_derivative); the callers sum the products
+    per m with charts.sum_products.  Distinct j give distinct m."""
     out = []
-    for j in mi_below(k):
+    for j, q in mi_binomials(k):
         db = _derivative(table, j)
-        if not db.is_zero():
-            m = tuple(p - q + s for p, q, s in zip(k, j, l))
-            out.append((m, a, db, mi_binomial(k, j)))
+        if db.num.nums:
+            m = tuple(p - i + s for p, i, s in zip(k, j, l))
+            out.append((m, a, db, q))
     return out
 
 
@@ -157,6 +162,12 @@ def pbw_normalize(word, nvars, r):
     return {w: c for w, c in out.items() if c}
 
 
+@functools.lru_cache(maxsize=4096)
+def _expansion(word, r):
+    """pbw_normalize's items; the word fixes nvars, which is never read."""
+    return tuple(pbw_normalize(word, None, r).items())
+
+
 def u_mul(t1, t2, nvars, r):
     """Product in U(L^(r)) of two PBW-basis expansions, each a dict
     normal word -> int (as pbw_normalize returns): the straightened
@@ -165,7 +176,7 @@ def u_mul(t1, t2, nvars, r):
     out = {}
     for w1, c1 in t1.items():
         for w2, c2 in t2.items():
-            for w, c in pbw_normalize(w1 + w2, nvars, r).items():
+            for w, c in _expansion(w1 + w2, r):
                 accumulate(out, w, c1 * c2 * c)
     return {w: c for w, c in out.items() if c}
 
@@ -210,22 +221,16 @@ class TensorElem(SparseElem):
         if not isinstance(other, TensorElem):
             return NotImplemented
         self._check(other)
-        n = self.chart.nparams
-        zero = mi_zero(n)
-        # derivative tables and PBW expansions live for this product only
+        zero = mi_zero(self.chart.nparams)
+        # derivative tables live for this product only
         tables = {key: {zero: b} for key, b in other.terms.items()}
-        words = {}  # concatenated word -> its PBW expansion
         pairs = {}
         for (k, w1), a in self.terms.items():
             for (l, w2), table in tables.items():
                 dterms = _leibniz(a, k, table, l)
                 if not dterms:
                     continue
-                w = w1 + w2
-                expansion = words.get(w)
-                if expansion is None:
-                    expansion = words[w] = pbw_normalize(w, n, self.r)
-                for word, wc in expansion.items():
+                for word, wc in _expansion(w1 + w2, self.r):
                     for m, c, db, q in dterms:
                         pairs.setdefault((m, word), []).append((c, db, q * wc))
         return TensorElem._from_products(self.chart, self.r, pairs)

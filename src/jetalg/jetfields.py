@@ -36,7 +36,7 @@ import math
 from .charts import ChartMismatch
 from .jets import Jet, delta, jet_of, jet_scalar
 from .multipoly import (
-    mi_add, mi_below, mi_binomial, mi_degree, mi_lower, mi_powers, mi_sub, mi_zero,
+    mi_add, mi_binomials, mi_degree, mi_lower, mi_powers, mi_sub, mi_zero,
 )
 from .sparse import TupleElem
 from .vfields import VectorField, field_str
@@ -166,9 +166,9 @@ def decompose(u, params=None, basis=None):
     for p in range(n):
         for m, c in u.comps[p].coeffs.items():
             sm = mi_degree(m)
-            for l in mi_below(m):
+            for l, b in mi_binomials(m):
                 sign = (-1) ** (sm + mi_degree(l))
-                a = c * mi_binomial(m, l) * sign * xpow[mi_sub(m, l)]
+                a = c * b * sign * xpow[mi_sub(m, l)]
                 out.append((a, basis[p].scale(xpow[l])))
     return out
 

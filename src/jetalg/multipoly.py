@@ -26,6 +26,7 @@ are packed and unpacked only at the edges: the public constructor,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -141,6 +142,12 @@ def _mi_of_degree(n, d):
 def mi_below(m):
     """All multi-indices k with k <= m componentwise, graded-lex sorted."""
     return sorted(itertools.product(*(range(x + 1) for x in m)), key=grlex_key)
+
+
+@functools.lru_cache(maxsize=1024)
+def mi_binomials(m):
+    """((k, binom(m, k)) for k in mi_below(m)), built once per m."""
+    return tuple((k, mi_binomial(m, k)) for k in mi_below(m))
 
 
 def mi_powers(one, factors, k):

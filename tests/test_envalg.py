@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from jetalg import envalg
 from jetalg.charts import RingElem
 from jetalg.envalg import (
-    DiffOp, TensorElem, av_to_tensor, fun_factor, pbw_normalize, vf_factor,
+    DiffOp, TensorElem, av_to_tensor, fun_factor, pbw_normalize, u_mul, vf_factor,
 )
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import phi
-from jetalg.multipoly import mi_below, mi_factorial, mi_range, mi_zero
+from jetalg.multipoly import mi_below, mi_binomials, mi_factorial, mi_range, mi_zero
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
@@ -218,6 +219,34 @@ def test_products_derive_each_right_term_once_per_multi_index(affine2, monkeypat
     calls.clear()
     assert lop * rop == want_d
     assert 0 < len(calls) <= _derivative_bound(lop.terms, rop.terms)
+
+
+def test_products_straighten_each_word_once_per_r(loc_x, monkeypatch):
+    """The PBW expansion of a concatenated word is kept across products and
+    keyed by (word, r): a repeated product straightens nothing, and the word
+    x^2 d/dy * y^2 d/dx, whose bracket has degree 3, is straightened once at
+    r = 2 and once at r = 3.  Both tables stay bounded."""
+    assert envalg._expansion.cache_parameters()["maxsize"] == 4096
+    assert mi_binomials.cache_parameters()["maxsize"] == 1024
+    smp = make_sampler("envalg-pbw-memo")
+    r = 2
+    left = av_to_tensor([("vf", smp.vfield(loc_x)), ("vf", smp.vfield(loc_x))], r)
+    right = av_to_tensor([("vf", smp.vfield(loc_x)), ("fun", smp.elem(loc_x))], r)
+    envalg._expansion.cache_clear()
+    calls = []
+    real = envalg.pbw_normalize
+    monkeypatch.setattr(envalg, "pbw_normalize",
+                        lambda w, nvars, r: calls.append((w, r)) or real(w, nvars, r))
+    first = left * right
+    assert calls
+    calls.clear()
+    assert left * right == first and calls == []
+    a, b = ((2, 0), 1), ((0, 2), 0)
+    for r in (2, 3, 2, 3):
+        got = u_mul({(a,): 1}, {(b,): 1}, 2, r)
+        assert got == real((a, b), 2, r) == dict(envalg._expansion((a, b), r))
+    assert calls == [((a, b), 2), ((a, b), 3)]
+    assert len(got) == 3
 
 
 @pytest.mark.parametrize("name, r, bound", [("affine2", 3, 18), ("elliptic", 4, 4)])

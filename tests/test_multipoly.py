@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
     POW_BITS, DEGREE_LIMIT, Poly, add_product, grlex_key, mi_add, mi_below,
-    mi_binomial, mi_degree, mi_factorial, mi_le, mi_powers, mi_range, mi_sub,
-    mono_layout, mono_pack, poly_div_exact, power_check,
+    mi_binomial, mi_binomials, mi_degree, mi_factorial, mi_le, mi_powers,
+    mi_range, mi_sub, mono_layout, mono_pack, poly_div_exact, power_check,
 )
 from jetalg.fileio import _poly_data, _poly_from
 
@@ -84,6 +84,12 @@ def test_mi_below_is_the_graded_range_under_m(m):
     assert mi_below(m) == [
         k for k in mi_range(len(m), mi_degree(m)) if mi_le(k, m)
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mi_binomials_is_the_binomial_row_of_mi_below(n):
+    for m in mi_range(n, 5):
+        assert list(mi_binomials(m)) == [(k, mi_binomial(m, k)) for k in mi_below(m)]
 
 
 @pytest.mark.parametrize("k", range(5))
