@@ -13,7 +13,11 @@ deltas carry the sign delta(x)^m = (-1)^|m| t^m.  Under this convention both
 truncated Taylor identities
     j(f)  = sum_m ((-1)^|m|/m!) (d^m f * 1) * delta(x)^m
     f * 1 = sum_m (1/m!) j(d^m f) * delta(x)^m
-hold exactly at every order; taylor_identity_check verifies them.
+hold exactly at every order.  taylor_identity_check reads each d^m f, |m| <=
+2k, from one order-2k jet; formal in those coefficients, the identities
+exercise the delta powers, the convolution, sum_products and ring equality.
+Commuting partials are pinned by test_charts.py::test_partials_commute_sampled
+and test_acceptance.py::test_criterion_01_derivation_soundness.
 
 The two commuting actions of the coordinate fields are
     act_first(i)  : differentiate the coefficients and subtract d/dt_i
@@ -27,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multipoly import (
-    grlex_key, indexed_names, mi_add, mi_check, mi_degree, mi_factorial,
+    grlex_key, indexed_names, mi_add, mi_binomial, mi_check, mi_degree,
     mi_lower, mi_powers, mi_range, mi_split, mi_zero, mono_str, pow_by_squaring,
 )
 from .sparse import SparseElem
@@ -64,18 +68,13 @@ class Jet(SparseElem):
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
-        return Jet._from_products(self.chart, self.order, self._product_pairs(other, 1, {}))
-
-    def _product_pairs(self, other, q, pairs):
-        """Add the triples of q * self * other (the convolution truncated at
-        this order) key by key to pairs, for _from_products; returns pairs."""
-        k = self.order
+        k, pairs = self.order, {}
         for m1, c1 in self.terms.items():
             d1 = mi_degree(m1)
             for m2, c2 in other.terms.items():
                 if d1 + mi_degree(m2) <= k:
-                    pairs.setdefault(mi_add(m1, m2), []).append((c1, c2, q))
-        return pairs
+                    pairs.setdefault(mi_add(m1, m2), []).append((c1, c2, 1))
+        return Jet._from_products(self.chart, k, pairs)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -191,12 +190,20 @@ def taylor_identity_check(f, k):
         j(f)  = sum_{|m|<=k} ((-1)^|m|/m!) (d^m f * 1) * delta(x)^m
         f * 1 = sum_{|m|<=k} (1/m!) j(d^m f) * delta(x)^m
 
-    Both hold exactly at every truncation order.  Returns True/False."""
-    chart = f.chart
+    Each d^m f, |m| <= 2k, is made once: m! w[m] for w = j(f) at order 2k,
+    and j(d^m f)/m! has t^n coefficient binom(m+n, m) w[m+n].  Formal in w,
+    the check exercises the delta powers, the convolution, sum_products and
+    ring equality (commuting partials: module docstring).  Returns True/False."""
+    chart, whole = f.chart, jet_of(f, 2 * k)
+    w, ns = whole.terms, mi_range(chart.nparams, k)
     items_a, pairs_b = [], {}
     for m, dp in delta_powers(chart, k, k).items():
-        dmf = f.derive_multi(m)
-        items_a.append((dmf, dp, Fraction((-1) ** mi_degree(m), mi_factorial(m))))
-        jet_of(dmf, k)._product_pairs(dp, Fraction(1, mi_factorial(m)), pairs_b)
-    return (jet_of(f, k) == Jet.combination(chart, k, items_a)
+        if m in w:
+            items_a.append((w[m], dp, (-1) ** mi_degree(m)))
+        for l, c in dp.terms.items():
+            for n in ns:
+                p = mi_add(m, n)
+                if p in w and mi_degree(n) + mi_degree(l) <= k:
+                    pairs_b.setdefault(mi_add(n, l), []).append((w[p], c, mi_binomial(p, m)))
+    return (whole.truncated(k) == Jet.combination(chart, k, items_a)
             and jet_scalar(f, k) == Jet._from_products(chart, k, pairs_b))

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from jetalg import charts
+from jetalg import charts, jets
 from jetalg.jets import (
     Jet, delta, delta_power, jet_of, jet_of_pair, jet_scalar,
     taylor_identity_check,
 )
+from jetalg.multipoly import mi_range
 
 from conftest import make_sampler
 
@@ -129,6 +130,57 @@ def test_taylor_identities_sampled(all_charts):
         for k in (1, 2, 3):
             for _ in range(4):
                 assert taylor_identity_check(smp.elem(chart), k)
+
+
+@pytest.mark.parametrize("name, k, make", [
+    ("affine2", 3, lambda chart: make_sampler("jets-taylor-count").elem(chart)),
+    ("elliptic", 8, lambda chart: chart.gen(0).invert()),
+    ("loc_x", 0, lambda chart: chart.inv_denominator()),
+], ids=["affine2", "elliptic-inv-y", "order-0"])
+def test_taylor_check_derives_each_derivative_once(name, k, make, request, monkeypatch):
+    """One derive per d^m f with 1 <= |m| <= 2k.  The delta table does not
+    depend on f, so it is built before derive is counted."""
+    chart = request.getfixturevalue(name)
+    f = make(chart)
+    table = jets.delta_powers(chart, k, k)
+    monkeypatch.setattr(jets, "delta_powers", lambda c, order, r: table)
+    calls = []
+    derive = charts.RingElem.derive
+    monkeypatch.setattr(charts.RingElem, "derive",
+                        lambda e, i: calls.append(i) or derive(e, i))
+    assert taylor_identity_check(f, k)
+    assert len(calls) == len(mi_range(chart.nparams, 2 * k)) - 1
+
+
+def _one_entry_changed(change):
+    """A delta_powers stand-in whose entry at e_0 goes through change."""
+    real = jets.delta_powers
+
+    def mutated(chart, k, r):
+        table = dict(real(chart, k, r))
+        e0 = (1,) + (0,) * (chart.nparams - 1)
+        table[e0] = change(table[e0])
+        return table
+    return mutated
+
+
+def _wrong_coefficient(dp):
+    m, c = next(iter(dp.terms.items()))
+    return Jet(dp.chart, dp.order, {**dp.terms, m: c * 2})
+
+
+@pytest.mark.parametrize("change", [_wrong_coefficient, lambda dp: -dp],
+                         ids=["wrong-coefficient", "wrong-sign"])
+def test_taylor_check_can_fail(change, loc_x, elliptic, affine2, monkeypatch):
+    """The identities are formal in the derivative table, so the check is
+    mutated where it does work: one coefficient of one delta power, or the
+    sign of one Taylor weight (the same as negating that delta power)."""
+    x1, x2 = affine2.param(0), affine2.param(1)
+    cases = [loc_x.inv_denominator(), elliptic.gen(0), x1 ** 3 * x2 + x1]
+    assert all(taylor_identity_check(f, 2) for f in cases)
+    monkeypatch.setattr(jets, "delta_powers", _one_entry_changed(change))
+    for f in cases:
+        assert not taylor_identity_check(f, 2)
 
 
 def test_jet_homomorphism_sampled(all_charts):

@@ -70,6 +70,20 @@ def test_jet_of_inverse_matches_series_on_loc_x(loc_x):
         assert sympy.simplify(got - series.coeff(t, k)) == 0
 
 
+@pytest.mark.parametrize("invert", [False, True], ids=["y", "1/y"])
+def test_jet_of_generator_matches_series_on_elliptic(elliptic, invert):
+    """j(y) and j(1/y) against the series of sqrt(q(x + t)) and its
+    reciprocal, q = x^3 - x + 1, with y = sqrt(q(x)) put into the jet."""
+    x, y, t = sympy.symbols("x y t")
+    root = sympy.sqrt((x + t) ** 3 - (x + t) + 1)
+    series = sympy.series(1 / root if invert else root, t, 0, 7).removeO()
+    gen = elliptic.gen(0)
+    jet = jet_of(gen.invert() if invert else gen, 6)
+    for k in range(7):
+        got = to_sympy(jet.coeff((k,)), (x, y)).subs(y, sympy.sqrt(x ** 3 - x + 1))
+        assert sympy.simplify(got - series.coeff(t, k)) == 0
+
+
 # -- invert against the units of Q[x]_g on charts without generators: a != 0
 # is a unit iff every irreducible factor of its numerator divides g
 
