@@ -154,8 +154,9 @@ def compose_formula(f, args):
         return out
 
     val = poly_at(f.num)
-    if f.s:
-        val = val * poly_at(src.denominator).invert() ** f.s
+    for fk, n in zip(src.factors, src.exponents(f.s)):
+        if n:
+            val = val * poly_at(fk).invert() ** n
     return val
 
 

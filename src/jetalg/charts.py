@@ -10,54 +10,69 @@ dy_j/dx_i well defined and turns d/dx_i into a derivation of all of A.
 
 Elements are kept in normal form: the numerator polynomial is reduced so
 every y_j-exponent is < d_j (substituting the relation for the last generator
-first, which cannot reintroduce later generators), and the denominator is the
-implicit power g^s.  Numerator/denominator pairs are not cancelled.  Equality
-of N/g^s and N'/g^s', s < s', lifts the lower side only: reduce(N g^(s'-s))
-== N', cross-multiplication with g^s cancelled.  Like comparing numerators
-at equal s, this assumes g is not a zero divisor (A is a domain).
+first, which cannot reintroduce later generators), and the denominator is a
+product F^s of powers f_k^(s_k) of the factors of g.  ``validate`` splits g
+once, by exact division in the free ring: each generator y_j and then each
+parameter x_i with the multiplicity it divides g, then the rest.  A chart
+whose split gives fewer than two nonconstant factors, or leaves a constant
+other than 1, keeps g as its only factor, and there s is the power of g.
+The exponents are packed into the int ``RingElem.s``, s_k in the 16-bit field
+at bit 16 * k, as ``multipoly`` packs monomials: products add packed
+exponents and lifts subtract them.  Every s_k is at most 32767 (beyond it
+ValueError), so the sum of two fields never carries.
+``RingElem(chart, num, s)`` still means num / g^s.  Numerator/denominator
+pairs are not cancelled; only ``invert`` divides.  Equality of N/F^s and
+N'/F^s' lifts each side to t, the componentwise maximum of s and s'
+(``ChartSpec.join``), by the factors whose exponents differ
+(``ChartSpec.lift``, from one power cache per factor): reduce(N F^(t - s))
+== reduce(N' F^(t - s')), which on a one-factor chart lifts the lower side
+only.  Like comparing numerators at equal s, this assumes g is not a zero
+divisor (A is a domain).
 
 Numerators are ``multipoly.Poly`` values: integer numerators over one
 positive content denominator, canonical (the content denominator is coprime
 to the numerators and no zero numerator is stored), keyed by packed
 monomials (16-bit exponent fields under a total-degree field, see
-``multipoly``).  The rational content lives there, separate from the power
-g^s.  Reduction works on the integer numerators and packed keys directly: it
-reads the generator's field with a shift and a mask, lowers that field and
-the degree field by the exponent it removes, and brings the powers of q_j it
-substitutes to one common denominator per pass.  Numerators obey the degree
-bound of ``multipoly`` (total degree at most 32767); arithmetic beyond it
-raises ValueError.  Sums at one power of g, negations and rational multiples
-of reduced numerators are reduced already and skip ``reduce``
-(``RingElem._new``).
+``multipoly``).  The rational content lives there, separate from the
+denominator's factors.  Reduction works on the integer numerators and packed
+keys directly: it reads the generator's field with a shift and a mask,
+lowers that field and the degree field by the exponent it removes, and
+brings the powers of q_j it substitutes to one common denominator per pass.
+Numerators obey the degree bound of ``multipoly`` (total degree at most
+32767); arithmetic beyond it raises ValueError.  Sums at one denominator,
+negations and rational multiples of reduced numerators are reduced already
+and skip ``reduce`` (``RingElem._new``).
 
-Derivation kernel.  d/dx_i of N/g^s is a sum of pieces, each a partial of N
-times a multiplier M that sits over a power g^o, its offset: the parameter
-piece dN/dx_i (M = 1, o = 0); for each generator y_j the piece
-dN/dy_j * dy_j/dx_i (o = the power of g under dy_j/dx_i); and, when s > 0,
-the quotient-rule piece -s * N * dg/dx_i (o = the power under dg/dx_i, plus
-one).  The result is the sum over g^(s + top), where top is the largest
-offset of a piece present in N: a generator piece is present when the
-generator's field is nonzero in some monomial of N (the packed keys ORed
-together), the quotient piece when s > 0, and a piece whose multiplier is 0
-is absent.  That is the power of g the sum of the pieces as ring elements
-carries, so the element, its numerator and s are the same.  Each chart keeps
-a kernel table (``ChartSpec._kernel``), one entry per direction, set of
-generators present and s > 0, built on first use: each multiplier lifted to
-g^top (M * g^(top - o), reduced), all over one common content denominator.
+Derivation kernel.  d/dx_i of N/F^s is a sum of pieces, each a partial of N
+times a multiplier M that sits over a packed denominator o, its offset: the
+parameter piece dN/dx_i (M = 1, o = 0); for each generator y_j the piece
+dN/dy_j * dy_j/dx_i (o = the denominator of dy_j/dx_i); and, for each factor
+f_k with s_k > 0, the quotient-rule piece -s_k * N * df_k/dx_i / f_k (o =
+the denominator of df_k/dx_i times f_k).  The result sits over F^(s + top),
+where top is the componentwise maximum of the offsets of the pieces present
+in N: a generator piece is present when the generator's field is nonzero in
+some monomial of N (the packed keys ORed together), a quotient piece when
+s_k > 0, and a piece whose multiplier is 0 is absent.  That is the
+denominator the sum of the pieces as ring elements carries, so the element,
+its numerator and s are the same.  Each chart keeps a kernel table
+(``ChartSpec._kernel``), one entry per direction, set of generators present
+and set of factors present, built on first use: each multiplier lifted to
+F^top (M * F^(top - o), reduced), all over one common content denominator.
 ``RingElem.derive`` builds each piece's partial numerator, adds its product
 with the lifted multiplier into one dict of packed monomials by
-``multipoly.add_product`` (the quotient piece is N times -dg/dx_i with the
-factor s) and calls ``reduce`` once on the sum.
+``multipoly.add_product`` (a quotient piece is N times -df_k/dx_i with the
+factor s_k) and calls ``reduce`` once on the sum.
 
 Sum-of-products kernel.  The Jet, jet-field, current, Leibniz and
 vector-field products and the A-linear combinations sum q * a * X
 (``sparse.SparseElem.combination``) sum q * a * b over triples (a, b, q),
 once per output key, through ``sum_products``.  It groups the triples by
 s = a.s + b.s, adds each group's products into one dict over one content
-denominator, lifts each group to S, the largest s of a nonzero product, by
-one product with g^(S - s), and calls ``reduce`` once.  A single triple
+denominator, lifts each group to S, the componentwise maximum of the s of
+the nonzero products, by one product with F^(S - s), and calls ``reduce``
+once.  A single triple
 (over half the calls) is the plain a * b * q, measured faster end to end.
-Representation rule: the result sits over g^S.  Adding the products one at
+Representation rule: the result sits over F^S.  Adding the products one at
 a time (for a combination: scaling each X by a and adding) gives the same
 numerator and s unless a partial sum cancels to exactly zero midway; it is
 the same ring element in every case.
@@ -78,8 +93,8 @@ import operator
 from fractions import Fraction
 
 from .multipoly import (
-    FIELD_MASK, Poly, _make, add_product, mi_check, mono_layout, mono_unpack,
-    poly_div_exact, pow_by_squaring, power_check,
+    DEGREE_LIMIT, FIELD_BITS, FIELD_MASK, Poly, _make, add_product, mi_check,
+    mono_layout, mono_unpack, poly_div_exact, pow_by_squaring, power_check,
 )
 
 
@@ -146,12 +161,11 @@ class ChartSpec:
         self._validated = False
         one = Poly.one(self.allvars)
         self._qpow = [{0: one} for _ in self.gens]  # [j][e] -> Poly q_j^e
-        self._gpow = {0: one}      # s -> reduced Poly g^s
         self._gpow_raw = {0: one}  # s -> unreduced Poly g^s
+        self._set_factors((self.denominator,), (1,))
         self._dy = None      # dy[j][i] : RingElem
-        self._dg = None      # dg[i] : RingElem, total derivative of g
-        self._g_over_y = None  # [j] -> g / y_j as Poly
-        self._kernels = {}   # (i, generators, quotient) -> derive kernel
+        self._df = None      # df[k][i] : RingElem, total derivative of factor k
+        self._kernels = {}   # (i, generators, factors) -> derive kernel
         self._power_weights = None  # see power_weights
 
     # -- basic shape
@@ -219,35 +233,70 @@ class ChartSpec:
             g = self.reduce(self.denominator)
             if g.is_zero():
                 raise ZeroDenominator("denominator reduces to 0")
-            g_over_y = []
             for gs in self.gens:
-                quot = poly_div_exact(g, Poly.variable(self.allvars, gs.name))
-                if quot is None:
+                if poly_div_exact(g, Poly.variable(self.allvars, gs.name)) is None:
                     raise MissingInvertibleGenerator(
                         f"generator {gs.name} must divide the denominator"
                     )
-                g_over_y.append(quot)
         except Exception:
             self._validated = False
             raise
         self.denominator = g
-        self._g_over_y = g_over_y
+        self._set_factors(*self._split(g))
         self._build_derivative_tables()
+
+    def _split(self, g):
+        """(factors, multiplicities) of g: each generator, then each
+        parameter, with the multiplicity it divides g in the free ring, then
+        the rest; (g,), (1,) when that gives fewer than two nonconstant
+        factors or leaves a constant other than 1 (always below degree 2)."""
+        if g.degree() < 2:
+            return (g,), (1,)
+        rest, factors, mults = g, [], []
+        for name in self.allvars[self.nparams:] + self.params:
+            v, n = Poly.variable(self.allvars, name), 0
+            while (q := poly_div_exact(rest, v)) is not None:
+                rest, n = q, n + 1
+            if n:
+                factors.append(v)
+                mults.append(n)
+        if rest.degree() > 0:
+            factors.append(rest)
+            mults.append(1)
+        if len(factors) < 2 or (rest.degree() == 0 and rest != 1):
+            return (g,), (1,)
+        return tuple(factors), tuple(mults)
+
+    def _set_factors(self, factors, mults):
+        """The layout of packed denominators: factor k's exponent in the
+        field at bit FIELD_BITS * k, at most DEGREE_LIMIT - 1, so the sum of
+        two fields does not carry and shows in the field's top bit
+        (``_guard`` has that bit set in every field)."""
+        self.factors = factors
+        self._shifts = tuple(FIELD_BITS * k for k in range(len(factors)))
+        self._gexp = sum(m << sh for m, sh in zip(mults, self._shifts))
+        self._guard = sum(DEGREE_LIMIT << sh for sh in self._shifts)
+        self._smax = (DEGREE_LIMIT - 1) // max(mults)  # the largest g^s
+        one = self._gpow_raw[0]
+        self._fpow = [{0: one} for _ in factors]  # [k][e] -> reduced f_k^e
+        self._lifts = {0: one}  # packed d -> reduced F^d
 
     def _build_derivative_tables(self):
         # dy_j/dx_i = D_i(q_j) / (d * y_j^(d-1)), by differentiating y_j^d = q_j,
-        # with 1/y_j = (g/y_j)/g.  D_i(q_j) reads only the rows of earlier
-        # generators; g is derived last, at s = 0, where dg is not read.
+        # with 1/y_j = (f/y_j)/f for the factor f that y_j divides (y_j
+        # itself when g is split).  D_i(q_j) reads only the rows of earlier
+        # generators; the factors are derived last, at s = 0, where df is
+        # not read.
         self._dy = []
         for j, gs in enumerate(self.gens):
-            d = gs.degree
-            inv_lead = RingElem(
-                self, self._g_over_y[j] ** (d - 1) * Fraction(1, d), d - 1
-            )
+            d, y = gs.degree, Poly.variable(self.allvars, gs.name)
+            quot, sh = next((q, sh) for f, sh in zip(self.factors, self._shifts)
+                            if (q := poly_div_exact(f, y)) is not None)
+            inv_lead = _elem(self, quot ** (d - 1) * Fraction(1, d), (d - 1) << sh)
             q = RingElem(self, gs.rhs)
             self._dy.append([q.derive(i) * inv_lead for i in range(self.nparams)])
-        g = RingElem(self, self.denominator)
-        self._dg = [g.derive(i) for i in range(self.nparams)]
+        self._df = [[RingElem(self, f).derive(i) for i in range(self.nparams)]
+                    for f in self.factors]
 
     def _require_valid(self):
         if not self._validated:
@@ -332,56 +381,88 @@ class ChartSpec:
         cache = self._qpow[j]
         return cache.get(e) or _fill(cache, e, lambda p: p * self.gens[j].rhs)
 
+    def exponents(self, s):
+        """The exponent of each factor in the packed denominator s."""
+        return tuple(s >> sh & FIELD_MASK for sh in self._shifts)
+
+    def join(self, a, b):
+        """The componentwise maximum of two packed denominators: in each
+        field a_k + 2^15 - b_k has its top bit set when a_k >= b_k, and no
+        field borrows."""
+        h = self._guard
+        pick = ((((a | h) - b) & h) >> (FIELD_BITS - 1)) * FIELD_MASK
+        return a & pick | b & ~pick
+
+    def lift(self, d):
+        """Reduced F^d for a packed d: one product of the cached powers of
+        the factors present in d."""
+        got = self._lifts.get(d)
+        if got is None:
+            for k, e in enumerate(self.exponents(d)):
+                if e:
+                    cache = self._fpow[k]
+                    f = self.factors[k]
+                    p = cache.get(e) or _fill(cache, e, lambda p: self.reduce(p * f))
+                    got = p if got is None else self.reduce(got * p)
+            self._lifts[d] = got
+        return got
+
     def g_pow(self, s):
         """Reduced g^s."""
-        return self._gpow.get(s) or _fill(
-            self._gpow, s, lambda p: self.reduce(p * self.denominator))
+        return self.lift(s * self._gexp)
 
     def g_pow_raw(self, s):
         """Unreduced g^s."""
         return self._gpow_raw.get(s) or _fill(
             self._gpow_raw, s, lambda p: p * self.denominator)
 
-    def _kernel(self, i, used, quotient):
+    def _kernel(self, i, used, s):
         """The kernel table entry of d/dx_i (see the module docstring) for
-        numerators whose packed keys OR to ``used``, with the quotient-rule
-        piece when ``quotient`` (s > 0).  Returns (top, den, pieces, quot):
-        every multiplier lifted to g^top and reduced, as a dict of integer
-        numerators over the common content denominator den; pieces holds
-        (field shift, step, numerators) for x_i and for each generator that
-        occurs, quot the numerators of -dg/dx_i or None.  Built on first use
-        and keyed by (i, generators that occur, quotient): at most
-        nparams * 2^ngens * 2 entries, none keyed by an element."""
+        numerators whose packed keys OR to ``used``, over the packed
+        denominator s.  Returns (top, den, pieces, quots): every multiplier
+        lifted to F^top and reduced, as a dict of integer numerators over
+        the common content denominator den; pieces holds (field shift, step,
+        numerators) for x_i and for each generator that occurs, quots
+        (exponent shift, numerators of -df_k/dx_i) for each factor present
+        in s.  Built on first use and keyed by (i, generators that
+        occur, factors present): at most nparams * 2^ngens * 2^nfactors
+        entries, none keyed by an element."""
         shifts, topbit, _ = mono_layout(len(self.allvars))
         occur = 0
         for j in range(self.ngens):
             if (used >> shifts[self.gen_index(j)]) & FIELD_MASK:
                 occur |= 1 << j
-        key = (i, occur, quotient)
+        # the top bit of each nonzero field of s: s_k + 2^15 - 1 reaches it
+        h = self._guard
+        present = (s + h - (h >> (FIELD_BITS - 1))) & h
+        key = (i, occur, present)
         got = self._kernels.get(key)
         if got is not None:
             return got
-        mults = [(i, self.one(), 0)]
+        parts = [(i, self.one(), 0)]  # (variable, multiplier, offset)
         for j in range(self.ngens):
             if occur >> j & 1 and self._dy[j][i]:
                 dy = self._dy[j][i]
-                mults.append((self.gen_index(j), dy, dy.s))
-        if quotient and self._dg[i]:
-            dg = self._dg[i]
-            mults.append((None, -dg, dg.s + 1))
-        top = max(o for _, _, o in mults)
-        lifted = [(v, self.reduce(m.num * self.g_pow(top - o))) for v, m, o in mults]
+                parts.append((self.gen_index(j), dy, dy.s))
+        quots = [(sh, -df, df.s + (1 << sh))  # (exponent shift, ...)
+                 for k, sh in enumerate(self._shifts)
+                 if present & DEGREE_LIMIT << sh and (df := self._df[k][i])]
+        top = 0
+        for _, _, o in parts + quots:
+            top = self.join(top, o)
         # a lifted product can vanish only on a ring that is not a domain
-        lifted = [(v, p) for v, p in lifted if p.nums]
-        den = math.lcm(*(p.den for _, p in lifted))
-        pieces, quot = [], None
-        for v, p in lifted:
-            mult = {mk: c * (den // p.den) for mk, c in p.nums.items()}
-            if v is None:
-                quot = mult
-            else:
-                pieces.append((shifts[v], (1 << shifts[v]) + (1 << topbit), mult))
-        got = self._kernels[key] = (top, den, tuple(pieces), quot)
+        parts, quots = ([(v, p) for v, m, o in group
+                         if (p := self.reduce(m.num * self.lift(top - o))).nums]
+                        for group in (parts, quots))
+        den = math.lcm(*(p.den for _, p in parts + quots))
+
+        def scaled(p):
+            return {mk: c * (den // p.den) for mk, c in p.nums.items()}
+
+        got = self._kernels[key] = (
+            top, den,
+            tuple((shifts[v], (1 << shifts[v]) + (1 << topbit), scaled(p)) for v, p in parts),
+            tuple((sh, scaled(p)) for sh, p in quots))
         return got
 
     # -- element constructors
@@ -413,19 +494,22 @@ class ChartSpec:
 
 
 class RingElem:
-    """num / g^s on a chart; num is stored relation-reduced."""
+    """num / F^s on a chart, s the packed exponents of the factors of g (the
+    module docstring); num is stored relation-reduced.  The constructor
+    takes num / g^s."""
 
     __slots__ = ("chart", "num", "s")
 
     def __init__(self, chart, num, s=0):
         if s < 0:
             raise ValueError("denominator exponent must be >= 0")
+        if s > chart._smax:
+            raise ValueError(f"denominator g^{s}: a factor's exponent exceeds "
+                             f"the bound {DEGREE_LIMIT - 1}")
         num = chart.reduce(num)
-        if num.is_zero():
-            s = 0
         self.chart = chart
         self.num = num
-        self.s = s
+        self.s = s * chart._gexp if num.nums else 0
 
     @classmethod
     def _new(cls, chart, num, s):
@@ -468,10 +552,11 @@ class RingElem:
         if self.s == other.s:
             return RingElem._new(self.chart, self.num + other.num, self.s)
         # the rescaled summand is a product, so the sum needs reducing
-        s = max(self.s, other.s)
-        a = self.num if self.s == s else self.num * self.chart.g_pow(s - self.s)
-        b = other.num if other.s == s else other.num * self.chart.g_pow(s - other.s)
-        return RingElem(self.chart, a + b, s)
+        chart = self.chart
+        s = chart.join(self.s, other.s)
+        a = self.num if self.s == s else self.num * chart.lift(s - self.s)
+        b = other.num if other.s == s else other.num * chart.lift(s - other.s)
+        return _elem(chart, a + b, s)
 
     __radd__ = __add__
 
@@ -495,31 +580,40 @@ class RingElem:
         if not isinstance(other, RingElem):
             return NotImplemented
         self._check(other)
-        return RingElem(self.chart, self.num * other.num, self.s + other.s)
+        s = self.s + other.s
+        if s & self.chart._guard:
+            raise ValueError(_EXPONENT_BOUND)
+        return _elem(self.chart, self.num * other.num, s)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        weights = self.chart.power_weights()
+        chart = self.chart
+        weights = chart.power_weights()
         power_check(self.num, e, weights)
-        if self.s:  # the power sits over g^(e*s)
-            try:
-                power_check(self.chart.denominator, e * self.s, weights)
-            except ValueError as err:
-                raise ValueError(f"denominator g^{e * self.s}: {err}") from None
-        return pow_by_squaring(self.chart.one(), self, e)
+        for f, n in zip(chart.factors, chart.exponents(self.s)):
+            if n:  # the power sits over f^(e*n)
+                try:
+                    power_check(f, e * n, weights)
+                except ValueError as err:
+                    name = "g" if len(chart.factors) == 1 else f"({f})"
+                    raise ValueError(f"denominator {name}^{e * n}: {err}") from None
+        return pow_by_squaring(chart.one(), self, e)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        lo, hi = (self, other) if self.s < other.s else (other, self)
-        if lo.s == hi.s:
-            return lo.num == hi.num
-        # lift the lower side only (module docstring)
-        return self.chart.reduce(lo.num * self.chart.g_pow(hi.s - lo.s)) == hi.num
+        if self.s == other.s:
+            return self.num == other.num
+        # lift only the factors whose exponents differ (module docstring)
+        chart = self.chart
+        s = chart.join(self.s, other.s)
+        a = self.num if self.s == s else chart.reduce(self.num * chart.lift(s - self.s))
+        b = other.num if other.s == s else chart.reduce(other.num * chart.lift(s - other.s))
+        return a == b
 
     __hash__ = None
 
@@ -527,7 +621,7 @@ class RingElem:
 
     def derive(self, i):
         """The extended partial derivative d/dx_i (acts on generators through
-        the relation, on 1/g through the quotient rule).  One add_product
+        the relation, on each factor of g through the quotient rule).  One add_product
         per piece of the chart's kernel table (``ChartSpec._kernel``) and
         one ``reduce``; see the module docstring.  Raises ValueError when
         the numerator of the result could leave the degree bound."""
@@ -541,7 +635,7 @@ class RingElem:
         used = 0
         for m in nums:
             used |= m
-        top, den, pieces, quot = chart._kernel(i, used, s > 0)
+        top, den, pieces, quots = chart._kernel(i, used, s)
         topbit = mono_layout(len(chart.allvars))[1]
         out = {}
         for sh, step, mult in pieces:
@@ -549,11 +643,14 @@ class RingElem:
                     if (e := (m >> sh) & FIELD_MASK)}
             if part:
                 add_product(out, part, mult, 1, topbit)
-        if quot:
-            add_product(out, nums, quot, s, topbit)
+        for sh, mult in quots:
+            add_product(out, nums, mult, s >> sh & FIELD_MASK, topbit)
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
-        return RingElem(chart, _make(chart.allvars, out, self.num.den * den), s + top)
+        s += top
+        if s & chart._guard:
+            raise ValueError(_EXPONENT_BOUND)
+        return _elem(chart, _make(chart.allvars, out, self.num.den * den), s)
 
     def derive_multi(self, m):
         """Iterated derivative d^m (orders commute, so any order works)."""
@@ -570,31 +667,56 @@ class RingElem:
         Searches k with num | g^k by exact division, trying both the raw and
         the relation-reduced powers; either hit is sound because division is
         performed in the free polynomial ring.  Without generators the two
-        powers are the same polynomial, so the raw one alone is tried.
-        Raises NotInvertible when the search is exhausted."""
+        powers are the same polynomial, so the raw one alone is tried.  The
+        inverse q F^s / g^k then sits over the componentwise maximum t of
+        g^k and F^s, and its numerator is divided by each factor left in its
+        denominator while that factor divides it (so 1/x on a chart with
+        g = x * (x - 1) is 1/x, not (x - 1)/g).  Raises NotInvertible when
+        the search is exhausted."""
         chart = self.chart
         chart._require_valid()
         if self.is_zero():
             raise NotInvertible("0 has no inverse")
-        bound = self.s + self.num.degree() + 4
+        bound = max(chart.exponents(self.s)) + self.num.degree() + 4
         for k in range(bound + 1):
             raw = chart.g_pow_raw(k)
             for dividend in (raw, chart.g_pow(k)) if chart.gens else (raw,):
                 q = poly_div_exact(dividend, self.num)
                 if q is not None:
-                    if k >= self.s:
-                        return RingElem(self.chart, q, k - self.s)
-                    return RingElem(self.chart, q * self.chart.g_pow_raw(self.s - k), 0)
+                    gk = k * chart._gexp
+                    t = chart.join(gk, self.s)
+                    s = t - self.s
+                    for f, sh in zip(chart.factors, chart._shifts):
+                        while (s >> sh & FIELD_MASK and q.degree() >= f.degree()
+                               and (d := poly_div_exact(q, f)) is not None):
+                            q, s = d, s - (1 << sh)
+                    if t != gk:
+                        q = q * chart.lift(t - gk)
+                    return _elem(chart, q, s)
         raise NotInvertible(f"cannot invert {self}")
+
+    def over_g(self):
+        """(num, S) with self == num / g^S, S the least such power: the form
+        of files (``fileio``).  On a one-factor chart this is (self.num,
+        self.s)."""
+        chart = self.chart
+        S = max(-(-n // m) for n, m in zip(chart.exponents(self.s),
+                                           chart.exponents(chart._gexp)))
+        if S > chart._smax:
+            raise ValueError(_EXPONENT_BOUND)
+        d = S * chart._gexp - self.s
+        return (chart.reduce(self.num * chart.lift(d)) if d else self.num), S
 
     # -- display
 
     def __str__(self):
         if self.s == 0:
             return str(self.num)
-        gs = str(self.chart.denominator)
-        pw = f"^{self.s}" if self.s > 1 else ""
-        return f"({self.num})/({gs}){pw}"
+        chart = self.chart
+        dens = [f"({f})" + (f"^{n}" if n > 1 else "")
+                for f, n in zip(chart.factors, chart.exponents(self.s)) if n]
+        den = dens[0] if len(dens) == 1 else "(" + "*".join(dens) + ")"
+        return f"({self.num})/{den}"
 
     def __repr__(self):
         return f"RingElem({str(self)!r} on {self.chart.name!r})"
@@ -603,17 +725,31 @@ class RingElem:
 _new_elem = object.__new__
 
 
+def _elem(chart, num, s):
+    """The element num / F^s for a packed s within the bounds."""
+    return RingElem._new(chart, chart.reduce(num), s)
+
+
+_EXPONENT_BOUND = (f"a factor of the denominator would pass the exponent "
+                   f"bound {DEGREE_LIMIT - 1}")
+
+
 def sum_products(chart, triples):
     """sum q * a * b over (a, b, q) triples, q an int or Fraction: the
     sum-of-products kernel of the module docstring.  Raises ValueError when
-    a product or a lift could leave the degree bound."""
+    a product or a lift could leave the degree bound or a factor's exponent
+    its bound."""
     if len(triples) == 1:
         a, b, q = triples[0]
         return a * b * q
     pairs = [(a.s + b.s, a.num, b.num, q) for a, b, q in triples
              if q and a.num.nums and b.num.nums]
-    S = max((p[0] for p in pairs), default=0)
-    lifts = {s: chart.g_pow(S - s) for s, _, _, _ in pairs}
+    S = 0
+    for s in {p[0] for p in pairs}:
+        if s & chart._guard:
+            raise ValueError(_EXPONENT_BOUND)
+        S = chart.join(S, s)
+    lifts = {s: chart.lift(S - s) for s, _, _, _ in pairs}
     # one content denominator for every product and lift
     den = math.lcm(*(pa.den * pb.den * q.denominator * lifts[s].den
                      for s, pa, pb, q in pairs))
@@ -634,9 +770,10 @@ def _fill(cache, e, step):
     """cache[e] of a power cache, a dict n -> n-th power (a Poly, so never
     falsy) that holds every n below its length, for an e it misses: the
     missing powers are filled in order by a loop, each step(the one below),
-    so a first large e costs no recursion depth.  The chart's three caches
-    (powers of each q_j, reduced and unreduced powers of g) keep every power
-    they fill; a budget on time or memory must count them here."""
+    so a first large e costs no recursion depth.  The chart's power caches
+    (powers of each q_j, reduced powers of each factor of g, unreduced
+    powers of g) keep every power they fill; a budget on time or memory must
+    count them here."""
     while len(cache) <= e:
         cache[len(cache)] = step(cache[len(cache) - 1])
     return cache[e]

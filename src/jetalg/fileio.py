@@ -15,7 +15,11 @@ The overlap names a chart in the same file; G and H are parsed over it.
 Schema violations raise SchemaError whose message carries the JSON path.
 Value serialization (value_to_data / value_from_data) is loss-free and
 deterministic: coefficients are exact rational strings and term lists are
-sorted in the monomial order.
+sorted in the monomial order.  A ring element is written as {"num", "s"},
+num / g^s with an int s: an element over several factors of g
+(``charts``) is lifted to the least whole power of g first
+(``RingElem.over_g``), so it reads back ring-equal, and on a chart whose g
+is one factor the written form is the element's own numerator and s.
 """
 
 from __future__ import annotations
@@ -162,7 +166,8 @@ def _poly_from(data, vars):
 
 
 def _elem_data(e):
-    return {"num": _poly_data(e.num), "s": e.s}
+    num, s = e.over_g()
+    return {"num": _poly_data(num), "s": s}
 
 
 def _elem_from(data, chart):

@@ -46,7 +46,7 @@ def test_generator_must_divide_denominator():
 
 def test_refused_chart_is_left_as_it_was():
     # the second generator z does not divide g = y: validate refuses the
-    # chart without keeping the reduced g or the quotient g / y
+    # chart without keeping the reduced g, a split of g or a table
     vars = ("x", "y", "z")
     den = parse_poly("y", vars)
     c = ChartSpec("two", ["x"], [GenSpec("y", 2, parse_poly("x", vars[:1])),
@@ -54,7 +54,7 @@ def test_refused_chart_is_left_as_it_was():
     for _ in range(2):
         with pytest.raises(MissingInvertibleGenerator, match="generator z"):
             c.validate()
-        assert c.denominator == den and c._g_over_y is None
+        assert c.denominator == den and c.factors == (den,) and c._dy is None
         assert not c._validated
 
 
@@ -348,15 +348,17 @@ TABLE_CHARTS = [standard_chart(n) for n in ("affine2", "loc_x", "elliptic")] + [
 
 @pytest.mark.parametrize("chart", TABLE_CHARTS, ids=lambda c: c.name)
 def test_derivative_tables_match_the_reference(chart):
-    # RingElem.derive builds the tables dy_j/dx_i and dg/dx_i that
+    # RingElem.derive builds the tables dy_j/dx_i and df_k/dx_i that
     # ref_derive reads; pin them against the reference's total derivative
-    # of the relation, d * y_j^(d-1) * dy_j/dx_i = D_i q_j, and of g, so
-    # the reference does not rest on the kernel it is compared with
+    # of the relation, d * y_j^(d-1) * dy_j/dx_i = D_i q_j, and of each
+    # factor f_k of g, so the reference does not rest on the kernel it is
+    # compared with
     for i in range(chart.nparams):
         for j, gs in enumerate(chart.gens):
             lhs = chart.gen(j) ** (gs.degree - 1) * gs.degree * chart._dy[j][i]
             assert lhs == ref_total_derivative(chart, gs.rhs, i)
-        assert chart._dg[i] == ref_total_derivative(chart, chart.denominator, i)
+        for k, f in enumerate(chart.factors):
+            assert chart._df[k][i] == ref_total_derivative(chart, f, i)
 
 
 def test_derive_makes_one_reduce_call(elliptic, monkeypatch):
@@ -417,9 +419,9 @@ def test_sum_products_matches_reference(affine2, loc_x, elliptic, name, seed, pi
 
 def _cross_equal(a, b):
     """The former RingElem equality: each numerator lifted by the other's
-    full power of g."""
+    full denominator."""
     c = a.chart
-    return c.reduce(a.num * c.g_pow(b.s)) == c.reduce(b.num * c.g_pow(a.s))
+    return c.reduce(a.num * c.lift(b.s)) == c.reduce(b.num * c.lift(a.s))
 
 
 @settings(deadline=None, max_examples=60)

@@ -6,11 +6,14 @@
 module by their ``__name__``, and a traced run patches every span of
 ``perfbench/layers.py`` by its jetalg attribute name.  Each of the three
 workloads' tiny passes at seed 42 must meet the gate the benchmark applies
-to it.  The files are imported here as they are, so a change to jetalg that
-breaks a hook, a span or a workload fails the tests, not only a benchmark
-run."""
+to it, untraced in process and traced in a ``child.py`` process (whose
+probes read ``RingElem.s`` and ``RingElem.num``).  The files are imported
+or run here as they are, so a change to jetalg that breaks a hook, a span or
+a workload fails the tests, not only a benchmark run."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,6 +83,25 @@ def test_generated_tiny_pass_meets_its_gate(name):
     result = {"checks": len(verdicts.latencies), "input_sha256": input_sha256}
     assert wl.gate(42, "tiny", result) == []
     assert verdicts.failures == []
+
+
+@pytest.mark.parametrize("name", ["verify-all", "deep-jet", "transport"])
+def test_traced_tiny_pass_runs_every_probe(name):
+    # the traced child wraps every span of layers.py, runs its probes and
+    # reports one exact count per counter: no failure, every check made
+    out = subprocess.run(
+        [sys.executable, str(WORKLOADS.parent / "child.py"), "--workload", name,
+         "--seed", "42", "--size", "tiny", "--mode", "traced", "--spawned-at", "0"],
+        capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(out.stdout)
+    wl = _workloads().WORKLOADS[name]
+    want = (sum(wl.sizes["tiny"][2].values()) if name == "verify-all"
+            else wl.check_counts["tiny"])
+    assert result["failures"] == [] and result["checks"] == result["attempted"] == want
+    counts = {k: v for k, v in result["layers"].items()
+              if k.rsplit(".", 1)[1] in ("calls", "coef_mults", "terms_in", "max_s")}
+    assert counts and all(type(v) is int and v >= 0 for v in counts.values())
+    assert counts["charts.RingElem.derive.calls"] > 0
 
 
 def test_suite_functions_are_module_functions_under_their_names():

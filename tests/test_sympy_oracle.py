@@ -1,19 +1,24 @@
 """Independent oracle for the derivation and jets: sympy.
 
-Ring elements are turned into sympy expressions num / g^s and differentiated
-there, by implicit differentiation on the curve chart and by plain
-``sympy.diff`` on the affine plane; jets on the localized line are compared
-with ``sympy.series``.  On charts without generators, ``invert`` is checked
-against the unit criterion of Q[x]_g, with the factors of g from
-``sympy.factor_list``.  Runs only where sympy is installed.
+Ring elements are turned into sympy expressions num / prod f_k^s_k over the
+factors f_k of g and differentiated there, by implicit differentiation on
+the curve chart and by plain ``sympy.diff`` on the affine plane; jets on the
+localized line are compared with ``sympy.series``.  On charts without
+generators, ``invert`` is checked against the unit criterion of Q[x]_g, with
+the factors of g from ``sympy.factor_list``.  On ``p1``'s ``triple``
+overlap, whose g = x(x - 1) is stored as two factors, ring arithmetic,
+``derive``, equality, ``invert`` and the file form are checked against
+sympy's rational functions.  Runs only where sympy is installed.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jetalg.charts import NotInvertible, RingElem
+from jetalg.fileio import value_from_data, value_to_data
 from jetalg.jets import jet_of
 from jetalg.multipoly import Poly
 
@@ -32,9 +37,11 @@ def poly_to_sympy(p, symbols):
 
 
 def to_sympy(e, symbols):
-    """num / g^s of the RingElem e as a sympy expression."""
-    den = poly_to_sympy(e.chart.denominator, symbols)
-    return poly_to_sympy(e.num, symbols) / den ** e.s
+    """num / prod f_k^s_k of the RingElem e as a sympy expression."""
+    den = sympy.Integer(1)
+    for f, n in zip(e.chart.factors, e.chart.exponents(e.s)):
+        den *= poly_to_sympy(f, symbols) ** n
+    return poly_to_sympy(e.num, symbols) / den
 
 
 def test_derive_matches_implicit_differentiation_on_elliptic(elliptic):
@@ -118,3 +125,65 @@ def test_invert_finds_exactly_the_units(loc_x, affine2, p1, name, c, exps, s, h)
                      poly_to_sympy(chart.denominator, syms)).is_number)
     with pytest.raises(NotInvertible):
         RingElem(chart, num * h, s).invert()
+
+
+# -- factored denominators on p1's triple overlap (g = x(x - 1), two factors)
+
+_exps = st.integers(0, 3)
+_quotients = st.tuples(_coefs, _exps, _exps, _exps, _exps)  # c, a, b, i, j
+
+
+def _quotient(chart, c, a, b, i, j):
+    """c x^a (x - 1)^b / (x^i (x - 1)^j) as a RingElem, the denominator built
+    from the inverses of x and x - 1, and as a sympy expression."""
+    x = chart.param(0)
+    elem = (x ** a * (x - 1) ** b * c * x.invert() ** i * (x - 1).invert() ** j)
+    sx = sympy.Symbol("x")
+    return elem, sympy.Rational(c.numerator, c.denominator) * sx ** (a - i) * (sx - 1) ** (b - j)
+
+
+def _same(u, want):
+    return sympy.cancel(to_sympy(u, (sympy.Symbol("x"),)) - want) == 0
+
+
+@settings(deadline=None, max_examples=25)
+@given(left=st.lists(_quotients, min_size=1, max_size=3),
+       right=st.lists(_quotients, min_size=1, max_size=3))
+def test_factored_arithmetic_matches_sympy_on_triple(p1, left, right):
+    chart = p1.charts["triple"]
+    assert [str(f) for f in chart.factors] == ["x", "x - 1"]
+    sx = sympy.Symbol("x")
+    u, U = chart.zero(), sympy.Integer(0)
+    for q in left:
+        e, E = _quotient(chart, *q)
+        assert _same(e, E)
+        u, U = u + e, U + E
+    v, V = chart.zero(), sympy.Integer(0)
+    for q in right:
+        e, E = _quotient(chart, *q)
+        v, V = v + e, V + E
+    assert _same(u + v, U + V) and _same(u - v, U - V) and _same(u * v, U * V)
+    assert _same(u.derive(0), sympy.diff(U, sx))
+    assert (u == v) == (sympy.cancel(U - V) == 0)
+    # the same element over a larger denominator is equal, a changed one not
+    x = chart.param(0)
+    lifted = u * x * (x - 1) ** 2 * x.invert() * (x - 1).invert() ** 2
+    assert lifted == u and u == lifted and lifted + 1 != u
+
+
+@settings(deadline=None, max_examples=60)
+@given(q=_quotients)
+def test_factored_inverse_and_file_form_on_triple(p1, q):
+    chart = p1.charts["triple"]
+    c, a, b, i, j = q
+    e, E = _quotient(chart, *q)
+    inv = e.invert()
+    assert _same(inv, 1 / E) and e * inv == chart.one()
+    # 1 / (x^a (x - 1)^b): one numerator term, the factors in the denominator
+    unit, _ = _quotient(chart, Fraction(1), a, b, 0, 0)
+    assert len(unit.invert().num.nums) == 1
+    assert chart.exponents(unit.invert().s) == (a, b)
+    data = json.loads(json.dumps(value_to_data(e)))
+    assert isinstance(data["s"], int)
+    back = value_from_data(data, chart)
+    assert back == e and _same(back, E)
