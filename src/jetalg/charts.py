@@ -593,7 +593,7 @@ class RingElem:
         chart = self.chart
         weights = chart.power_weights()
         power_check(self.num, e, weights)
-        for f, n in zip(chart.factors, chart.exponents(self.s)):
+        for f, n in zip(chart.factors, chart.exponents(self.s)) if self.s else ():
             if n:  # the power sits over f^(e*n)
                 try:
                     power_check(f, e * n, weights)
@@ -726,8 +726,13 @@ _new_elem = object.__new__
 
 
 def _elem(chart, num, s):
-    """The element num / F^s for a packed s within the bounds."""
-    return RingElem._new(chart, chart.reduce(num), s)
+    """The element num / F^s for a packed s within the bounds: ``_new``
+    after ``reduce``."""
+    self = _new_elem(RingElem)
+    self.chart = chart
+    self.num = num = chart.reduce(num)
+    self.s = s if num.nums else 0
+    return self
 
 
 _EXPONENT_BOUND = (f"a factor of the denominator would pass the exponent "
@@ -744,12 +749,14 @@ def sum_products(chart, triples):
         return a * b * q
     pairs = [(a.s + b.s, a.num, b.num, q) for a, b, q in triples
              if q and a.num.nums and b.num.nums]
+    lifts = dict.fromkeys(p[0] for p in pairs)  # s -> F^(S - s)
     S = 0
-    for s in {p[0] for p in pairs}:
+    for s in lifts:
         if s & chart._guard:
             raise ValueError(_EXPONENT_BOUND)
         S = chart.join(S, s)
-    lifts = {s: chart.lift(S - s) for s, _, _, _ in pairs}
+    for s in lifts:
+        lifts[s] = chart.lift(S - s)
     # one content denominator for every product and lift
     den = math.lcm(*(pa.den * pb.den * q.denominator * lifts[s].den
                      for s, pa, pb, q in pairs))
