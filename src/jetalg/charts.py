@@ -58,10 +58,16 @@ its numerator and s are the same.  Each chart keeps a kernel table
 (``ChartSpec._kernel``), one entry per direction, set of generators present
 and set of factors present, built on first use: each multiplier lifted to
 F^top (M * F^(top - o), reduced), all over one common content denominator.
-``RingElem.derive`` builds each piece's partial numerator, adds its product
+``RingElem._derive`` builds each piece's partial numerator, adds its product
 with the lifted multiplier into one dict of packed monomials by
 ``multipoly.add_product`` (a quotient piece is N times -df_k/dx_i with the
 factor s_k) and calls ``reduce`` once on the sum.
+
+Derivative memo.  ``RingElem._derivs`` (empty from every constructor) keeps
+each d/dx_i asked of the element; a repeated ``derive(i)`` checks i and
+returns the stored object.  The chart keeps no table of them, so the memo
+dies with its element; an equal, distinct element derives again, to the same
+numerator and s.  ``ChartSpec.param`` keeps one element per parameter.
 
 Sum-of-products kernel.  The Jet, jet-field, current, Leibniz and
 vector-field products and the A-linear combinations sum q * a * X
@@ -244,6 +250,7 @@ class ChartSpec:
         self.denominator = g
         self._set_factors(*self._split(g))
         self._build_derivative_tables()
+        self._param_elems = [self.var(p) for p in self.params]
 
     def _split(self, g):
         """(factors, multiplicities) of g: each generator, then each
@@ -484,7 +491,8 @@ class ChartSpec:
         return RingElem(self, Poly.variable(self.allvars, name))
 
     def param(self, i):
-        return self.var(self.params[i])
+        """x_i: one element per index for the validated chart's lifetime."""
+        return self._param_elems[i]
 
     def gen(self, j):
         return self.var(self.gens[j].name)
@@ -496,9 +504,9 @@ class ChartSpec:
 class RingElem:
     """num / F^s on a chart, s the packed exponents of the factors of g (the
     module docstring); num is stored relation-reduced.  The constructor
-    takes num / g^s."""
+    takes num / g^s.  ``_derivs``: None or the derivative memo, i -> d/dx_i."""
 
-    __slots__ = ("chart", "num", "s")
+    __slots__ = ("chart", "num", "s", "_derivs")
 
     def __init__(self, chart, num, s=0):
         if s < 0:
@@ -510,6 +518,7 @@ class RingElem:
         self.chart = chart
         self.num = num
         self.s = s * chart._gexp if num.nums else 0
+        self._derivs = None
 
     @classmethod
     def _new(cls, chart, num, s):
@@ -521,6 +530,7 @@ class RingElem:
         self.chart = chart
         self.num = num
         self.s = s if num.nums else 0
+        self._derivs = None
         return self
 
     def _check(self, other):
@@ -621,17 +631,28 @@ class RingElem:
 
     def derive(self, i):
         """The extended partial derivative d/dx_i (acts on generators through
-        the relation, on each factor of g through the quotient rule).  One add_product
-        per piece of the chart's kernel table (``ChartSpec._kernel``) and
-        one ``reduce``; see the module docstring.  Raises ValueError when
-        the numerator of the result could leave the degree bound."""
+        the relation, on each factor of g through the quotient rule), kept in
+        the derivative memo (module docstring).  Raises ValueError when the
+        numerator of the result could leave the degree bound."""
         chart = self.chart
         chart._require_valid()
         if not 0 <= i < chart.nparams:
             raise IndexError(f"direction {i} out of range")
-        nums, s = self.num.nums, self.s
-        if not nums:
+        if not self.num.nums:
             return self
+        memo = self._derivs
+        if memo is None:
+            memo = self._derivs = {}
+        elif i in memo:
+            return memo[i]
+        got = memo[i] = self._derive(i)
+        return got
+
+    def _derive(self, i):
+        """d/dx_i of a nonzero element: one add_product per piece of the
+        chart's kernel table (``ChartSpec._kernel``) and one ``reduce``."""
+        chart = self.chart
+        nums, s = self.num.nums, self.s
         used = 0
         for m in nums:
             used |= m
@@ -732,6 +753,7 @@ def _elem(chart, num, s):
     self.chart = chart
     self.num = num = chart.reduce(num)
     self.s = s if num.nums else 0
+    self._derivs = None
     return self
 
 

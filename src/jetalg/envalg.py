@@ -37,33 +37,20 @@ from fractions import Fraction
 from .charts import sum_products
 from .liealg import _basis_str, basis_bracket, basis_check, basis_key
 from .multipoly import (
-    grlex_key, mi_binomials, mi_check, mi_degree, mi_factorial, mi_lower,
-    mi_range, mi_unit, mi_zero,
+    grlex_key, mi_binomials, mi_check, mi_degree, mi_factorial, mi_range,
+    mi_unit, mi_zero,
 )
 from .sparse import SparseElem, accumulate
 
 
-def _derivative(table, j):
-    """d^j b from a derivative table of one right-hand coefficient b, which
-    starts as {0: b}; a missing entry is filled by one derive from the entry
-    below it, so each (b, j) is derived at most once.  The last direction
-    of j is derived last, the order b.derive_multi(j) takes, so the entry
-    has the same numerator and power of g as derive_multi gives."""
-    got = table.get(j)
-    if got is None:
-        i = max(i for i, e in enumerate(j) if e)
-        got = table[j] = _derivative(table, mi_lower(j, i)).derive(i)
-    return got
-
-
-def _leibniz(a, k, table, l):
+def _leibniz(a, k, b, l):
     """(a d^k)(b d^l) in normal form, as (m, a, d^j b, binom(k, j)) terms of
     a sum_{j<=k} binom(k,j) (d^j b) d^{k-j+l} over mi_binomials(k), with d^j b
-    read from b's derivative table (_derivative); the callers sum the products
-    per m with charts.sum_products.  Distinct j give distinct m."""
+    read through b's derivative memo; the callers sum the products per m
+    with charts.sum_products.  Distinct j give distinct m."""
     out = []
     for j, q in mi_binomials(k):
-        db = _derivative(table, j)
+        db = b.derive_multi(j)
         if db.num.nums:
             m = tuple(p - i + s for p, i, s in zip(k, j, l))
             out.append((m, a, db, q))
@@ -109,23 +96,17 @@ class DiffOp(SparseElem):
         if not isinstance(other, DiffOp):
             return NotImplemented
         self._check(other)
-        # one derivative table per right-hand term, for this product only
-        zero = mi_zero(self.chart.nparams)
-        tables = {l: {zero: b} for l, b in other.terms.items()}
         pairs = {}
         for k, a in self.terms.items():
-            for l, table in tables.items():
-                for m, c, db, q in _leibniz(a, k, table, l):
+            for l, b in other.terms.items():
+                for m, c, db, q in _leibniz(a, k, b, l):
                     pairs.setdefault(m, []).append((c, db, q))
         return DiffOp._from_products(self.chart, None, pairs)
 
     def apply(self, f):
-        """Action on a ring element; each d^m f is derived once, from a
-        derivative table of f (_derivative)."""
-        table = {mi_zero(self.chart.nparams): f}
-        return sum_products(self.chart, [
-            (c, _derivative(table, m), 1) for m, c in self.terms.items()
-        ])
+        """Action on a ring element."""
+        return sum_products(self.chart, [(c, f.derive_multi(m), 1)
+                                         for m, c in self.terms.items()])
 
     _key_order = staticmethod(grlex_key)
     _term_str = staticmethod(_dterm_str)
@@ -221,13 +202,10 @@ class TensorElem(SparseElem):
         if not isinstance(other, TensorElem):
             return NotImplemented
         self._check(other)
-        zero = mi_zero(self.chart.nparams)
-        # derivative tables live for this product only
-        tables = {key: {zero: b} for key, b in other.terms.items()}
         pairs = {}
         for (k, w1), a in self.terms.items():
-            for (l, w2), table in tables.items():
-                dterms = _leibniz(a, k, table, l)
+            for (l, w2), b in other.terms.items():
+                dterms = _leibniz(a, k, b, l)
                 if not dterms:
                     continue
                 for word, wc in _expansion(w1 + w2, self.r):
@@ -265,12 +243,9 @@ def vf_factor(v, r):
         if f.is_zero():
             continue
         terms[(mi_unit(n, i), ())] = f
-        # one derivative table per coefficient, local to this route
-        table = {mi_zero(n): f}
         for m in mi_range(n, r)[1:]:
-            terms[(mi_zero(n), ((m, i),))] = (
-                _derivative(table, m) * Fraction(1, mi_factorial(m))
-            )
+            terms[(mi_zero(n), ((m, i),))] = (f.derive_multi(m)
+                                              * Fraction(1, mi_factorial(m)))
     return TensorElem._new(chart, r, terms)
 
 

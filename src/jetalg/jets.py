@@ -32,7 +32,8 @@ from fractions import Fraction
 
 from .multipoly import (
     grlex_key, indexed_names, mi_add, mi_binomial, mi_check, mi_degree,
-    mi_lower, mi_powers, mi_range, mi_split, mi_zero, mono_str, pow_by_squaring,
+    mi_factorial, mi_lower, mi_powers, mi_range, mi_split, mi_zero, mono_str,
+    pow_by_squaring,
 )
 from .sparse import SparseElem
 
@@ -140,13 +141,15 @@ class Jet(SparseElem):
 
 def jet_along(f, k, step):
     """Order-k jet whose t^m coefficient is (1/m!) D^m f for commuting
-    derivations D_i, where step(c, i) = D_i c.  Filled by the recurrence
-    coeff[m] = step(coeff[m - e_i], i) / m_i, i the first direction of m."""
-    table = {mi_zero(f.chart.nparams): f}
+    derivations D_i, where step(c, i) = D_i c: the unscaled D^m f =
+    step(D^(m - e_i) f, i), i the first direction of m, scaled on output, so
+    a second jet of f reads the chain from the derivative memo."""
+    chain = {mi_zero(f.chart.nparams): f}
     for m in mi_range(f.chart.nparams, k)[1:]:
         i, prev = mi_split(m)
-        table[m] = step(table[prev], i) * Fraction(1, m[i])
-    return Jet._new(f.chart, k, table)
+        chain[m] = step(chain[prev], i)
+    return Jet._new(f.chart, k, {m: c * Fraction(1, mi_factorial(m))
+                                 for m, c in chain.items()})
 
 
 def jet_of(f, k):

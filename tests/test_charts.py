@@ -1,9 +1,11 @@
+import gc
 import math
 import sys
+import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jetalg import charts
 from jetalg.charts import (
@@ -365,6 +367,8 @@ def test_derive_makes_one_reduce_call(elliptic, monkeypatch):
     x, y = elliptic.param(0), elliptic.gen(0)
     e = (x * y + 3 * x ** 2 - y) * elliptic.inv_denominator(2)
     e.derive(0)  # fills the kernel table entry and the powers of g it uses
+    # an equal, distinct element has an empty derivative memo
+    fresh = RingElem._new(elliptic, e.num, e.s)
     calls = []
     real = charts.ChartSpec.reduce
 
@@ -373,9 +377,52 @@ def test_derive_makes_one_reduce_call(elliptic, monkeypatch):
         return real(chart, poly)
 
     monkeypatch.setattr(charts.ChartSpec, "reduce", counting)
-    d = e.derive(0)
+    d = fresh.derive(0)
     assert len(calls) == 1
+    # the repeat is a memo hit: the same object, no further reduce
+    assert fresh.derive(0) is d and len(calls) == 1
     assert d == ref_derive(e, 0)
+
+
+# -- the derivative memo: each element keeps the derivatives asked of it
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["loc_x", "elliptic", "affine2", "triple"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 2),
+       st.lists(st.integers(0, 1), min_size=1, max_size=4), st.randoms())
+def test_derive_memo(loc_x, elliptic, affine2, p1, name, seed, s, dirs, rnd):
+    chart = {"loc_x": loc_x, "elliptic": elliptic, "affine2": affine2,
+             "triple": p1.charts["triple"]}[name]
+    n = chart.nparams
+    smp = make_sampler("derive-memo", seed)
+    e = RingElem(chart, smp.poly(chart, max_deg=3, terms=4), s)
+    assume(e)
+    i = dirs[0] % n
+    d = e.derive(i)
+    # a repeat returns the stored object, equal to the reference
+    assert e.derive(i) is d
+    assert (d.num, d.s) == (ref_derive(e, i).num, ref_derive(e, i).s)
+    # an equal but distinct element computes its own, identical derivative
+    twin = RingElem._new(chart, e.num, e.s)
+    got = twin.derive(i)
+    assert got is not d and (got.num, got.s) == (d.num, d.s)
+    # after a memo hit an invalid direction still raises
+    for bad in (-1, n):
+        with pytest.raises(IndexError):
+            e.derive(bad)
+    # derive_multi against the same derivations in any order
+    steps = [j % n for j in dirs]
+    m = tuple(steps.count(j) for j in range(n))
+    rnd.shuffle(steps)
+    other = twin
+    for j in steps:
+        other = other.derive(j)
+    assert e.derive_multi(m) == other
+    # only the element's memo refers to its derivative: no chart attribute
+    # (the rejected per-chart memo) holds it
+    refs = [r for r in gc.get_referrers(d) if not isinstance(r, types.FrameType)]
+    assert not any(r is a for r in refs for a in (chart, *vars(chart).values()))
+    assert len(refs) == 1 and refs[0] is e._derivs
 
 
 def test_derive_beyond_the_degree_bound_raises(p1):

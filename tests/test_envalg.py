@@ -182,20 +182,28 @@ def test_word_validation(loc_x):
 
 
 def _count_derives(monkeypatch):
+    """Fresh derivations: derive memo misses, which RingElem._derive makes."""
     calls = []
-    real = RingElem.derive
+    real = RingElem._derive
 
     def counting(self, i):
         calls.append(i)
         return real(self, i)
 
-    monkeypatch.setattr(RingElem, "derive", counting)
+    monkeypatch.setattr(RingElem, "_derive", counting)
     return calls
 
 
+def _fresh(t):
+    """t with equal but distinct coefficients, whose derivative memos are
+    empty."""
+    return type(t)._new(t.chart, t.grade, {
+        k: RingElem._new(c.chart, c.num, c.s) for k, c in t.terms.items()})
+
+
 def _derivative_bound(left, right_keys):
-    """Derive calls a product may make: one per (right-hand term, j) for
-    every nonzero j below a left-hand multi-index."""
+    """Fresh derivations a product may make: one per (right-hand term, j)
+    for every nonzero j below a left-hand multi-index."""
     js = set()
     for k in left:
         js.update(mi_below(k))
@@ -210,8 +218,8 @@ def test_products_derive_each_right_term_once_per_multi_index(affine2, monkeypat
     right = av_to_tensor([("vf", smp.vfield(affine2)), ("fun", smp.elem(affine2))], r)
     lop = DiffOp.from_vf(smp.vfield(affine2)) * DiffOp.from_vf(smp.vfield(affine2))
     rop = DiffOp.from_vf(smp.vfield(affine2)) * DiffOp.from_function(smp.elem(affine2))
-    want_t = left * right
-    want_d = lop * rop
+    want_t = left * _fresh(right)
+    want_d = lop * _fresh(rop)
     calls = _count_derives(monkeypatch)
     assert left * right == want_t
     bound = _derivative_bound([k for k, _w in left.terms], right.terms)
@@ -251,20 +259,15 @@ def test_products_straighten_each_word_once_per_r(loc_x, monkeypatch):
 
 @pytest.mark.parametrize("name, r, bound", [("affine2", 3, 18), ("elliptic", 4, 4)])
 def test_vf_factor_derives_each_multi_index_once(name, r, bound, request, monkeypatch):
-    # one derivation per (coefficient, m): affine2 has 9 multi-indices with
-    # 1 <= |m| <= 3 and elliptic 4 with 1 <= |m| <= 4; deriving each d^m from
-    # the coefficient itself takes 40 and 10
+    # one fresh derivation per (coefficient, m): affine2 has 9 multi-indices
+    # with 1 <= |m| <= 3 and elliptic 4 with 1 <= |m| <= 4; deriving each d^m
+    # from the coefficient itself takes 40 and 10.  Adding x_1^r keeps
+    # every d^m of a drawn constant (elliptic draws 2) from vanishing.
     chart = request.getfixturevalue(name)
     smp = make_sampler("vf-factor-count", name)
-    v = VectorField(chart, [smp.nonzero_elem(chart) for _ in range(chart.nparams)])
-    calls = []
-    real = RingElem.derive
-
-    def counting(self, i):
-        calls.append(i)
-        return real(self, i)
-
-    monkeypatch.setattr(RingElem, "derive", counting)
+    v = VectorField(chart, [smp.nonzero_elem(chart) + chart.param(0) ** r
+                            for _ in range(chart.nparams)])
+    calls = _count_derives(monkeypatch)
     t = vf_factor(v, r)
     assert len(calls) <= bound
     monkeypatch.undo()
@@ -276,14 +279,15 @@ def test_vf_factor_derives_each_multi_index_once(name, r, bound, request, monkey
 
 
 def test_apply_derives_each_multi_index_once(affine2, monkeypatch):
-    # all ten terms with |m| <= 3: one derivation per nonzero m from a table
-    # of f (9), where deriving each d^m f from f itself takes 20
+    # all ten terms with |m| <= 3: one fresh derivation per nonzero m through
+    # f's derivative memo (9), where deriving each d^m f from f itself takes 20
     smp = make_sampler("apply-count")
     op = DiffOp(affine2, {m: smp.nonzero_elem(affine2) for m in mi_range(2, 3)})
     f = smp.nonzero_elem(affine2, max_deg=4, terms=4)
     want = affine2.zero()
     for m, c in op.terms.items():
-        want = want + c * f.derive_multi(m)
+        # an equal, distinct element per m: no memo shared with f
+        want = want + c * RingElem._new(affine2, f.num, f.s).derive_multi(m)
     calls = _count_derives(monkeypatch)
     got = op.apply(f)
     assert len(op.terms) == 10 and len(calls) <= 9

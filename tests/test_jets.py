@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from jetalg import charts, jets
+from jetalg.fileio import loads_chart
+from jetalg.fixtures import STANDARD_CHARTS
 from jetalg.jets import (
     Jet, delta, delta_power, jet_of, jet_of_pair, jet_scalar,
     taylor_identity_check,
@@ -150,6 +152,23 @@ def test_taylor_check_derives_each_derivative_once(name, k, make, request, monke
                         lambda e, i: calls.append(i) or derive(e, i))
     assert taylor_identity_check(f, k)
     assert len(calls) == len(mi_range(chart.nparams, 2 * k)) - 1
+
+
+@pytest.mark.parametrize("name, k", [("affine2", 3), ("elliptic", 4)])
+def test_delta_powers_derive_the_parameters_once_per_chart(name, k, monkeypatch):
+    """The deltas are jets of the chart's own parameter elements
+    (ChartSpec.param), so only the first table of a chart makes fresh
+    derivations (derive memo misses, made by RingElem._derive)."""
+    chart = loads_chart(STANDARD_CHARTS[name])
+    calls = []
+    real = charts.RingElem._derive
+    monkeypatch.setattr(charts.RingElem, "_derive",
+                        lambda e, i: calls.append(i) or real(e, i))
+    first = jets.delta_powers(chart, k, k)
+    assert calls
+    calls.clear()
+    assert jets.delta_powers(chart, k, k) == first
+    assert calls == []
 
 
 def _one_entry_changed(change):

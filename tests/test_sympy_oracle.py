@@ -5,7 +5,8 @@ factors f_k of g and differentiated there, by implicit differentiation on
 the curve chart and by plain ``sympy.diff`` on the affine plane; jets on the
 localized line are compared with ``sympy.series``.  On charts without
 generators, ``invert`` is checked against the unit criterion of Q[x]_g, with
-the factors of g from ``sympy.factor_list``.  On ``p1``'s ``triple``
+the factors of g from ``sympy.factor_list``, and on the curve chart against
+its units c * y^k.  On ``p1``'s ``triple``
 overlap, whose g = x(x - 1) is stored as two factors, ring arithmetic,
 ``derive``, equality, ``invert`` and the file form are checked against
 sympy's rational functions.  Runs only where sympy is installed.
@@ -21,6 +22,7 @@ from jetalg.charts import NotInvertible, RingElem
 from jetalg.fileio import value_from_data, value_to_data
 from jetalg.jets import jet_of
 from jetalg.multipoly import Poly
+from jetalg.parser import parse_expression
 
 from conftest import make_sampler
 
@@ -125,6 +127,38 @@ def test_invert_finds_exactly_the_units(loc_x, affine2, p1, name, c, exps, s, h)
                      poly_to_sympy(chart.denominator, syms)).is_number)
     with pytest.raises(NotInvertible):
         RingElem(chart, num * h, s).invert()
+
+
+# -- invert on elliptic: g = y and y^2 = q = x^3 - x + 1, irreducible over Q.
+# The units are c * y^k: a unit's norm divides a power of N(y) = -q, and
+# N(h * y^k) = h^2 (-q)^k, so h * y^k with h in Q[x] nonconstant and coprime
+# to q is no unit (every zero of h has y != 0).
+
+@pytest.mark.parametrize("k", range(-3, 4))
+@pytest.mark.parametrize("c", [1, -2, Fraction(3, 5)])
+def test_invert_finds_the_units_on_elliptic(elliptic, c, k):
+    y = elliptic.gen(0)
+    a = (y if k >= 0 else y.invert()) ** abs(k) * c
+    assert a * a.invert() == elliptic.one()
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("h", ["x - 2", "x", "x^2 + 1", "x + y"])
+def test_invert_refuses_non_units_on_elliptic(elliptic, h, k):
+    with pytest.raises(NotInvertible):
+        (parse_expression(h, elliptic) * elliptic.gen(0) ** k).invert()
+
+
+@settings(deadline=None, max_examples=40)
+@given(h=st.dictionaries(st.integers(0, 3), _coefs, min_size=1, max_size=3),
+       k=st.integers(0, 2), s=st.integers(0, 2))
+def test_invert_refuses_coprime_polynomials_on_elliptic(elliptic, h, k, s):
+    x = sympy.Symbol("x")
+    hp = Poly(elliptic.allvars, {(e, k): c for e, c in h.items()})
+    assume(hp.degree() > k)
+    assume(sympy.gcd(poly_to_sympy(hp, (x, 1)), x ** 3 - x + 1).is_number)
+    with pytest.raises(NotInvertible):
+        RingElem(elliptic, hp, s).invert()
 
 
 # -- factored denominators on p1's triple overlap (g = x(x - 1), two factors)
