@@ -492,6 +492,7 @@ class ChartSpec:
 
     def param(self, i):
         """x_i: one element per index for the validated chart's lifetime."""
+        self._require_valid()
         return self._param_elems[i]
 
     def gen(self, j):
@@ -649,8 +650,7 @@ class RingElem:
         return got
 
     def _derive(self, i):
-        """d/dx_i of a nonzero element: one add_product per piece of the
-        chart's kernel table (``ChartSpec._kernel``) and one ``reduce``."""
+        """A fresh d/dx_i of a nonzero element (the module's derivation kernel)."""
         chart = self.chart
         nums, s = self.num.nums, self.s
         used = 0

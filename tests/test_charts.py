@@ -58,6 +58,8 @@ def test_refused_chart_is_left_as_it_was():
             c.validate()
         assert c.denominator == den and c.factors == (den,) and c._dy is None
         assert not c._validated
+        with pytest.raises(charts.ChartError, match="not been validated"):
+            c.param(0)
 
 
 def test_relation_degree_must_be_at_least_two():
