@@ -143,7 +143,7 @@ def jet_along(f, k, step):
     """Order-k jet whose t^m coefficient is (1/m!) D^m f for commuting
     derivations D_i, where step(c, i) = D_i c: the unscaled D^m f =
     step(D^(m - e_i) f, i), i the first direction of m, scaled on output, so
-    a second jet of f reads the chain from the derivative memo."""
+    a second jet_of f reads the chain from the derivative memo."""
     chain = {mi_zero(f.chart.nparams): f}
     for m in mi_range(f.chart.nparams, k)[1:]:
         i, prev = mi_split(m)
