@@ -21,8 +21,9 @@ at bit 16 * k, as ``multipoly`` packs monomials: products add packed
 exponents and lifts subtract them.  Every s_k is at most 32767 (beyond it
 ValueError), so the sum of two fields never carries.
 ``RingElem(chart, num, s)`` still means num / g^s.  Numerator/denominator
-pairs are not cancelled; only ``invert`` divides.  Equality of N/F^s and
-N'/F^s' lifts each side to t, the componentwise maximum of s and s'
+pairs are not cancelled; only ``invert`` divides, by powers of g that it
+builds one from the other and the chart does not keep.  Equality of N/F^s
+and N'/F^s' lifts each side to t, the componentwise maximum of s and s'
 (``ChartSpec.join``), by the factors whose exponents differ
 (``ChartSpec.lift``, from one power cache per factor): reduce(N F^(t - s))
 == reduce(N' F^(t - s')), which on a one-factor chart lifts the lower side
@@ -165,9 +166,7 @@ class ChartSpec:
             denominator = Poly.one(self.allvars)
         self.denominator = denominator.extended(self.allvars)
         self._validated = False
-        one = Poly.one(self.allvars)
-        self._qpow = [{0: one} for _ in self.gens]  # [j][e] -> Poly q_j^e
-        self._gpow_raw = {0: one}  # s -> unreduced Poly g^s
+        self._qpow = [{0: Poly.one(self.allvars)} for _ in self.gens]  # [j][e] -> q_j^e
         self._set_factors((self.denominator,), (1,))
         self._dy = None      # dy[j][i] : RingElem
         self._df = None      # df[k][i] : RingElem, total derivative of factor k
@@ -213,8 +212,9 @@ class ChartSpec:
     def validate(self):
         """Check the chart shape and precompute the derivative tables.
 
-        Raises NonMonicRelation, MissingInvertibleGenerator or
-        ZeroDenominator.  Idempotent.
+        Raises NonMonicRelation, MissingInvertibleGenerator, ZeroDenominator,
+        or ValueError when a table leaves the degree bound; a refusal leaves
+        the chart unvalidated, as constructed.  Idempotent.
         """
         if self._validated:
             return
@@ -232,11 +232,12 @@ class ChartSpec:
                 raise NonMonicRelation(
                     f"generator {gs.name}: rhs may only use parameters and earlier generators"
                 )
-        # relations are now usable; reduce g and check generator invertibility
-        # (a refusal leaves the chart as it was)
+        # relations are now usable: reduce g, check generator invertibility
+        # and build the tables (derive needs a validated chart)
+        den = self.denominator
         self._validated = True
         try:
-            g = self.reduce(self.denominator)
+            g = self.reduce(den)
             if g.is_zero():
                 raise ZeroDenominator("denominator reduces to 0")
             for gs in self.gens:
@@ -244,13 +245,13 @@ class ChartSpec:
                     raise MissingInvertibleGenerator(
                         f"generator {gs.name} must divide the denominator"
                     )
-        except Exception:
-            self._validated = False
+            self.denominator = g
+            self._set_factors(*self._split(g))
+            self._build_derivative_tables()
+            self._param_elems = [self.var(p) for p in self.params]
+        except BaseException:
+            self.__init__(self.name, self.params, self.gens, den)
             raise
-        self.denominator = g
-        self._set_factors(*self._split(g))
-        self._build_derivative_tables()
-        self._param_elems = [self.var(p) for p in self.params]
 
     def _split(self, g):
         """(factors, multiplicities) of g: each generator, then each
@@ -284,7 +285,7 @@ class ChartSpec:
         self._gexp = sum(m << sh for m, sh in zip(mults, self._shifts))
         self._guard = sum(DEGREE_LIMIT << sh for sh in self._shifts)
         self._smax = (DEGREE_LIMIT - 1) // max(mults)  # the largest g^s
-        one = self._gpow_raw[0]
+        one = Poly.one(self.allvars)
         self._fpow = [{0: one} for _ in factors]  # [k][e] -> reduced f_k^e
         self._lifts = {0: one}  # packed d -> reduced F^d
 
@@ -413,15 +414,6 @@ class ChartSpec:
                     got = p if got is None else self.reduce(got * p)
             self._lifts[d] = got
         return got
-
-    def g_pow(self, s):
-        """Reduced g^s."""
-        return self.lift(s * self._gexp)
-
-    def g_pow_raw(self, s):
-        """Unreduced g^s."""
-        return self._gpow_raw.get(s) or _fill(
-            self._gpow_raw, s, lambda p: p * self.denominator)
 
     def _kernel(self, i, used, s):
         """The kernel table entry of d/dx_i (see the module docstring) for
@@ -685,10 +677,11 @@ class RingElem:
     def invert(self):
         """Multiplicative inverse, when the numerator divides a power of g.
 
-        Searches k with num | g^k by exact division, trying both the raw and
-        the relation-reduced powers; either hit is sound because division is
-        performed in the free polynomial ring.  Without generators the two
-        powers are the same polynomial, so the raw one alone is tried.  The
+        Searches k upward for num | g^k by exact division: first the raw
+        g^k = g^(k-1) * g, then the reduced g^k, the reduced g^(k-1) times g
+        and reduced, where reduce changed it (never without generators).
+        Either hit is sound because division is performed in the free ring.
+        Only these two powers are held, and the chart keeps neither.  The
         inverse q F^s / g^k then sits over the componentwise maximum t of
         g^k and F^s, and its numerator is divided by each factor left in its
         denominator while that factor divides it (so 1/x on a chart with
@@ -699,9 +692,13 @@ class RingElem:
         if self.is_zero():
             raise NotInvertible("0 has no inverse")
         bound = max(chart.exponents(self.s)) + self.num.degree() + 4
+        g = chart.denominator
+        raw = red = Poly.one(chart.allvars)
         for k in range(bound + 1):
-            raw = chart.g_pow_raw(k)
-            for dividend in (raw, chart.g_pow(k)) if chart.gens else (raw,):
+            if k:
+                nxt = raw * g
+                raw, red = nxt, chart.reduce(nxt if red is raw else red * g)
+            for dividend in (raw,) if red is raw else (raw, red):
                 q = poly_div_exact(dividend, self.num)
                 if q is not None:
                     gk = k * chart._gexp
@@ -800,9 +797,9 @@ def _fill(cache, e, step):
     falsy) that holds every n below its length, for an e it misses: the
     missing powers are filled in order by a loop, each step(the one below),
     so a first large e costs no recursion depth.  The chart's power caches
-    (powers of each q_j, reduced powers of each factor of g, unreduced
-    powers of g) keep every power they fill; a budget on time or memory must
-    count them here."""
+    (powers of each q_j for reduce, reduced powers of each factor of g for
+    lift) keep every power they fill; a budget on time or memory must count
+    them here.  ``RingElem.invert`` keeps no power of g in them."""
     while len(cache) <= e:
         cache[len(cache)] = step(cache[len(cache) - 1])
     return cache[e]

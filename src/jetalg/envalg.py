@@ -149,7 +149,7 @@ def _expansion(word, r):
     return tuple(pbw_normalize(word, None, r).items())
 
 
-def u_mul(t1, t2, nvars, r):
+def u_mul(t1, t2, r):
     """Product in U(L^(r)) of two PBW-basis expansions, each a dict
     normal word -> int (as pbw_normalize returns): the straightened
     concatenation of every pair of words, bilinearly, with zero

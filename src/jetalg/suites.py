@@ -238,8 +238,8 @@ def suite_pbw(env):
                 yield (f"{check}/normal", st1,
                        {"nvars": nvars, "r": r, "case": idx}, ok, {"word": word})
                 a, b = word[0], word[1]
-                diff = u_mul({(a,): 1}, {(b,): 1}, nvars, r)
-                for w, c in u_mul({(b,): 1}, {(a,): 1}, nvars, r).items():
+                diff = u_mul({(a,): 1}, {(b,): 1}, r)
+                for w, c in u_mul({(b,): 1}, {(a,): 1}, r).items():
                     accumulate(diff, w, -c)
                 br = basis_bracket(a[0], a[1], b[0], b[1], r)
                 ok = {w: c for w, c in diff.items() if c} == {
@@ -250,9 +250,7 @@ def suite_pbw(env):
                 w1 = {smp.basis_word(nvars, r, 2): 1}
                 w2 = {smp.basis_word(nvars, r, 2): 1}
                 w3 = {smp.basis_word(nvars, r, 2): 1}
-                ok = u_mul(u_mul(w1, w2, nvars, r), w3, nvars, r) == u_mul(
-                    w1, u_mul(w2, w3, nvars, r), nvars, r
-                )
+                ok = u_mul(u_mul(w1, w2, r), w3, r) == u_mul(w1, u_mul(w2, w3, r), r)
                 yield (f"{check}/assoc", st3, {"nvars": nvars, "r": r, "case": idx},
                        ok, {"w1": w1, "w2": w2, "w3": w3})
     return _records(env, "pbw", checks())

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from jetalg.fixtures import standard_atlas, standard_chart
 from jetalg.sampling import Sampler, derive_seed
+
+# the default settings, except that a failure prints its @reproduce_failure
+# blob (st.randoms() arguments otherwise print only as opaque objects)
+settings.register_profile("jetalg", print_blob=True)
+settings.load_profile("jetalg")
 
 
 @pytest.fixture(scope="session")

@@ -9,19 +9,23 @@ kernel and with ``SparseElem.combination``.
 """
 
 
-def ref_sum_products(chart, triples):
-    """(sum, cancelled): the sum of q * a * b over the triples, and whether
-    a partial sum that already held a nonzero product cancelled to zero
-    before the last triple (only then may the kernel's power of g differ)."""
+def ref_fold(chart, summands):
+    """(sum, cancelled): the ring elements added one at a time, and whether
+    a partial sum that already held a nonzero summand cancelled to zero
+    before the last one (only then may a kernel's power of g differ)."""
     out = chart.zero()
     seen = cancelled = False
-    for n, (a, b, q) in enumerate(triples):
-        p = a * b * q
+    for n, p in enumerate(summands):
         seen = seen or not p.is_zero()
         out = out + p
-        if seen and out.is_zero() and n < len(triples) - 1:
+        if seen and out.is_zero() and n < len(summands) - 1:
             cancelled = True
     return out, cancelled
+
+
+def ref_sum_products(chart, triples):
+    """(sum, cancelled) of q * a * b over the triples, by ``ref_fold``."""
+    return ref_fold(chart, [a * b * q for a, b, q in triples])
 
 
 def ref_combination(zero, items):

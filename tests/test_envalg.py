@@ -251,7 +251,7 @@ def test_products_straighten_each_word_once_per_r(loc_x, monkeypatch):
     assert left * right == first and calls == []
     a, b = ((2, 0), 1), ((0, 2), 0)
     for r in (2, 3, 2, 3):
-        got = u_mul({(a,): 1}, {(b,): 1}, 2, r)
+        got = u_mul({(a,): 1}, {(b,): 1}, r)
         assert got == real((a, b), 2, r) == dict(envalg._expansion((a, b), r))
     assert calls == [((a, b), 2), ((a, b), 3)]
     assert len(got) == 3

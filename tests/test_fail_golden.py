@@ -40,7 +40,7 @@ FAULTS = {
     "iso-hom": ("phi", lambda u: -phi(u)),
     "localization": ("localization_remainder", lambda g, v, m, k:
                      -localization_remainder(g, v, m, k)),
-    "pbw": ("u_mul", lambda a, b, nvars, r: u_mul(b, a, nvars, r)),
+    "pbw": ("u_mul", lambda a, b, r: u_mul(b, a, r)),
     "av-tensor": ("av_to_tensor", lambda word, r: av_to_tensor(word[::-1], r)),
     "transition": ("filtration_check", lambda tp, m, p, r: False),
     "cocycle": ("cocycle_check", lambda atlas, triple, m, p, r: False),
