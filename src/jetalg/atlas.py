@@ -173,7 +173,6 @@ class TransitionPair:
     coordinates H on an explicit overlap chart."""
 
     def __init__(self, from_name, to_name, overlap, G, H, formulas=None):
-        overlap.validate()
         n = overlap.nparams
         G = tuple(G)
         H = tuple(H)
@@ -270,7 +269,6 @@ class TransitionPair:
 
 
 def identity_transition(chart):
-    chart.validate()
     params = tuple(chart.param(i) for i in range(chart.nparams))
     return TransitionPair(chart.name, chart.name, chart, params, params)
 
@@ -466,8 +464,6 @@ class AtlasSpec:
         return got
 
     def validate(self, jet_order=2):
-        for chart in self.charts.values():
-            chart.validate()
         for (a, b), tp in self.transitions.items():
             if self.charts[a].nparams != tp.overlap.nparams or self.charts[b].nparams != tp.overlap.nparams:
                 raise TransitionError(

@@ -11,11 +11,12 @@ dy_j/dx_i well defined and turns d/dx_i into a derivation of all of A.
 Elements are kept in normal form: the numerator polynomial is reduced so
 every y_j-exponent is < d_j (substituting the relation for the last generator
 first, which cannot reintroduce later generators), and the denominator is a
-product F^s of powers f_k^(s_k) of the factors of g.  ``validate`` splits g
-once, by exact division in the free ring: each generator y_j and then each
-parameter x_i with the multiplicity it divides g, then the rest.  A chart
-whose split gives fewer than two nonconstant factors, or leaves a constant
-other than 1, keeps g as its only factor, and there s is the power of g.
+product F^s of powers f_k^(s_k) of the factors of g.  The ``ChartSpec``
+constructor splits g by exact division in the free ring: each generator y_j
+and then each parameter x_i with the multiplicity it divides g, then the
+rest.  A chart whose split gives fewer than two nonconstant factors, or
+leaves a constant other than 1, keeps g as its only factor, and there s is
+the power of g.
 The exponents are packed into the int ``RingElem.s``, s_k in the 16-bit field
 at bit 16 * k, as ``multipoly`` packs monomials: products add packed
 exponents and lifts subtract them.  Every s_k is at most 32767 (beyond it
@@ -145,13 +146,17 @@ class GenSpec:
 
 
 class ChartSpec:
-    """An etale chart.  Construct, then call validate() (load_chart and the
-    fixtures do this); operations assume a validated chart.
+    """An etale chart, checked and with its derivative tables built when it
+    is constructed (``load_chart`` and the fixtures construct charts).
 
     params: names of the free parameters x_i.
     gens:   GenSpec list; each rhs may be given over any prefix of the full
             variable list (params + generator names) and is promoted.
     denominator: Poly over the full variable list (default 1).
+
+    Raises NonMonicRelation, ChartError (no parameters),
+    MissingInvertibleGenerator, ZeroDenominator, or ValueError when a table
+    leaves the degree bound.
     """
 
     def __init__(self, name, params, gens=(), denominator=None):
@@ -164,14 +169,49 @@ class ChartSpec:
         )
         if denominator is None:
             denominator = Poly.one(self.allvars)
-        self.denominator = denominator.extended(self.allvars)
-        self._validated = False
+        denominator = denominator.extended(self.allvars)
+        if len(set(self.allvars)) != len(self.allvars):
+            raise NonMonicRelation("parameter and generator names must be distinct")
+        if self.nparams == 0:
+            raise ChartError("a chart needs at least one parameter")
+        for j, gs in enumerate(self.gens):
+            if not isinstance(gs.degree, int) or gs.degree < 2:
+                raise NonMonicRelation(
+                    f"generator {gs.name}: degree must be an integer >= 2"
+                )
+            allowed = set(range(self.nparams)) | {self.gen_index(l) for l in range(j)}
+            if not gs.rhs.support_vars() <= allowed:
+                raise NonMonicRelation(
+                    f"generator {gs.name}: rhs may only use parameters and earlier generators"
+                )
+        # the relations are usable: reduce g, check that every generator
+        # divides it and build the tables
         self._qpow = [{0: Poly.one(self.allvars)} for _ in self.gens]  # [j][e] -> q_j^e
-        self._set_factors((self.denominator,), (1,))
-        self._dy = None      # dy[j][i] : RingElem
-        self._df = None      # df[k][i] : RingElem, total derivative of factor k
+        g = self.reduce(denominator)
+        if g.is_zero():
+            raise ZeroDenominator("denominator reduces to 0")
+        for gs in self.gens:
+            if poly_div_exact(g, Poly.variable(self.allvars, gs.name)) is None:
+                raise MissingInvertibleGenerator(
+                    f"generator {gs.name} must divide the denominator"
+                )
+        self.denominator = g
+        # the layout of packed denominators: factor k's exponent in the field
+        # at bit FIELD_BITS * k, at most DEGREE_LIMIT - 1, so the sum of two
+        # fields does not carry and shows in the field's top bit (``_guard``
+        # has that bit set in every field)
+        self.factors, mults = self._split(g)
+        self._shifts = tuple(FIELD_BITS * k for k in range(len(self.factors)))
+        self._gexp = sum(m << sh for m, sh in zip(mults, self._shifts))
+        self._guard = sum(DEGREE_LIMIT << sh for sh in self._shifts)
+        self._smax = (DEGREE_LIMIT - 1) // max(mults)  # the largest g^s
+        one = Poly.one(self.allvars)
+        self._fpow = [{0: one} for _ in self.factors]  # [k][e] -> reduced f_k^e
+        self._lifts = {0: one}  # packed d -> reduced F^d
         self._kernels = {}   # (i, generators, factors) -> derive kernel
         self._power_weights = None  # see power_weights
+        self._build_derivative_tables()
+        self._param_elems = [self.var(p) for p in self.params]
 
     # -- basic shape
 
@@ -207,51 +247,7 @@ class ChartSpec:
     def __repr__(self):
         return f"ChartSpec({self.name!r}, params={self.params})"
 
-    # -- validation
-
-    def validate(self):
-        """Check the chart shape and precompute the derivative tables.
-
-        Raises NonMonicRelation, MissingInvertibleGenerator, ZeroDenominator,
-        or ValueError when a table leaves the degree bound; a refusal leaves
-        the chart unvalidated, as constructed.  Idempotent.
-        """
-        if self._validated:
-            return
-        if len(set(self.allvars)) != len(self.allvars):
-            raise NonMonicRelation("parameter and generator names must be distinct")
-        if self.nparams == 0:
-            raise ChartError("a chart needs at least one parameter")
-        for j, gs in enumerate(self.gens):
-            if not isinstance(gs.degree, int) or gs.degree < 2:
-                raise NonMonicRelation(
-                    f"generator {gs.name}: degree must be an integer >= 2"
-                )
-            allowed = set(range(self.nparams)) | {self.gen_index(l) for l in range(j)}
-            if not gs.rhs.support_vars() <= allowed:
-                raise NonMonicRelation(
-                    f"generator {gs.name}: rhs may only use parameters and earlier generators"
-                )
-        # relations are now usable: reduce g, check generator invertibility
-        # and build the tables (derive needs a validated chart)
-        den = self.denominator
-        self._validated = True
-        try:
-            g = self.reduce(den)
-            if g.is_zero():
-                raise ZeroDenominator("denominator reduces to 0")
-            for gs in self.gens:
-                if poly_div_exact(g, Poly.variable(self.allvars, gs.name)) is None:
-                    raise MissingInvertibleGenerator(
-                        f"generator {gs.name} must divide the denominator"
-                    )
-            self.denominator = g
-            self._set_factors(*self._split(g))
-            self._build_derivative_tables()
-            self._param_elems = [self.var(p) for p in self.params]
-        except BaseException:
-            self.__init__(self.name, self.params, self.gens, den)
-            raise
+    # -- construction
 
     def _split(self, g):
         """(factors, multiplicities) of g: each generator, then each
@@ -275,26 +271,13 @@ class ChartSpec:
             return (g,), (1,)
         return tuple(factors), tuple(mults)
 
-    def _set_factors(self, factors, mults):
-        """The layout of packed denominators: factor k's exponent in the
-        field at bit FIELD_BITS * k, at most DEGREE_LIMIT - 1, so the sum of
-        two fields does not carry and shows in the field's top bit
-        (``_guard`` has that bit set in every field)."""
-        self.factors = factors
-        self._shifts = tuple(FIELD_BITS * k for k in range(len(factors)))
-        self._gexp = sum(m << sh for m, sh in zip(mults, self._shifts))
-        self._guard = sum(DEGREE_LIMIT << sh for sh in self._shifts)
-        self._smax = (DEGREE_LIMIT - 1) // max(mults)  # the largest g^s
-        one = Poly.one(self.allvars)
-        self._fpow = [{0: one} for _ in factors]  # [k][e] -> reduced f_k^e
-        self._lifts = {0: one}  # packed d -> reduced F^d
-
     def _build_derivative_tables(self):
         # dy_j/dx_i = D_i(q_j) / (d * y_j^(d-1)), by differentiating y_j^d = q_j,
         # with 1/y_j = (f/y_j)/f for the factor f that y_j divides (y_j
-        # itself when g is split).  D_i(q_j) reads only the rows of earlier
-        # generators; the factors are derived last, at s = 0, where df is
-        # not read.
+        # itself when g is split).  The constructor calls this last, so
+        # derive runs on the chart being built: D_i(q_j) reads only the rows
+        # of earlier generators, and the factors are derived last, at s = 0,
+        # where df is not read.
         self._dy = []
         for j, gs in enumerate(self.gens):
             d, y = gs.degree, Poly.variable(self.allvars, gs.name)
@@ -305,10 +288,6 @@ class ChartSpec:
             self._dy.append([q.derive(i) * inv_lead for i in range(self.nparams)])
         self._df = [[RingElem(self, f).derive(i) for i in range(self.nparams)]
                     for f in self.factors]
-
-    def _require_valid(self):
-        if not self._validated:
-            raise ChartError(f"chart {self.name!r} has not been validated")
 
     # -- normal form
 
@@ -483,8 +462,7 @@ class ChartSpec:
         return RingElem(self, Poly.variable(self.allvars, name))
 
     def param(self, i):
-        """x_i: one element per index for the validated chart's lifetime."""
-        self._require_valid()
+        """x_i: one element per index for the chart's lifetime."""
         return self._param_elems[i]
 
     def gen(self, j):
@@ -627,9 +605,7 @@ class RingElem:
         the relation, on each factor of g through the quotient rule), kept in
         the derivative memo (module docstring).  Raises ValueError when the
         numerator of the result could leave the degree bound."""
-        chart = self.chart
-        chart._require_valid()
-        if not 0 <= i < chart.nparams:
+        if not 0 <= i < self.chart.nparams:
             raise IndexError(f"direction {i} out of range")
         if not self.num.nums:
             return self
@@ -688,7 +664,6 @@ class RingElem:
         g = x * (x - 1) is 1/x, not (x - 1)/g).  Raises NotInvertible when
         the search is exhausted."""
         chart = self.chart
-        chart._require_valid()
         if self.is_zero():
             raise NotInvertible("0 has no inverse")
         bound = max(chart.exponents(self.s)) + self.num.degree() + 4

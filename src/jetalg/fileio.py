@@ -79,9 +79,7 @@ def loads_chart(data, path=""):
         seen.append(gname)
     den_src = _get(data, path, "denominator", str)
     den = parse_poly(den_src, tuple(seen))
-    chart = ChartSpec(name, params, gens, den)
-    chart.validate()
-    return chart
+    return ChartSpec(name, params, gens, den)
 
 
 def load_chart(filename):

@@ -425,13 +425,6 @@ class Poly:
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
 
-    def leading(self):
-        """(multi-index, coefficient) of the graded-lex leading term."""
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading term")
-        k = max(self.nums)
-        return mono_unpack(k, len(self.vars)), Fraction(self.nums[k], self.den)
-
     def support_vars(self):
         """Indices of variables that actually occur."""
         used = 0
@@ -507,20 +500,6 @@ class Poly:
             raise ValueError("exponent must be a non-negative integer")
         power_check(self, e)
         return pow_by_squaring(Poly.one(self.vars), self, e)
-
-    def partial(self, i):
-        """Partial derivative with respect to variable index i."""
-        if not 0 <= i < len(self.vars):
-            raise IndexError(f"variable index {i} out of range")
-        shifts, top, _ = mono_layout(len(self.vars))
-        s = shifts[i]
-        step = (1 << s) + (1 << top)
-        out = {}
-        for k, c in self.nums.items():
-            e = (k >> s) & FIELD_MASK
-            if e:
-                out[k - step] = c * e
-        return _make(self.vars, out, self.den)
 
     def extended(self, newvars):
         """The same polynomial viewed over a longer variable list; the old

@@ -199,8 +199,7 @@ def _evaluate(src, leaf, inverse):
 
 
 def parse_expression(src, chart):
-    """Parse src to a RingElem on the (validated) chart."""
-    chart.validate()
+    """Parse src to a RingElem on the chart."""
 
     def leaf(kind, val, pos):
         if kind == "num":

@@ -33,12 +33,10 @@ def chart_from(data):
 def test_affine_line_validates():
     c = chart_from({"name": "a1", "params": ["x"], "gens": [],
                     "denominator": "1"})
-    c.validate()
     assert c.nparams == 1 and c.ngens == 0
 
 
 def test_elliptic_chart_validates(elliptic):
-    elliptic.validate()
     assert elliptic.ngens == 1
 
 
@@ -49,36 +47,36 @@ def test_generator_must_divide_denominator():
                     "denominator": "1"})
 
 
-def test_refused_chart_is_left_as_it_was():
-    # the second generator z does not divide g = y: validate refuses the
-    # chart without keeping the reduced g, a split of g or a table
+def test_chart_whose_second_generator_does_not_divide_g_is_refused():
+    # the second generator z does not divide g = y
     vars = ("x", "y", "z")
-    den = parse_poly("y", vars)
-    c = ChartSpec("two", ["x"], [GenSpec("y", 2, parse_poly("x", vars[:1])),
-                                 GenSpec("z", 2, parse_poly("x", vars[:2]))], den)
-    for _ in range(2):
-        with pytest.raises(MissingInvertibleGenerator, match="generator z"):
-            c.validate()
-        assert c.denominator == den and c.factors == (den,) and c._dy is None
-        assert not c._validated
-        with pytest.raises(charts.ChartError, match="not been validated"):
-            c.param(0)
+    with pytest.raises(MissingInvertibleGenerator, match="generator z"):
+        ChartSpec("two", ["x"], [GenSpec("y", 2, parse_poly("x", vars[:1])),
+                                 GenSpec("z", 2, parse_poly("x", vars[:2]))],
+                  parse_poly("y", vars))
 
 
-def test_chart_refused_while_building_its_tables_is_left_as_it_was():
+def test_chart_refused_while_building_its_tables():
     # y^3 = x, g = 2*y*x^20000: dy/dx = 1/(3*y^2) needs (g/y)^2 of total
     # degree 40000, so the tables refuse the chart after g was split
     vars = ("x", "y")
-    den = parse_poly("2*y*x^20000", vars)
-    c = ChartSpec("big", ["x"], [GenSpec("y", 3, parse_poly("x", vars[:1]))], den)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="total degree 40000"):
-            c.validate()
-        assert c.denominator == den and c.factors == (den,)
-        assert c._dy is None and c._df is None and c._kernels == {}
-        assert not c._validated
-    with pytest.raises(charts.ChartError, match="not been validated"):
-        c.var("y").derive(0)
+    with pytest.raises(ValueError, match="total degree 40000"):
+        ChartSpec("big", ["x"], [GenSpec("y", 3, parse_poly("x", vars[:1]))],
+                  parse_poly("2*y*x^20000", vars))
+
+
+def test_chart_without_parameters_is_refused():
+    with pytest.raises(charts.ChartError, match="at least one parameter"):
+        ChartSpec("none", [])
+
+
+def test_rhs_using_a_later_generator_is_refused():
+    # y's rhs reads z, which is defined after y
+    vars = ("x", "y", "z")
+    with pytest.raises(NonMonicRelation, match="generator y: rhs may only use"):
+        ChartSpec("later", ["x"], [GenSpec("y", 2, parse_poly("z", vars)),
+                                   GenSpec("z", 2, parse_poly("x", vars[:1]))],
+                  parse_poly("y*z", vars))
 
 
 def test_relation_degree_must_be_at_least_two():

@@ -292,3 +292,27 @@ def test_apply_derives_each_multi_index_once(affine2, monkeypatch):
     got = op.apply(f)
     assert len(op.terms) == 10 and len(calls) <= 9
     assert got == want
+
+
+def test_av_tensor_suite_catches_leibniz_without_binomials(monkeypatch, capsys):
+    """The av-tensor mult check multiplies a product of three factors in two
+    groupings, where binom(k, j) > 1 enters the Leibniz rule: a _leibniz that
+    sets every binomial to 1 makes the suite fail."""
+    from jetalg.cli import main
+
+    def leibniz_binomial_one(a, k, b, l):
+        out = []
+        for j, q in mi_binomials(k):
+            db = b.derive_multi(j)
+            if db.num.nums:
+                m = tuple(p - i + s for p, i, s in zip(k, j, l))
+                out.append((m, a, db, 1))
+        return out
+
+    monkeypatch.setattr(envalg, "_leibniz", leibniz_binomial_one)
+    code = main(["verify", "--suite", "av-tensor", "--samples", "1",
+                 "--orders", "1,2"])
+    fails = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("[FAIL]")]
+    assert code == 1
+    assert fails and all("/mult " in ln for ln in fails)

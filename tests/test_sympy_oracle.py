@@ -9,7 +9,8 @@ the factors of g from ``sympy.factor_list``, and on the curve chart against
 its units c * y^k.  On ``p1``'s ``triple``
 overlap, whose g = x(x - 1) is stored as two factors, ring arithmetic,
 ``derive``, equality, ``invert`` and the file form are checked against
-sympy's rational functions.  Runs only where sympy is installed.
+sympy's rational functions.  Rational functions are compared by exact
+cross-multiplication (``equal``).  Runs only where sympy is installed.
 """
 
 import json
@@ -27,6 +28,33 @@ from jetalg.parser import parse_expression
 from conftest import make_sampler
 
 sympy = pytest.importorskip("sympy")
+
+
+def equal(a, b):
+    """a == b as rational functions, decided exactly by cross-multiplying:
+    p/q == r/t iff p*t - q*r expands to 0 (faster than ``sympy.cancel``)."""
+    p, q = sympy.fraction(sympy.together(a))
+    r, t = sympy.fraction(sympy.together(b))
+    return sympy.expand(p * t - q * r) == 0
+
+
+def test_equal_refuses_answers_off_by_one_term():
+    """Each comparison made by ``equal``, the right answer and the right
+    answer plus one term: a series coefficient on loc_x, one with the root
+    sqrt(q) on elliptic, and a quotient over x^i (x - 1)^j on triple."""
+    x = sympy.Symbol("x")
+    root = sympy.sqrt(x ** 3 - x + 1)
+    for k in range(7):
+        coeff = sympy.Integer(-1) ** k / x ** (k + 1)  # of 1/(x + t)
+        assert equal(coeff * x ** 2 / x ** 2, coeff)
+        assert not equal(coeff, coeff + x ** k) and not equal(coeff + 1, coeff)
+    d1 = (3 * x ** 2 - 1) / (2 * root)  # the t-coefficient of sqrt(q(x + t))
+    assert equal((3 * x ** 2 - 1) * root / (2 * root ** 2), d1)
+    assert not equal(d1 + x, d1) and not equal(d1, d1 + root)
+    for a, b, i, j in [(0, 0, 1, 0), (2, 1, 3, 3), (0, 3, 0, 2)]:
+        q = sympy.Rational(3, 2) * x ** a * (x - 1) ** b / (x ** i * (x - 1) ** j)
+        assert equal(sympy.expand(q * x * (x - 1)) / (x * (x - 1)), q)
+        assert not equal(q + x ** a, q) and not equal(q, q - q / (x - 1))
 
 
 def poly_to_sympy(p, symbols):
@@ -76,7 +104,7 @@ def test_jet_of_inverse_matches_series_on_loc_x(loc_x):
     series = sympy.series(1 / (x + t), t, 0, 7).removeO()
     for k in range(7):
         got = to_sympy(jet.coeff((k,)), (x,))
-        assert sympy.simplify(got - series.coeff(t, k)) == 0
+        assert equal(got, series.coeff(t, k))
 
 
 @pytest.mark.parametrize("invert", [False, True], ids=["y", "1/y"])
@@ -90,7 +118,7 @@ def test_jet_of_generator_matches_series_on_elliptic(elliptic, invert):
     jet = jet_of(gen.invert() if invert else gen, 6)
     for k in range(7):
         got = to_sympy(jet.coeff((k,)), (x, y)).subs(y, sympy.sqrt(x ** 3 - x + 1))
-        assert sympy.simplify(got - series.coeff(t, k)) == 0
+        assert equal(got, series.coeff(t, k))
 
 
 # -- invert against the units of Q[x]_g on charts without generators: a != 0
@@ -177,7 +205,7 @@ def _quotient(chart, c, a, b, i, j):
 
 
 def _same(u, want):
-    return sympy.cancel(to_sympy(u, (sympy.Symbol("x"),)) - want) == 0
+    return equal(to_sympy(u, (sympy.Symbol("x"),)), want)
 
 
 @settings(deadline=None, max_examples=25)
@@ -198,7 +226,7 @@ def test_factored_arithmetic_matches_sympy_on_triple(p1, left, right):
         v, V = v + e, V + E
     assert _same(u + v, U + V) and _same(u - v, U - V) and _same(u * v, U * V)
     assert _same(u.derive(0), sympy.diff(U, sx))
-    assert (u == v) == (sympy.cancel(U - V) == 0)
+    assert (u == v) == equal(U, V)
     # the same element over a larger denominator is equal, a changed one not
     x = chart.param(0)
     lifted = u * x * (x - 1) ** 2 * x.invert() * (x - 1).invert() ** 2
