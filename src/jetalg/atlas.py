@@ -38,12 +38,12 @@ transition_via_iso keeps its own cache per truncation r (TransitionPair._iso,
 filled by _iso_data): the powers dx^m, |m| <= r, of the x-frame increments
 dx_i = G_i - G_i(x + X), and a memo from a decomposed field eta to the
 y-frame jets of eta(H_q), one per q.  The memo is keyed on the exact content
-of eta's coefficients (s, content denominator and integer numerators), so
-equal keys are equal fields; decompose only yields monomial multiples of the
-x-frame fields, at most n * C(n + r, r) of them per pair.  The cache shares
-nothing with _comp or _tl, and transition_via_iso never calls
-_composition_data or transition_l: the two routes check each other, so the
-only code they share stays at or below frame_jet.
+of eta's coefficients (s and the numerator ``Poly``, by its own hash and
+equality), so equal keys are equal fields; decompose only yields monomial
+multiples of the x-frame fields, at most n * C(n + r, r) of them per pair.
+The cache shares nothing with _comp or _tl, and transition_via_iso never
+calls _composition_data or transition_l: the two routes check each other, so
+the only code they share stays at or below frame_jet.
 
 Composition of transitions is A-linear in the output coefficients, so a
 cocycle check over a common triple-overlap ring is the coefficientwise
@@ -54,6 +54,7 @@ product above has by construction and filtration_check verifies directly.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .charts import ChartMismatch, NotInvertible
@@ -203,16 +204,16 @@ class TransitionPair:
         self.G = G
         self.H = H
         self.formulas = formulas
-        self._frames = None
         self._comp = {}      # r -> (dG_products, hcomp matrix)
         self._tl = {}        # (m, p, r) -> CurrentElem
         self._iso = {}       # r -> (dx powers, y-frame jet memo); iso route only
 
     # -- frames
 
-    def _ensure_frames(self):
-        if self._frames is not None:
-            return self._frames
+    @functools.cached_property
+    def frames(self):
+        """(x-frame, y-frame), built on first use; a JacobianNotInvertible
+        is raised again on the next use."""
         n = self.overlap.nparams
         frames = []
         for F in (self.G, self.H):  # the x-frame, then the y-frame
@@ -221,16 +222,15 @@ class TransitionPair:
                 VectorField(self.overlap, [inv[l][p] for l in range(n)])
                 for p in range(n)
             ))
-        self._frames = tuple(frames)
-        return self._frames
+        return tuple(frames)
 
     @property
     def x_frame(self):
-        return self._ensure_frames()[0]
+        return self.frames[0]
 
     @property
     def y_frame(self):
-        return self._ensure_frames()[1]
+        return self.frames[1]
 
     def dH_dx(self, q, p):
         """h_qp = dH_q/dx_p."""
@@ -279,7 +279,7 @@ def validate_transition(tp, jet_order=2):
     H_q returns H_q + Y_q through the requested order.  When the pair
     carries coordinate formulas, both composites of the formulas must be
     the identity and the formulas must reproduce G and H on the overlap."""
-    x_frame, y_frame = tp._ensure_frames()
+    x_frame, y_frame = tp.frames
     n = tp.overlap.nparams
     zero = VectorField.zero(tp.overlap)
     for frame in (x_frame, y_frame):
@@ -290,9 +290,10 @@ def validate_transition(tp, jet_order=2):
     products, _ = tp._composition_data(jet_order)
     for q in range(n):
         comp = _subst(frame_jet(x_frame, tp.H[q], jet_order), products)
-        expected = jet_scalar(tp.H[q], jet_order) + Jet(
-            tp.overlap, jet_order, {mi_unit(n, q): tp.overlap.one()}
-        )
+        expected = jet_scalar(tp.H[q], jet_order)
+        if jet_order >= 1:  # at order 0 the identity truncates to H_q = H_q
+            expected = expected + Jet(
+                tp.overlap, jet_order, {mi_unit(n, q): tp.overlap.one()})
         if comp != expected:
             raise InverseCheckFailed(
                 f"H_{q}(G(y+Y)) does not equal H_{q} + Y_{q} at order {jet_order}"
@@ -364,15 +365,14 @@ def transition_via_iso(tp, m, p, r):
     jets, and coefficient read-off."""
     n = tp.overlap.nparams
     m, p = basis_check(n, r, (m, p))
-    x_frame, y_frame = tp._ensure_frames()
+    x_frame, y_frame = tp.frames
     powers, memo = _iso_data(tp, r)
     comps = [Jet.zero(tp.overlap, r) for _ in range(n)]
     comps[p] = powers[m].scale(tp.overlap.one() * Fraction((-1) ** mi_degree(m)))
     u = JetField(tp.overlap, r, comps)
     items = [[] for _ in range(n)]  # q -> (a, y-frame jet, 1)
     for a, eta in decompose(u, params=list(tp.G), basis=list(x_frame)):
-        key = tuple((c.s, c.num.den, frozenset(c.num.nums.items()))
-                    for c in eta.coeffs)
+        key = tuple((c.s, c.num) for c in eta.coeffs)
         jets = memo.get(key)
         if jets is None:
             jets = memo[key] = [

@@ -99,6 +99,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from .multipoly import (
     DEGREE_LIMIT, FIELD_BITS, FIELD_MASK, Poly, _make, add_product, mi_check,
@@ -131,15 +132,12 @@ class NotInvertible(ChartError):
     division search can find."""
 
 
-class GenSpec:
+class GenSpec(NamedTuple):
     """One algebraic generator: y^degree = rhs."""
 
-    __slots__ = ("name", "degree", "rhs")
-
-    def __init__(self, name, degree, rhs):
-        self.name = name
-        self.degree = degree
-        self.rhs = rhs
+    name: str
+    degree: int
+    rhs: Poly
 
     def __repr__(self):
         return f"GenSpec({self.name}^{self.degree} = {self.rhs})"
@@ -209,7 +207,7 @@ class ChartSpec:
         self._fpow = [{0: one} for _ in self.factors]  # [k][e] -> reduced f_k^e
         self._lifts = {0: one}  # packed d -> reduced F^d
         self._kernels = {}   # (i, generators, factors) -> derive kernel
-        self._power_weights = None  # see power_weights
+        self._build_weights()
         self._build_derivative_tables()
         self._param_elems = [self.var(p) for p in self.params]
 
@@ -230,16 +228,8 @@ class ChartSpec:
     def __eq__(self, other):
         if not isinstance(other, ChartSpec):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.params == other.params
-            and self.denominator == other.denominator
-            and len(self.gens) == len(other.gens)
-            and all(
-                a.name == b.name and a.degree == b.degree and a.rhs == b.rhs
-                for a, b in zip(self.gens, other.gens)
-            )
-        )
+        return ((self.name, self.params, self.denominator, self.gens)
+                == (other.name, other.params, other.denominator, other.gens))
 
     def __hash__(self):
         return hash((self.name, self.params, tuple(g.name for g in self.gens)))
@@ -283,7 +273,8 @@ class ChartSpec:
             d, y = gs.degree, Poly.variable(self.allvars, gs.name)
             quot, sh = next((q, sh) for f, sh in zip(self.factors, self._shifts)
                             if (q := poly_div_exact(f, y)) is not None)
-            inv_lead = _elem(self, quot ** (d - 1) * Fraction(1, d), (d - 1) << sh)
+            inv_lead = RingElem._new(
+                self, self.reduce(quot ** (d - 1) * Fraction(1, d)), (d - 1) << sh)
             q = RingElem(self, gs.rhs)
             self._dy.append([q.derive(i) * inv_lead for i in range(self.nparams)])
         self._df = [[RingElem(self, f).derive(i) for i in range(self.nparams)]
@@ -330,8 +321,8 @@ class ChartSpec:
             return poly
         return _make(self.allvars, nums, den)
 
-    def power_weights(self):
-        """The weights of multipoly.power_check, computed once.  In degree
+    def _build_weights(self):
+        """``power_weights``, the weights of multipoly.power_check.  In degree
         y_j weighs w_j = weight(q_j) / d_j (parameters 1; a polynomial's
         weight is the largest weighted degree of its monomials), and the y_l,
         l <= j, left below d_l add at most sum (d_l - 1) * max(0, 1 - w_l).
@@ -339,29 +330,27 @@ class ChartSpec:
         power is at least max(1, N(q_j)); 2^dbits_j is the least whose d_j-th
         power is at least q_j.den * prod_l 2^(dbits_l * A_l), A_l the largest
         y_l exponent in q_j."""
-        if self._power_weights is None:
-            n, k = len(self.allvars), self.nparams
-            w, wbits, dbits = [Fraction(1)] * k, [0] * k, [0] * k
-            for gs in self.gens:
-                q, d = gs.rhs, gs.degree
-                exps = [mono_unpack(m, n) for m in q.nums]
-                w.append(max((sum(map(operator.mul, a, w)) for a in exps),
-                             default=Fraction(0)) / d)
-                norm = sum(abs(c) << sum(map(operator.mul, a, wbits))
-                           for a, c in zip(exps, q.nums.values()))
-                need = (max(1, -(-norm // q.den)) - 1).bit_length()
-                wbits.append(-(-need // d))
-                high = [max(col) for col in zip([0] * n, *exps)]
-                need = (q.den - 1).bit_length() + sum(map(operator.mul, high, dbits))
-                dbits.append(-(-need // d))
-            den = math.lcm(*(x.denominator for x in w))
-            shifts, slack, gens = mono_layout(n)[0], 0, []
-            for j, gs in enumerate(self.gens, k):
-                slack += (gs.degree - 1) * max(0, 1 - w[j]) * den
-                gens.append((shifts[j], int((w[j] - 1) * den), int(slack),
-                             wbits[j], dbits[j]))
-            self._power_weights = (den, tuple(gens))
-        return self._power_weights
+        n, k = len(self.allvars), self.nparams
+        w, wbits, dbits = [Fraction(1)] * k, [0] * k, [0] * k
+        for gs in self.gens:
+            q, d = gs.rhs, gs.degree
+            exps = [mono_unpack(m, n) for m in q.nums]
+            w.append(max((sum(map(operator.mul, a, w)) for a in exps),
+                         default=Fraction(0)) / d)
+            norm = sum(abs(c) << sum(map(operator.mul, a, wbits))
+                       for a, c in zip(exps, q.nums.values()))
+            need = (max(1, -(-norm // q.den)) - 1).bit_length()
+            wbits.append(-(-need // d))
+            high = [max(col) for col in zip([0] * n, *exps)]
+            need = (q.den - 1).bit_length() + sum(map(operator.mul, high, dbits))
+            dbits.append(-(-need // d))
+        den = math.lcm(*(x.denominator for x in w))
+        shifts, slack, gens = mono_layout(n)[0], 0, []
+        for j, gs in enumerate(self.gens, k):
+            slack += (gs.degree - 1) * max(0, 1 - w[j]) * den
+            gens.append((shifts[j], int((w[j] - 1) * den), int(slack),
+                         wbits[j], dbits[j]))
+        self.power_weights = (den, tuple(gens))
 
     def _q_power(self, j, e):
         """q_j^e, the e-th power of generator j's relation right-hand side."""
@@ -493,11 +482,11 @@ class RingElem:
 
     @classmethod
     def _new(cls, chart, num, s):
-        """Trusted constructor for a numerator that is relation-reduced by
-        construction (a sum at one power of g, a negation, a rational
-        multiple, or the numerator of another element) and s >= 0; skips
-        ``reduce``, only resetting s for zero."""
-        self = _new_elem(cls)
+        """Trusted constructor: num / F^s for a relation-reduced num (a sum
+        at one power of g, a negation, a rational multiple, the numerator of
+        another element, or the caller's own ``chart.reduce``) and a packed
+        s within the bounds; only resets s for zero."""
+        self = object.__new__(cls)
         self.chart = chart
         self.num = num
         self.s = s if num.nums else 0
@@ -537,7 +526,7 @@ class RingElem:
         s = chart.join(self.s, other.s)
         a = self.num if self.s == s else self.num * chart.lift(s - self.s)
         b = other.num if other.s == s else other.num * chart.lift(s - other.s)
-        return _elem(chart, a + b, s)
+        return RingElem._new(chart, chart.reduce(a + b), s)
 
     __radd__ = __add__
 
@@ -561,10 +550,11 @@ class RingElem:
         if not isinstance(other, RingElem):
             return NotImplemented
         self._check(other)
+        chart = self.chart
         s = self.s + other.s
-        if s & self.chart._guard:
+        if s & chart._guard:
             raise ValueError(_EXPONENT_BOUND)
-        return _elem(self.chart, self.num * other.num, s)
+        return RingElem._new(chart, chart.reduce(self.num * other.num), s)
 
     __rmul__ = __mul__
 
@@ -572,7 +562,7 @@ class RingElem:
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
         chart = self.chart
-        weights = chart.power_weights()
+        weights = chart.power_weights
         power_check(self.num, e, weights)
         for f, n in zip(chart.factors, chart.exponents(self.s)) if self.s else ():
             if n:  # the power sits over f^(e*n)
@@ -639,7 +629,8 @@ class RingElem:
         s += top
         if s & chart._guard:
             raise ValueError(_EXPONENT_BOUND)
-        return _elem(chart, _make(chart.allvars, out, self.num.den * den), s)
+        return RingElem._new(
+            chart, chart.reduce(_make(chart.allvars, out, self.num.den * den)), s)
 
     def derive_multi(self, m):
         """Iterated derivative d^m (orders commute, so any order works)."""
@@ -685,7 +676,7 @@ class RingElem:
                             q, s = d, s - (1 << sh)
                     if t != gk:
                         q = q * chart.lift(t - gk)
-                    return _elem(chart, q, s)
+                    return RingElem._new(chart, chart.reduce(q), s)
         raise NotInvertible(f"cannot invert {self}")
 
     def over_g(self):
@@ -713,20 +704,6 @@ class RingElem:
 
     def __repr__(self):
         return f"RingElem({str(self)!r} on {self.chart.name!r})"
-
-
-_new_elem = object.__new__
-
-
-def _elem(chart, num, s):
-    """The element num / F^s for a packed s within the bounds: ``_new``
-    after ``reduce``."""
-    self = _new_elem(RingElem)
-    self.chart = chart
-    self.num = num = chart.reduce(num)
-    self.s = s if num.nums else 0
-    self._derivs = None
-    return self
 
 
 _EXPONENT_BOUND = (f"a factor of the denominator would pass the exponent "

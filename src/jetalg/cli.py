@@ -16,7 +16,7 @@ from .atlas import (
     transition_via_iso,
 )
 from .charts import ChartError
-from .envalg import av_to_tensor
+from .envalg import DiffOp, av_to_tensor
 from .fileio import SchemaError, load_atlas, load_chart, value_to_data
 from .fixtures import STANDARD_ATLASES, STANDARD_CHARTS, standard_atlas, standard_chart
 from .jets import delta, delta_power, jet_of
@@ -99,7 +99,6 @@ def _check_index(index, n):
 
 
 def _parse_diffop(src, chart):
-    from .envalg import DiffOp
     terms = []
     for piece in src.split(";"):
         piece = piece.strip()

@@ -163,22 +163,22 @@ def _poly_from(data, vars):
     return Poly(vars, {tuple(m): Fraction(c) for m, c in data})
 
 
-def _elem_data(e):
+def _ring_data(e):
     num, s = e.over_g()
     return {"num": _poly_data(num), "s": s}
 
 
-def _elem_from(data, chart):
+def _ring_from(data, chart):
     return RingElem(chart, _poly_from(data["num"], chart.allvars), data["s"])
 
 
 def _mono_data(e):
     """[[m, elem], ...] of a multi-index-keyed value, in display order."""
-    return [[list(m), _elem_data(c)] for m, c in e.sorted_items()]
+    return [[list(m), _ring_data(c)] for m, c in e.sorted_items()]
 
 
 def _mono_from(rows, chart):
-    return {tuple(m): _elem_from(c, chart) for m, c in rows}
+    return {tuple(m): _ring_from(c, chart) for m, c in rows}
 
 
 def _basis_data(e, enc):
@@ -191,21 +191,21 @@ def _basis_from(rows, dec):
 
 
 def _vf_from(rows, chart):
-    return VectorField(chart, [_elem_from(c, chart) for c in rows])
+    return VectorField(chart, [_ring_from(c, chart) for c in rows])
 
 
 def _tensor_from(rows, chart):
-    return {(tuple(dm), tuple((tuple(m), i) for m, i in w)): _elem_from(c, chart)
+    return {(tuple(dm), tuple((tuple(m), i) for m, i in w)): _ring_from(c, chart)
             for dm, w, c in rows}
 
 
 # kind -> (type, data fields of a value, value from data and chart).  Every
 # kind but "lelem" lives on a chart, whose name the data carries.
 _KINDS = {
-    "elem": (RingElem, _elem_data, _elem_from),
+    "elem": (RingElem, _ring_data, _ring_from),
     "vfield": (
         VectorField,
-        lambda v: {"coeffs": [_elem_data(c) for c in v.coeffs]},
+        lambda v: {"coeffs": [_ring_data(c) for c in v.coeffs]},
         lambda d, ch: _vf_from(d["coeffs"], ch),
     ),
     "jet": (
@@ -227,20 +227,20 @@ _KINDS = {
     ),
     "current": (
         CurrentElem,
-        lambda v: {"r": v.r, "terms": _basis_data(v, _elem_data)},
+        lambda v: {"r": v.r, "terms": _basis_data(v, _ring_data)},
         lambda d, ch: CurrentElem(
-            ch, d["r"], _basis_from(d["terms"], lambda c: _elem_from(c, ch))
+            ch, d["r"], _basis_from(d["terms"], lambda c: _ring_from(c, ch))
         ),
     ),
     "semidirect": (
         SemiDirectElem,
         lambda v: {
-            "r": v.r, "v": [_elem_data(c) for c in v.v.coeffs],
-            "c": _basis_data(v.c, _elem_data),
+            "r": v.r, "v": [_ring_data(c) for c in v.v.coeffs],
+            "c": _basis_data(v.c, _ring_data),
         },
         lambda d, ch: SemiDirectElem(
             _vf_from(d["v"], ch),
-            CurrentElem(ch, d["r"], _basis_from(d["c"], lambda c: _elem_from(c, ch))),
+            CurrentElem(ch, d["r"], _basis_from(d["c"], lambda c: _ring_from(c, ch))),
         ),
     ),
     "diffop": (
@@ -251,7 +251,7 @@ _KINDS = {
     "tensor": (
         TensorElem,
         lambda v: {"r": v.r, "terms": [
-            [list(dm), [[list(m), i] for m, i in w], _elem_data(c)]
+            [list(dm), [[list(m), i] for m, i in w], _ring_data(c)]
             for (dm, w), c in v.sorted_items()
         ]},
         lambda d, ch: TensorElem(ch, d["r"], _tensor_from(d["terms"], ch)),

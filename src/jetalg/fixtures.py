@@ -14,6 +14,7 @@ wherever a chart/atlas file is expected.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -28,20 +29,16 @@ for _file in sorted(f for f in os.listdir(CHART_DIR) if f.endswith(".json")):
     _table = STANDARD_ATLASES if "transitions" in _data else STANDARD_CHARTS
     _table[os.path.splitext(_file)[0]] = _data
 
-_cache = {}
 
-
-def _standard(kind, table, loads, name):
-    if name not in table:
-        raise KeyError(f"no built-in {kind} {name!r}")
-    if (kind, name) not in _cache:
-        _cache[kind, name] = loads(table[name])
-    return _cache[kind, name]
-
-
+@functools.cache
 def standard_chart(name):
-    return _standard("chart", STANDARD_CHARTS, fileio.loads_chart, name)
+    if name not in STANDARD_CHARTS:
+        raise KeyError(f"no built-in chart {name!r}")
+    return fileio.loads_chart(STANDARD_CHARTS[name])
 
 
+@functools.cache
 def standard_atlas(name="p1"):
-    return _standard("atlas", STANDARD_ATLASES, fileio.loads_atlas, name)
+    if name not in STANDARD_ATLASES:
+        raise KeyError(f"no built-in atlas {name!r}")
+    return fileio.loads_atlas(STANDARD_ATLASES[name])

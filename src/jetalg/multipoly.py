@@ -98,20 +98,14 @@ def mi_degree(a):
 
 def mi_factorial(a):
     """m! = prod_i m_i!"""
-    out = 1
-    for x in a:
-        out *= math.factorial(x)
-    return out
+    return math.prod(map(math.factorial, a))
 
 
 def mi_binomial(m, k):
     """binom(m, k) = prod_i binom(m_i, k_i); requires k <= m componentwise."""
     if not mi_le(k, m):
         raise ValueError(f"binomial requires {k} <= {m} componentwise")
-    out = 1
-    for a, b in zip(m, k):
-        out *= math.comb(a, b)
-    return out
+    return math.prod(map(math.comb, m, k))
 
 
 def grlex_key(m):
@@ -200,21 +194,16 @@ DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
 # 4300-digit int-to-string limit.
 POW_BITS = 1 << 13
 
-_LAYOUTS = {}
-
-
+@functools.cache
 def mono_layout(n):
     """(shifts, top, guard) of the packed form over n variables: variable i
     sits in the field at bit shifts[i], the total degree at bit top, and
     guard has the highest bit of every variable field set (a borrow in
     a difference of two packed monomials shows there).  One cached tuple
     per variable count."""
-    got = _LAYOUTS.get(n)
-    if got is None:
-        shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
-        guard = sum(1 << (s + FIELD_BITS - 1) for s in shifts)
-        got = _LAYOUTS[n] = (shifts, FIELD_BITS * n, guard)
-    return got
+    shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+    guard = sum(1 << (s + FIELD_BITS - 1) for s in shifts)
+    return shifts, FIELD_BITS * n, guard
 
 
 def degree_check(k, top):
@@ -229,7 +218,7 @@ def degree_check(k, top):
 def power_check(p, e, weights=(1, ())):
     """Raise ValueError, before p ** e is computed, unless the degree and the
     coefficient bits of its reduced form stay within the bounds; return both
-    estimates.  weights is a chart's power_weights(): (den, gens) with one
+    estimates.  weights is a chart's power_weights: (den, gens) with one
     (shift, excess, slack, wbits, dbits) per generator y_j; the default
     weighs every variable 1, for powers that nothing reduces.
 

@@ -7,7 +7,7 @@ least k, the numerator and s; the differential test in ``test_charts``
 compares them.
 """
 
-from jetalg.charts import NotInvertible, _elem
+from jetalg.charts import NotInvertible, RingElem
 from jetalg.multipoly import FIELD_MASK, poly_div_exact
 
 
@@ -30,5 +30,5 @@ def ref_invert(a):
                         q, s = d, s - (1 << sh)
                 if t != gk:
                     q = q * chart.lift(t - gk)
-                return _elem(chart, q, s)
+                return RingElem._new(chart, chart.reduce(q), s)
     raise NotInvertible(f"cannot invert {a}")

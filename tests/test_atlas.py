@@ -66,6 +66,11 @@ def test_degenerate_jacobian_rejected():
     bad = TransitionPair("a", "b", plain, [x ** 2], [x])
     with pytest.raises(JacobianNotInvertible):
         validate_transition(bad)
+    # a refusal is not cached: each use of the frames raises again
+    with pytest.raises(JacobianNotInvertible):
+        validate_transition(bad)
+    with pytest.raises(JacobianNotInvertible):
+        bad.x_frame
 
 
 def test_projective_pair_values(p1_pair):

@@ -99,6 +99,24 @@ def test_zero_denominator_rejected():
                     "denominator": "0"})
 
 
+@pytest.mark.parametrize("change", [
+    {"gens": [{"name": "y", "degree": 3, "rhs": "x^3 - x + 1"}]},
+    {"gens": [{"name": "y", "degree": 2, "rhs": "x^3 + 1"}]},
+    {"denominator": "x*y"},
+    {"name": "elliptic2"},
+])
+def test_chart_equality_reads_every_field(change):
+    data = STANDARD_CHARTS["elliptic"]
+    a, b = chart_from(data), chart_from(data)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert chart_from({**data, **change}) != a
+
+
+def test_genspec_repr():
+    rhs = parse_poly("x^3 - x + 1", ("x",))
+    assert repr(GenSpec("y", 2, rhs)) == "GenSpec(y^2 = x^3 - x + 1)"
+
+
 def test_relation_reduction(elliptic):
     y = elliptic.gen(0)
     x = elliptic.param(0)
@@ -659,7 +677,7 @@ def test_reduced_power_stays_within_the_weight_bound(seed, idx, e):
     # within the estimates power_check returns
     chart = WEIGHT_CHARTS[idx]
     a = make_sampler("pow-weight", seed).elem(chart, max_deg=3, max_s=1)
-    degree, bits = power_check(a.num, e, chart.power_weights())
+    degree, bits = power_check(a.num, e, chart.power_weights)
     got = (a ** e).num
     assert got.degree() <= degree
     assert max(map(abs, got.nums.values()), default=got.den).bit_length() <= bits
@@ -674,7 +692,7 @@ def test_generator_powers_stay_within_the_estimates():
         for j in range(chart.ngens):
             for e in range(13):
                 y = chart.gen(j)
-                degree, bits = power_check(y.num, e, chart.power_weights())
+                degree, bits = power_check(y.num, e, chart.power_weights)
                 got = (y ** e).num
                 assert got.degree() <= degree
                 assert max(map(abs, got.nums.values())).bit_length() <= bits
@@ -682,7 +700,7 @@ def test_generator_powers_stay_within_the_estimates():
     y = WEIGHT_CHARTS[4].gen(0)  # y^2 = x/3 + 1: y^40 = (x/3 + 1)^20
     assert (y ** 40).num.den == 3 ** 20
     y = QUARTER.gen(0)
-    assert power_check(y.num, 12, QUARTER.power_weights())[1] == 24
+    assert power_check(y.num, 12, QUARTER.power_weights)[1] == 24
     assert (y ** 12).num.den == 2 ** 12
 
 
@@ -691,7 +709,7 @@ def test_power_with_a_generator_checks_the_bound_first(elliptic, monkeypatch):
     # (y^2 = x^3 - x + 1): y^e reduces to degree at most 3e/2 with
     # coefficients of at most 2e bits, so the bit bound binds first and
     # y^4096 is the largest power accepted, as for (x + 1)^4096
-    y, weights = elliptic.gen(0), elliptic.power_weights()
+    y, weights = elliptic.gen(0), elliptic.power_weights
     assert power_check(y.num, 4096, weights) == (6144, 8192)
     with pytest.raises(ValueError, match="power 4097 can reach 8194-bit coefficients "
                                          "after reduction, beyond the bound of 8192 bits"):
@@ -699,7 +717,7 @@ def test_power_with_a_generator_checks_the_bound_first(elliptic, monkeypatch):
     # y^2 = x has N(q) = 1, so only the degree bounds the powers of y:
     # y^e reduces to degree at most (e + 1) / 2
     sqrt_x = WEIGHT_CHARTS[1]
-    r, weights = sqrt_x.gen(0), sqrt_x.power_weights()
+    r, weights = sqrt_x.gen(0), sqrt_x.power_weights
     assert power_check(r.num, 65534, weights) == (32767, 1)
     with pytest.raises(ValueError, match="power 65535 can reach total degree 32768"):
         r ** 65535

@@ -438,6 +438,13 @@ def test_order_zero_is_valid(capsys):
     assert code == 0 and out == "[(-1)]*d/dx\n"
 
 
+@pytest.mark.parametrize("atlas", ["p1", "p1_pair"])
+def test_validate_at_order_zero(capsys, atlas):
+    # at order 0 the inverse check H_q(G(y+Y)) = H_q + Y_q truncates to H_q = H_q
+    code, out = run(capsys, "validate", "--atlas", atlas, "--order", "0")
+    assert code == 0 and f"atlas {atlas}: ok" in out
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 3000 + "x" + ")" * 3000,
     "-" * 3000 + "x",

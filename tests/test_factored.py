@@ -1,7 +1,7 @@
 """Charts whose denominator g splits into several factors.
 
-``ChartSpec.validate`` splits g into its generators, its parameters and the
-rest, and a ``RingElem`` keeps one exponent per factor.  On ``p1``'s
+The ``ChartSpec`` constructor splits g into its generators, its parameters
+and the rest, and a ``RingElem`` keeps one exponent per factor.  On ``p1``'s
 ``triple`` overlap (g = x(x - 1)) and on the two-generator chart c4 below
 (g = y0 * y1 * (2 - 3x - 2xz)), every chart-sampled suite must pass within a
 time budget: with one exponent for all of g, each 1/y_j was lifted by the
