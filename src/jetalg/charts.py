@@ -41,9 +41,12 @@ keys directly: it reads the generator's field with a shift and a mask,
 lowers that field and the degree field by the exponent it removes, and
 brings the powers of q_j it substitutes to one common denominator per pass.
 Numerators obey the degree bound of ``multipoly`` (total degree at most
-32767); arithmetic beyond it raises ValueError.  Sums at one denominator,
-negations and rational multiples of reduced numerators are reduced already
-and skip ``reduce`` (``RingElem._new``).
+32767); arithmetic beyond it raises ValueError, and ``RingElem.__pow__``
+refuses a power before its first product by ``multipoly.power_check`` on
+the chart's ``power_weights``, which ``multipoly.power_weights`` builds in
+the constructor.  Sums at one denominator, negations and rational multiples
+of reduced numerators are reduced already and skip ``reduce``
+(``RingElem._new``).
 
 Derivation kernel.  d/dx_i of N/F^s is a sum of pieces, each a partial of N
 times a multiplier M that sits over a packed denominator o, its offset: the
@@ -97,13 +100,12 @@ input unchecked; it may refuse a result whose largest term cancels.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from .multipoly import (
     DEGREE_LIMIT, FIELD_BITS, FIELD_MASK, Poly, _make, add_product, mi_check,
-    mono_layout, mono_unpack, poly_div_exact, pow_by_squaring, power_check,
+    mono_layout, poly_div_exact, pow_by_squaring, power_check, power_weights,
 )
 
 
@@ -160,11 +162,13 @@ class ChartSpec:
     def __init__(self, name, params, gens=(), denominator=None):
         self.name = name
         self.params = tuple(params)
+        self.nparams = len(self.params)
         self.allvars = self.params + tuple(gs.name for gs in gens)
         self.gens = tuple(
             GenSpec(gs.name, gs.degree, gs.rhs.extended(self.allvars))
             for gs in gens
         )
+        self.ngens = len(self.gens)
         if denominator is None:
             denominator = Poly.one(self.allvars)
         denominator = denominator.extended(self.allvars)
@@ -207,19 +211,11 @@ class ChartSpec:
         self._fpow = [{0: one} for _ in self.factors]  # [k][e] -> reduced f_k^e
         self._lifts = {0: one}  # packed d -> reduced F^d
         self._kernels = {}   # (i, generators, factors) -> derive kernel
-        self._build_weights()
+        self.power_weights = power_weights(len(self.allvars), self.nparams, self.gens)
         self._build_derivative_tables()
         self._param_elems = [self.var(p) for p in self.params]
 
     # -- basic shape
-
-    @property
-    def nparams(self):
-        return len(self.params)
-
-    @property
-    def ngens(self):
-        return len(self.gens)
 
     def gen_index(self, j):
         """Variable index of generator j inside allvars."""
@@ -320,37 +316,6 @@ class ChartSpec:
         if nums is poly.nums:
             return poly
         return _make(self.allvars, nums, den)
-
-    def _build_weights(self):
-        """``power_weights``, the weights of multipoly.power_check.  In degree
-        y_j weighs w_j = weight(q_j) / d_j (parameters 1; a polynomial's
-        weight is the largest weighted degree of its monomials), and the y_l,
-        l <= j, left below d_l add at most sum (d_l - 1) * max(0, 1 - w_l).
-        In the norm y_j weighs the least power of two 2^wbits_j whose d_j-th
-        power is at least max(1, N(q_j)); 2^dbits_j is the least whose d_j-th
-        power is at least q_j.den * prod_l 2^(dbits_l * A_l), A_l the largest
-        y_l exponent in q_j."""
-        n, k = len(self.allvars), self.nparams
-        w, wbits, dbits = [Fraction(1)] * k, [0] * k, [0] * k
-        for gs in self.gens:
-            q, d = gs.rhs, gs.degree
-            exps = [mono_unpack(m, n) for m in q.nums]
-            w.append(max((sum(map(operator.mul, a, w)) for a in exps),
-                         default=Fraction(0)) / d)
-            norm = sum(abs(c) << sum(map(operator.mul, a, wbits))
-                       for a, c in zip(exps, q.nums.values()))
-            need = (max(1, -(-norm // q.den)) - 1).bit_length()
-            wbits.append(-(-need // d))
-            high = [max(col) for col in zip([0] * n, *exps)]
-            need = (q.den - 1).bit_length() + sum(map(operator.mul, high, dbits))
-            dbits.append(-(-need // d))
-        den = math.lcm(*(x.denominator for x in w))
-        shifts, slack, gens = mono_layout(n)[0], 0, []
-        for j, gs in enumerate(self.gens, k):
-            slack += (gs.degree - 1) * max(0, 1 - w[j]) * den
-            gens.append((shifts[j], int((w[j] - 1) * den), int(slack),
-                         wbits[j], dbits[j]))
-        self.power_weights = (den, tuple(gens))
 
     def _q_power(self, j, e):
         """q_j^e, the e-th power of generator j's relation right-hand side."""

@@ -20,9 +20,7 @@ from .envalg import DiffOp, av_to_tensor
 from .fileio import SchemaError, load_atlas, load_chart, value_to_data
 from .fixtures import STANDARD_ATLASES, STANDARD_CHARTS, standard_atlas, standard_chart
 from .jets import delta, delta_power, jet_of
-from .jetfields import (
-    jf_from_pair, localization_partial_sum, localization_remainder,
-)
+from .jetfields import jf_from_pair, localization_defect, localization_remainder
 from .liealg import CurrentElem, SemiDirectElem, phi, psi
 from .multipoly import mi_degree, mi_range
 from .parser import ExprSyntaxError, parse_expression
@@ -236,10 +234,8 @@ def cmd_localize(args):
     m = args.den_power if args.den_power is not None else k
     g = chart.elem(chart.denominator)
     v = _parse_vf(args.vf, chart)
-    part = localization_partial_sum(g, v, m, k)
+    part, defect = localization_defect(g, v, m, k)
     rem = localization_remainder(g, v, m, k)
-    target = jf_from_pair(chart.one(), v.scale(g.invert()), k)
-    defect = target - part
     lines = [
         f"partial sum S_{m}: {part}",
         f"closed-form defect: {rem}",

@@ -25,8 +25,8 @@ localization_partial_sum builds the truncated series that exhibits
 
     S_m = sum_{r=0}^{m} (1/g^{r+1}) delta(g)^r (1 # eta),
 
-whose defect against 1 # (1/g) eta has t-valuation >= m+1 and is given in
-closed form by localization_remainder.
+whose defect against 1 # (1/g) eta (localization_defect) has t-valuation
+>= m+1 and is given in closed form by localization_remainder.
 """
 
 from __future__ import annotations
@@ -187,6 +187,13 @@ def localization_partial_sum(g, v, m, k):
     for _ in range(min(m, k)):
         items.append((items[-1][0] * ginv, items[-1][1] * dg, 1))
     return jf_from_vf(v, k).scale_jet(Jet.combination(v.chart, k, items))
+
+
+def localization_defect(g, v, m, k):
+    """(S_m, 1 # (1/g) v - S_m) at order k: the partial sum and its defect,
+    which localization_remainder gives in closed form."""
+    part = localization_partial_sum(g, v, m, k)
+    return part, jf_from_pair(v.chart.one(), v.scale(g.invert()), k) - part
 
 
 def localization_remainder(g, v, m, k):

@@ -19,6 +19,10 @@ exercise the delta powers, the convolution, sum_products and ring equality.
 Commuting partials are pinned by test_charts.py::test_partials_commute_sampled
 and test_acceptance.py::test_criterion_01_derivation_soundness.
 
+Tables over multi-indices come from the one walk of multipoly: jet_along
+fills its derivative chain with mi_fill and delta_powers is an mi_powers
+table.
+
 The two commuting actions of the coordinate fields are
     act_first(i)  : differentiate the coefficients and subtract d/dt_i
     act_second(i) : d/dt_i
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 from .multipoly import (
     grlex_key, indexed_names, mi_add, mi_binomial, mi_check, mi_degree,
-    mi_factorial, mi_lower, mi_powers, mi_range, mi_split, mi_zero, mono_str,
+    mi_factorial, mi_fill, mi_lower, mi_powers, mi_range, mi_zero, mono_str,
     pow_by_squaring,
 )
 from .sparse import SparseElem
@@ -141,13 +145,10 @@ class Jet(SparseElem):
 
 def jet_along(f, k, step):
     """Order-k jet whose t^m coefficient is (1/m!) D^m f for commuting
-    derivations D_i, where step(c, i) = D_i c: the unscaled D^m f =
-    step(D^(m - e_i) f, i), i the first direction of m, scaled on output, so
-    a second jet_of f reads the chain from the derivative memo."""
-    chain = {mi_zero(f.chart.nparams): f}
-    for m in mi_range(f.chart.nparams, k)[1:]:
-        i, prev = mi_split(m)
-        chain[m] = step(chain[prev], i)
+    derivations D_i, where step(c, i) = D_i c: the unscaled chain D^m f is
+    one mi_fill from f, scaled on output, so a second jet_of f reads the
+    chain from the derivative memo."""
+    chain = mi_fill(f, f.chart.nparams, k, step)
     return Jet._new(f.chart, k, {m: c * Fraction(1, mi_factorial(m))
                                  for m, c in chain.items()})
 

@@ -56,10 +56,9 @@ def basis_check(nvars, r, key):
 
 
 def basis_elements(nvars, r):
-    """All (m, i) with 1 <= |m| <= r, sorted by basis_key."""
-    out = [(m, i) for m in mi_range(nvars, r)[1:] for i in range(nvars)]
-    out.sort(key=basis_key)
-    return out
+    """All (m, i) with 1 <= |m| <= r, sorted by basis_key: mi_range order
+    is already degree, then m."""
+    return [(m, i) for m in mi_range(nvars, r)[1:] for i in range(nvars)]
 
 
 def basis_bracket(a, i, b, j, r):

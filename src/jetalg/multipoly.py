@@ -22,6 +22,13 @@ product check it and raise ``ValueError`` beyond it, so the sum of two valid
 fields stays below 2^16 and no field ever carries into its neighbour.  Keys
 are packed and unpacked only at the edges: the public constructor,
 ``const``/``variable``, ``coeff``, ``extended`` and the ``terms`` view.
+
+Multi-indices are exponent tuples.  ``mi_range`` lists those up to a degree
+in graded-lex order from one cached table per (n, degree), and ``mi_fill``
+is the one walk that fills a table over them from lower entries: jets,
+delta powers, decompositions and both transition routes use it, most
+through ``mi_powers``.  The power rule lives here whole: ``power_weights``
+builds a chart's weights and ``power_check`` applies them.
 """
 
 from __future__ import annotations
@@ -114,22 +121,28 @@ def grlex_key(m):
 
 def mi_range(n, max_degree):
     """All multi-indices of length n with total degree <= max_degree, in
-    graded lexicographic order."""
-    out = []
-    for d in range(max_degree + 1):
-        out.extend(_mi_of_degree(n, d))
-    return out
+    graded lexicographic order: a fresh list of the cached table."""
+    return list(_mi_table(n, max_degree))
 
 
-def _mi_of_degree(n, d):
-    if n == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _mi_of_degree(n - 1, d - first):
-            out.append((first,) + rest)
-    # lexicographic within fixed degree means larger first entries come later
-    out.sort()
+@functools.cache
+def _mi_table(n, k):
+    """mi_range(n, k) as a tuple, built once per (n, k).  Each multi-index
+    of degree d is one multiset of d directions; combinations_with_replacement
+    yields them in decreasing lexicographic order of the counts."""
+    return tuple(tuple(map(c.count, range(n))) for d in range(k + 1)
+                 for c in reversed(list(itertools.combinations_with_replacement(range(n), d))))
+
+
+def mi_fill(first, n, k, step):
+    """{m: entry} for every |m| <= k in mi_range order, the one walk that
+    fills tables over multi-indices: entry 0 is ``first`` and entry m is
+    step(entry at m - e_i, i), i the first direction of m (mi_split)."""
+    ms = _mi_table(n, k)
+    out = {ms[0]: first}
+    for m in ms[1:]:
+        i, prev = mi_split(m)
+        out[m] = step(out[prev], i)
     return out
 
 
@@ -146,14 +159,8 @@ def mi_binomials(m):
 
 def mi_powers(one, factors, k):
     """{m: prod_i factors[i]^{m_i}} for every |m| <= k, in mi_range order:
-    each entry is one product of the entry below it (mi_split) and a
-    factor, starting from the unit ``one``."""
-    ms = mi_range(len(factors), k)
-    out = {ms[0]: one}
-    for m in ms[1:]:
-        i, prev = mi_split(m)
-        out[m] = out[prev] * factors[i]
-    return out
+    mi_fill from the unit ``one``, one product by a factor per entry."""
+    return mi_fill(one, len(factors), k, lambda p, i: p * factors[i])
 
 
 def mono_str(names, m):
@@ -222,16 +229,22 @@ def power_check(p, e, weights=(1, ())):
     (shift, excess, slack, wbits, dbits) per generator y_j; the default
     weighs every variable 1, for powers that nothing reduces.
 
-    Degree: a variable weighs den and y_j den + excess.  Reduction never
-    raises the weighted degree, and the y_j exponents it leaves add at most
-    the slack of the highest y_j in p.  Bits: with y_j weighing 2^wbits, the
-    norm N(p) = sum |c| prod W^a of the numerators is submultiplicative and
-    never raised by reduction, and reducing y_j^a adds at most a * dbits bits
-    to the content denominator.  So every numerator and the denominator of
-    the power take at most e * bits bits: the larger bit length of N(p) and
-    p.den, plus sum_j A_j * dbits_j for A_j the largest y_j exponent in p.
-    Without generators in p the degree is exactly e * degree and N(p) the
-    sum of |numerators|; bits <= 1 (0, or +-1 of norm 1) has no bit bound."""
+    Degree: y_j weighs w_j = weight(q_j) / d_j (parameters 1; a polynomial's
+    weight is the largest weighted degree of its monomials); scaled by den, a
+    variable weighs den and y_j den + excess.  Reduction never raises the
+    weighted degree, and the y_l, l <= j, left below d_l add at most the
+    slack sum (d_l - 1) * max(0, 1 - w_l) of the highest y_j in p.  Bits:
+    y_j weighs 2^wbits_j, the least power of two whose d_j-th power is at
+    least max(1, N(q_j)); the norm N(p) = sum |c| prod W^a of the numerators
+    is submultiplicative and never raised by reduction.  Reducing y_j^a adds
+    at most a * dbits_j bits to the content denominator, 2^dbits_j the least
+    power of two whose d_j-th power is at least q_j.den * prod_l
+    2^(dbits_l * A_l), A_l the largest y_l exponent in q_j.  So every
+    numerator and the denominator of the power take at most e * bits bits:
+    the larger bit length of N(p) and p.den, plus sum_j A_j * dbits_j for A_j
+    the largest y_j exponent in p.  Without generators in p the degree is
+    exactly e * degree and N(p) the sum of |numerators|; bits <= 1 (0, or +-1
+    of norm 1) has no bit bound."""
     top = mono_layout(len(p.vars))[1]
     den, gens = weights
     wdeg, norm, high = 0, 0, [0] * len(gens)
@@ -259,6 +272,31 @@ def power_check(p, e, weights=(1, ())):
     return bound, total
 
 
+def power_weights(n, k, gens):
+    """The power_weights of a chart whose generators gens (GenSpec) have
+    right-hand sides over n variables, the first k of them parameters: the
+    weights of power_check, whose docstring states the rule."""
+    w, wbits, dbits = [Fraction(1)] * k, [0] * k, [0] * k
+    for gs in gens:
+        q, d = gs.rhs, gs.degree
+        exps = list(q.terms)  # in the order of q.nums
+        w.append(max((sum(map(operator.mul, a, w)) for a in exps),
+                     default=Fraction(0)) / d)
+        norm = sum(abs(c) << sum(map(operator.mul, a, wbits))
+                   for a, c in zip(exps, q.nums.values()))
+        need = (max(1, -(-norm // q.den)) - 1).bit_length()
+        wbits.append(-(-need // d))
+        high = [max(col) for col in zip([0] * n, *exps)]
+        need = (q.den - 1).bit_length() + sum(map(operator.mul, high, dbits))
+        dbits.append(-(-need // d))
+    den = math.lcm(*(x.denominator for x in w))
+    shifts, slack, out = mono_layout(n)[0], 0, []
+    for j, gs in enumerate(gens, k):
+        slack += (gs.degree - 1) * max(0, 1 - w[j]) * den
+        out.append((shifts[j], int((w[j] - 1) * den), int(slack), wbits[j], dbits[j]))
+    return den, tuple(out)
+
+
 def mono_pack(m, n):
     """Packed form of the exponent tuple m of n entries, each >= 0; the
     caller checks the degree bound."""
@@ -267,11 +305,6 @@ def mono_pack(m, n):
     for e, s in zip(m, shifts):
         k |= e << s
     return k
-
-
-def mono_unpack(k, n):
-    """Exponent tuple of the packed monomial k over n variables."""
-    return tuple([(k >> s) & FIELD_MASK for s in mono_layout(n)[0]])
 
 
 def add_product(out, a, b, f, top):
@@ -386,10 +419,9 @@ class Poly:
         try:
             return self._terms
         except AttributeError:
-            n, d = len(self.vars), self.den
-            view = MappingProxyType(
-                {mono_unpack(k, n): Fraction(c, d) for k, c in self.nums.items()}
-            )
+            shifts, d = mono_layout(len(self.vars))[0], self.den
+            view = MappingProxyType({tuple([(k >> s) & FIELD_MASK for s in shifts]):
+                                     Fraction(c, d) for k, c in self.nums.items()})
             _set_terms(self, view)
             return view
 

@@ -29,9 +29,7 @@ from .atlas import (
 )
 from .envalg import av_to_tensor, pbw_normalize, u_mul
 from .jets import delta, jet_of, taylor_identity_check
-from .jetfields import (
-    jf_from_pair, localization_partial_sum, localization_remainder,
-)
+from .jetfields import jf_from_pair, localization_defect, localization_remainder
 from .liealg import CurrentElem, basis_bracket, phi, psi
 from .multipoly import mi_degree, mi_range
 from .report import CheckRecord, Report
@@ -209,8 +207,7 @@ def suite_localization(env):
         for idx in range(n):
             v = smp.vfield(chart, max_s=0)
             m = smp.rng.randint(0, k)
-            target = jf_from_pair(chart.one(), v.scale(g.invert()), k)
-            defect = target - localization_partial_sum(g, v, m, k)
+            defect = localization_defect(g, v, m, k)[1]
             ok = (
                 defect == localization_remainder(g, v, m, k)
                 and defect.jf_order() >= m + 1

@@ -15,7 +15,7 @@ from jetalg.charts import (
 )
 from jetalg.fileio import loads_chart
 from jetalg.fixtures import STANDARD_CHARTS, standard_chart
-from jetalg.multipoly import DEGREE_LIMIT, Poly, power_check
+from jetalg.multipoly import DEGREE_LIMIT, Poly, power_check, power_weights
 from jetalg.parser import parse_expression, parse_poly
 
 from conftest import make_sampler
@@ -665,6 +665,23 @@ WEIGHT_CHARTS = [
 ]
 QUARTER = loads_chart({"name": "quarter", "params": ["x"], "denominator": "y",
                        "gens": [{"name": "y", "degree": 2, "rhs": "x/4 + 1/4"}]})
+
+
+def test_power_weights_are_the_recorded_tuples(p1):
+    # (den, one (shift, excess, slack, wbits, dbits) per generator), as
+    # the chart constructor built them before multipoly.power_weights
+    want = [
+        (WEIGHT_CHARTS[0], (2, ((0, 1, 0, 1, 0),))),             # elliptic
+        (QUARTER, (2, ((0, -1, 1, 0, 1),))),
+        (WEIGHT_CHARTS[1], (2, ((0, -1, 1, 0, 0),))),            # sqrt_x
+        (WEIGHT_CHARTS[3], (6, ((16, -3, 3, 0, 0), (0, -5, 13, 1, 0)))),  # tower
+        (WEIGHT_CHARTS[5], (6, ((16, 3, 0, 1, 2), (0, -1, 2, 1, 2)))),  # rational tower
+        (_C4, (3, ((16, 0, 0, 1, 0), (0, 1, 0, 1, 0)))),
+        (p1.charts["triple"], (1, ())),
+    ]
+    for chart, weights in want:
+        assert chart.power_weights == weights, chart.name
+        assert power_weights(len(chart.allvars), chart.nparams, chart.gens) == weights
 
 
 @settings(deadline=None, max_examples=60)

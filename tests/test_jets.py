@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetalg import charts, jets
 from jetalg.fileio import loads_chart
-from jetalg.fixtures import STANDARD_CHARTS
+from jetalg.fixtures import STANDARD_CHARTS, standard_atlas, standard_chart
 from jetalg.jets import (
     Jet, delta, delta_power, jet_of, jet_of_pair, jet_scalar,
     taylor_identity_check,
 )
-from jetalg.multipoly import mi_range
+from jetalg.multipoly import Poly, mi_range
 
 from conftest import make_sampler
+from jetref import ref_jet_poly
 
 
 def test_jet_of_polynomial(loc_x):
@@ -20,6 +22,23 @@ def test_jet_of_polynomial(loc_x):
     assert j.coeff((0,)) == x ** 2
     assert j.coeff((1,)) == 2 * x
     assert j.coeff((2,)) == loc_x.one()
+
+
+_POLY_CHARTS = {name: standard_chart(name) for name in ("affine2", "loc_x", "elliptic")}
+_POLY_CHARTS["triple"] = standard_atlas("p1").charts["triple"]
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(_POLY_CHARTS)), k=st.integers(0, 6), data=st.data())
+def test_jet_of_polynomial_matches_the_binomial_reference(name, k, data):
+    # p(x + t) by the binomial theorem, never through derive; affine2's two
+    # parameters give mixed t^m coefficients
+    chart = _POLY_CHARTS[name]
+    exps = st.tuples(*[st.integers(0, 5)] * chart.nparams)
+    coefs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    terms = data.draw(st.dictionaries(exps, coefs, max_size=5))
+    p = chart.elem(Poly(chart.allvars, {a + (0,) * chart.ngens: c for a, c in terms.items()}))
+    assert jet_of(p, k) == ref_jet_poly(chart, terms, k)
 
 
 def test_jet_of_inverse_is_geometric(loc_x):

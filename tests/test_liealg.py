@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
+
+import pytest
 
 from jetalg import jets
 from jetalg.jetfields import jf_from_pair, jf_from_vf
 from jetalg.jets import Jet, delta
 from jetalg.liealg import (
-    CurrentElem, LElem, SemiDirectElem, basis_elements, phi, psi,
+    CurrentElem, LElem, SemiDirectElem, basis_elements, basis_key, phi, psi,
 )
 from jetalg.vfields import VectorField
 
@@ -20,6 +23,13 @@ def test_basis_enumeration():
     assert [m for m, _ in basis_elements(1, 3)] == [(1,), (2,), (3,)]
     # two variables, order 1: the four gl_2 elements
     assert len(basis_elements(2, 1)) == 4
+
+
+@pytest.mark.parametrize("nvars,r", [(1, 4), (2, 3), (3, 3)])
+def test_basis_elements_come_in_basis_key_order(nvars, r):
+    box = itertools.product(range(r + 1), repeat=nvars)
+    want = [(m, i) for m in box if 1 <= sum(m) <= r for i in range(nvars)]
+    assert basis_elements(nvars, r) == sorted(want, key=basis_key)
 
 
 def test_witt_relation():

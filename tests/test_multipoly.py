@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
     POW_BITS, DEGREE_LIMIT, Poly, add_product, grlex_key, mi_add, mi_below,
-    mi_binomial, mi_binomials, mi_degree, mi_factorial, mi_le, mi_powers,
-    mi_range, mi_sub, mono_layout, mono_pack, poly_div_exact, power_check,
+    mi_binomial, mi_binomials, mi_degree, mi_factorial, mi_fill, mi_le,
+    mi_powers, mi_range, mi_split, mi_sub, mono_layout, mono_pack,
+    poly_div_exact, power_check,
 )
 from jetalg.fileio import _poly_data, _poly_from
 
@@ -69,6 +72,51 @@ def test_multiindex_helpers():
     ms = list(mi_range(2, 2))
     assert len(ms) == 6
     assert ms == sorted(ms, key=grlex_key)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mi_range_is_the_grlex_sorted_box(n):
+    for k in range(7):
+        box = itertools.product(range(k + 1), repeat=n)
+        assert mi_range(n, k) == sorted((m for m in box if sum(m) <= k), key=grlex_key)
+
+
+def test_mi_range_enumerates_each_multi_index_once():
+    # 43,758 multi-indices; filtering the (k+1)^n box would visit 11^8 of them
+    start = time.perf_counter()
+    assert len(mi_range(8, 10)) == math.comb(18, 8)
+    assert time.perf_counter() - start < 2
+
+
+def test_mi_range_returns_a_fresh_list():
+    got = mi_range(2, 2)
+    got[0] = None
+    got.append((9, 9))
+    assert mi_range(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def _loop_fill(first, n, k, step):
+    """Reference: the fill loop over mi_range and mi_split, written out."""
+    ms = mi_range(n, k)
+    out = {ms[0]: first}
+    for m in ms[1:]:
+        i, prev = mi_split(m)
+        out[m] = step(out[prev], i)
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(1, 4), (2, 3), (3, 3), (4, 2)])
+def test_mi_fill_is_the_explicit_loop(n, k):
+    # the step records its path: entry m lists the directions by which it
+    # was reached, m[i] times each, the last direction first
+    def step(path, i):
+        return path + (i,)
+
+    got = mi_fill((), n, k, step)
+    assert list(got) == mi_range(n, k)
+    assert list(got.items()) == list(_loop_fill((), n, k, step).items())
+    assert got == {m: tuple(i for i in reversed(range(n)) for _ in range(m[i]))
+                   for m in mi_range(n, k)}
 
 
 @pytest.mark.parametrize("m", [(0,), (3,), (2, 1), (0, 2), (1, 0, 2)])

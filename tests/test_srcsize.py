@@ -1,5 +1,6 @@
 """tools/srcsize.py: ``split`` sorts each line into the class its docstring
-names (code, docstring, comment or blank)."""
+names (code, docstring, comment or blank), and ``main`` prints the totals and
+then one split per module."""
 
 import importlib.util
 from pathlib import Path
@@ -31,3 +32,17 @@ def counts(code=0, docstring=0, comment=0, blank=0):
 ])
 def test_split_counts_each_line_class(text, want):
     assert srcsize.split(text) == want
+
+
+def test_main_prints_the_totals_then_one_line_per_module(tmp_path, capsys):
+    (tmp_path / "b.py").write_text('"""Doc."""\n\nx = 1  # note\n')
+    (tmp_path / "a.py").write_text("# note\ny = 2\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert srcsize.main(["srcsize.py", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("lines 5 (cat ") and out[0].endswith("/*.py | wc -l)")
+    assert out[1:] == [
+        "code 2  docstring 1  comment 1  blank 1",
+        "a.py: lines 2  code 1  docstring 0  comment 1  blank 0",
+        "b.py: lines 3  code 1  docstring 1  comment 0  blank 1",
+    ]

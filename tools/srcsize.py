@@ -1,5 +1,6 @@
 """Size of the jetalg sources: ``cat src/jetalg/*.py | wc -l`` and a
-tokenize split of those lines into code, docstring, comment and blank.
+tokenize split of those lines into code, docstring, comment and blank, in
+total (the first two lines printed) and then one line per module.
 
     python3 tools/srcsize.py [DIR]
 
@@ -49,15 +50,19 @@ def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "jetalg")
     total = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
-    lines = 0
+    lines, modules = 0, []
     for path in sorted(glob.glob(os.path.join(root, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        lines += text.count("\n")
-        for k, v in split(text).items():
+        n, counts = text.count("\n"), split(text)
+        lines += n
+        modules.append((os.path.basename(path), n, counts))
+        for k, v in counts.items():
             total[k] += v
     print(f"lines {lines} (cat {os.path.relpath(root)}/*.py | wc -l)")
     print("  ".join(f"{k} {v}" for k, v in total.items()))
+    for name, n, counts in modules:
+        print(f"{name}: lines {n}  " + "  ".join(f"{k} {v}" for k, v in counts.items()))
     return 0
 
 
