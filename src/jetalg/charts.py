@@ -88,6 +88,15 @@ a time (for a combination: scaling each X by a and adding) gives the same
 numerator and s unless a partial sum cancels to exactly zero midway; it is
 the same ring element in every case.
 
+Lift rule.  Every chart lifts each group's unreduced sum to S in one
+product.  Reducing each group first and adding the groups as ``RingElem``s
+in ascending s multiplies fewer term pairs where a lift F^(S - s) is a
+product of several factors reduced through the relations (6.62 M against
+9.48 M for the smash-bracket suite on the two-generator, three-factor chart
+c4 of ``tests/test_factored.py``, order 1, one sample, seed 42, counted by
+``tools/workcount.py``); no benchmark workload runs such a chart, so a
+second path for them is not built until one does.
+
 Shared sweep.  ``multipoly.add_product`` (out += f * a * b on packed
 numerator dicts) is the one loop that multiplies two numerators: Poly
 products, each pass of ``reduce`` (one product per power of q_j), each

@@ -13,8 +13,12 @@ u_i for the component jets of u and u_i(0) for their constant coefficients,
                      + (u_i - u_i(0)) * d/dt_i(w_j)       minus (u <-> w).
 
 The t-derivative is only determined to order k-1, but its cofactor has
-positive t-valuation, so the bracket is exact at order k.  On decomposables
-it agrees with
+positive t-valuation, so the bracket is exact at order k.  Both halves go
+into one table of products per component, the (u <-> w) half with negated
+weights, so each coefficient of [u, w] is one sum of products
+(charts.sum_products): no half is built as a jet field of its own, and no
+subtraction lifts and adds the coefficients a second time.  On
+decomposables it agrees with
 
     [a1 # g1, a2 # g2] = a1 g1(a2) # g2 - a2 g2(a1) # g1 + a1 a2 # [g1, g2],
 
@@ -91,47 +95,43 @@ class JetField(TupleElem):
         return JetField._new(self.chart, k, [c.truncated(k) for c in self.comps])
 
     def bracket(self, other):
+        """[u, w]: per component j, one charts.sum_products per coefficient
+        over the triples of both halves of the module docstring's formula,
+        the (w, u) half with negated weights.  Each coefficient of t^m only
+        reads coefficients at indices of degree <= |m|, so the order-(k-1)
+        ambiguity of d/dt never reaches stored data beyond order k."""
         self._check(other)
-        return _half_action(self, other) - _half_action(other, self)
+        chart, k = self.chart, self.order
+        n = chart.nparams
+        zero = mi_zero(n)
+        out = []
+        for j in range(n):
+            pairs = {}  # t-monomial -> [(a, b, q)] for sum_products
+            for u, w, sign in ((self, other, 1), (other, self, -1)):
+                wj = w.comps[j].terms
+                for i in range(n):
+                    ui = u.comps[i].terms
+                    u0 = ui.get(zero)
+                    if u0 is not None:  # u_i(0) * d/dx_i of w_j's coefficients
+                        for m, c in wj.items():
+                            pairs.setdefault(m, []).append((u0, c.derive(i), sign))
+                    for a, ca in ui.items():
+                        if a == zero:
+                            continue
+                        # (t^a coefficient of u_i) * d/dt_i hitting w_j
+                        for b, cb in wj.items():
+                            if b[i]:
+                                m = mi_lower(mi_add(a, b), i)
+                                if mi_degree(m) <= k:
+                                    pairs.setdefault(m, []).append((ca, cb, sign * b[i]))
+            out.append(Jet._from_products(chart, k, pairs))
+        return JetField._new(chart, k, out)
 
     def __str__(self):
         return field_str(self, "[{}]*d/d{}")
 
     def __repr__(self):
         return f"JetField(order={self.order}, {str(self)!r})"
-
-
-def _half_action(u, w):
-    """sum_i u_i(0) * Dx_i(w) + (u_i - u_i(0)) * Dt_i(w), componentwise.
-
-    Computed coefficient by coefficient so that the order-(k-1) ambiguity of
-    Dt never touches stored data beyond order k: the coefficient of t^m only
-    needs w-coefficients at indices of degree <= |m|."""
-    chart = u.chart
-    k = u.order
-    n = chart.nparams
-    out = []
-    for j in range(n):
-        wj = w.comps[j]
-        pairs = {}  # t-monomial -> [(a, b, q)] for sum_products
-        for i in range(n):
-            ui = u.comps[i]
-            u0 = ui.terms.get(mi_zero(n))
-            if u0 is not None:
-                for m, c in wj.terms.items():
-                    pairs.setdefault(m, []).append((u0, c.derive(i), 1))
-            for a, ca in ui.terms.items():
-                if mi_degree(a) == 0:
-                    continue
-                # (t^a coefficient of u_i) * d/dt_i hitting w_j
-                for b, cb in wj.terms.items():
-                    if not b[i]:
-                        continue
-                    m = mi_lower(mi_add(a, b), i)
-                    if mi_degree(m) <= k:
-                        pairs.setdefault(m, []).append((ca, cb, b[i]))
-        out.append(Jet._from_products(chart, k, pairs))
-    return JetField._new(chart, k, out)
 
 
 def jf_from_pair(a, v, k):
@@ -179,21 +179,13 @@ def localization_partial_sum(g, v, m, k):
     g must be invertible on the chart.  For m >= k this equals
     1 # (1/g) v exactly: delta(g)^r has t-order >= r, so every term with
     r > k is zero at order k and the sum stops at min(m, k)."""
-    if m < 0:
-        raise ValueError("partial sum index must be >= 0")
-    ginv = g.invert()
-    dg = delta(g, k)
-    items = [(ginv, jet_scalar(v.chart.one(), k), 1)]  # (1/g^{r+1}, delta(g)^r, 1)
-    for _ in range(min(m, k)):
-        items.append((items[-1][0] * ginv, items[-1][1] * dg, 1))
-    return jf_from_vf(v, k).scale_jet(Jet.combination(v.chart, k, items))
+    return _partial_sum(g, g.invert(), v, m, k)
 
 
 def localization_defect(g, v, m, k):
     """(S_m, 1 # (1/g) v - S_m) at order k: the partial sum and its defect,
     which localization_remainder gives in closed form."""
-    part = localization_partial_sum(g, v, m, k)
-    return part, jf_from_pair(v.chart.one(), v.scale(g.invert()), k) - part
+    return _defect(g, g.invert(), v, m, k)
 
 
 def localization_remainder(g, v, m, k):
@@ -203,10 +195,31 @@ def localization_remainder(g, v, m, k):
 
     (the s = 0 term reads 1 # (1/g) v).  Exact at every order, and of
     t-valuation >= m+1."""
+    return _remainder(g, g.invert(), v, m, k)
+
+
+# The three maps above for a given ginv = 1/g, so that a caller checking
+# many fields against one g inverts it once.
+
+def _partial_sum(g, ginv, v, m, k):
+    if m < 0:
+        raise ValueError("partial sum index must be >= 0")
+    dg = delta(g, k)
+    items = [(ginv, jet_scalar(v.chart.one(), k), 1)]  # (1/g^{r+1}, delta(g)^r, 1)
+    for _ in range(min(m, k)):
+        items.append((items[-1][0] * ginv, items[-1][1] * dg, 1))
+    return jf_from_vf(v, k).scale_jet(Jet.combination(v.chart, k, items))
+
+
+def _defect(g, ginv, v, m, k):
+    part = _partial_sum(g, ginv, v, m, k)
+    return part, jf_from_pair(v.chart.one(), v.scale(ginv), k) - part
+
+
+def _remainder(g, ginv, v, m, k):
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
     chart = v.chart
-    ginv = g.invert()
     items = []  # per component: (1/g^s, jet of g^{s-1} v_i, sign)
     for s in range(m + 2):
         a = chart.one() if s == 0 else ginv ** s

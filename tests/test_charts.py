@@ -564,6 +564,15 @@ def test_sum_products_matches_reference(affine2, loc_x, elliptic, name, seed, pi
         assert (got.num.nums, got.num.den, got.s) == (want.num.nums, want.num.den, want.s)
 
 
+def test_sum_products_sits_over_the_join_where_a_group_cancels():
+    """On c4 (generators, three factors of g) the group over y0 cancels; the
+    sum still sits over the join of both groups' s."""
+    a, b, x = _C4.gen(0).invert(), _C4.gen(1).invert(), _C4.param(0)
+    got = charts.sum_products(_C4, [(a, x, 1), (a, x, -1), (b, x, 1)])
+    assert got == b * x
+    assert got.s == _C4.join(a.s, b.s) != b.s
+
+
 # -- one-sided equality against two-sided cross-multiplication
 
 def _cross_equal(a, b):

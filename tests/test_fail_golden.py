@@ -22,7 +22,7 @@ import pytest
 from jetalg import suites
 from jetalg.cli import main
 from jetalg.envalg import av_to_tensor, u_mul
-from jetalg.jetfields import localization_remainder
+from jetalg.jetfields import _remainder
 from jetalg.jets import jet_of
 from jetalg.liealg import phi, psi
 
@@ -38,8 +38,8 @@ FAULTS = {
                       -_oracle(a1, g1, a2, g2, k)),
     "iso-roundtrip": ("psi", lambda p, k: -psi(p, k)),
     "iso-hom": ("phi", lambda u: -phi(u)),
-    "localization": ("localization_remainder", lambda g, v, m, k:
-                     -localization_remainder(g, v, m, k)),
+    "localization": ("_remainder", lambda g, ginv, v, m, k:
+                     -_remainder(g, ginv, v, m, k)),
     "pbw": ("u_mul", lambda a, b, r: u_mul(b, a, r)),
     "av-tensor": ("av_to_tensor", lambda word, r: av_to_tensor(word[::-1], r)),
     "transition": ("filtration_check", lambda tp, m, p, r: False),

@@ -1,5 +1,9 @@
+import os
+
 import pytest
 
+from jetalg.cli import main
+from jetalg.fileio import loads_chart
 from jetalg.jetfields import (
     JetField, decompose, jf_from_pair, jf_from_vf,
     localization_partial_sum, localization_remainder,
@@ -7,8 +11,10 @@ from jetalg.jetfields import (
 from jetalg.jets import delta, jet_of
 from jetalg.vfields import VectorField
 
+from bracketref import mutant_bracket, ref_bracket
 from conftest import make_sampler
 from decompref import ref_decompose
+from test_factored import C4
 
 
 def three_term_bracket(a1, g1, a2, g2, k):
@@ -59,6 +65,34 @@ def test_bracket_agrees_with_oracle(all_charts):
                 g1, g2 = smp.vfield(chart), smp.vfield(chart)
                 lhs = jf_from_pair(a1, g1, k).bracket(jf_from_pair(a2, g2, k))
                 assert lhs == three_term_bracket(a1, g1, a2, g2, k)
+
+
+def test_bracket_matches_the_two_halves_reference(all_charts, p1):
+    """The fused bracket (both halves in one sum of products per
+    coefficient) against bracketref.py's H(u, w) - H(w, u), by ring
+    equality: drawn jet fields and drawn decomposables, orders 1-3, and at
+    order 1 on the two-generator, three-factor chart c4."""
+    cases = [(chart, (1, 2, 3)) for chart in all_charts + [p1.charts["triple"]]]
+    cases.append((loads_chart(C4), (1,)))
+    for chart, orders in cases:
+        smp = make_sampler("jf-bracketref", chart.name)
+        for k in orders:
+            u, w = smp.jetfield(chart, k), smp.jetfield(chart, k)
+            assert u.bracket(w) == ref_bracket(u, w), (chart.name, k)
+            u, w = (jf_from_pair(smp.elem(chart), smp.vfield(chart), k)
+                    for _ in range(2))
+            assert u.bracket(w) == ref_bracket(u, w), (chart.name, k)
+
+
+def test_smash_bracket_suite_catches_the_bracket_without_its_constant_part(
+        monkeypatch, tmp_path):
+    """A bracket whose second half drops u_i(0) * Dx_i (bracketref.py's
+    mutant) fails the smash-bracket suite, which passes on the real one."""
+    argv = ["verify", "--suite", "smash-bracket", "--samples", "1",
+            "--orders", "1,2", "--out", os.fspath(tmp_path / "report")]
+    assert main(argv) == 0
+    monkeypatch.setattr(JetField, "bracket", mutant_bracket)
+    assert main(argv) == 1
 
 
 def test_bracket_lie_axioms(loc_x, elliptic):
