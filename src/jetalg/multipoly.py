@@ -490,7 +490,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
+        if not isinstance(other, Poly):  # own class first, as in __eq__
             if isinstance(other, (int, Fraction)):
                 return self._scale(other)
             return NotImplemented
@@ -536,10 +536,10 @@ class Poly:
     # -- equality / display
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):  # own class first: Fraction is an ABC, ~10x slower
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(self.vars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self.vars == other.vars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):

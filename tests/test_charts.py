@@ -295,6 +295,23 @@ def test_scalar_coefficients(loc_x):
     assert half + half == x
 
 
+def test_operand_dispatch_of_ring_elements_and_polynomials(loc_x):
+    """Which operands RingElem and Poly accept, and what they give back."""
+    num = parse_poly("x + 1", loc_x.allvars)
+    r = RingElem(loc_x, num, 1)
+    assert r * 1 is r and r * Fraction(1) is r
+    assert 2 * r == r * 2 == r + r and (2 * r).num == num * 2
+    assert not r == 3 and loc_x.elem(3) == 3 and 3 == loc_x.elem(3)
+    assert (r + Fraction(1, 2)) - r == loc_x.elem(Fraction(1, 2))
+    half = Poly.const(loc_x.allvars, Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half and not num == 1
+    with pytest.raises(TypeError):
+        r * num
+    with pytest.raises(TypeError):
+        num * 1.5
+    assert (num == "x") is False and (r == "x") is False
+
+
 # -- reduce against the Fraction-dict reference
 
 RATIONAL_TOWER = {
@@ -561,6 +578,26 @@ def test_sum_products_matches_reference(affine2, loc_x, elliptic, name, seed, pi
     want, cancelled = ref_sum_products(chart, triples)
     assert got == want
     if not cancelled:
+        assert (got.num.nums, got.num.den, got.s) == (want.num.nums, want.num.den, want.s)
+
+
+def test_sum_products_lifts_only_the_groups_below_the_join(loc_x, monkeypatch):
+    """Triples that share one s take no lift; with several groups, each
+    group below the join is lifted once and the group at it not at all."""
+    lifts = []
+    lift = charts.ChartSpec.lift
+    monkeypatch.setattr(charts.ChartSpec, "lift",
+                        lambda chart, d: lifts.append(d) or lift(chart, d))
+    x, inv = loc_x.param(0), loc_x.inv_denominator()
+    for triples, want_lifts in (
+            ([(x, inv, 2), (inv, x + 1, Fraction(-1, 3)), (loc_x.one(), inv, 1)], 0),
+            ([(x, x, 1), (inv, x + 1, Fraction(1, 2))], 1),
+            ([(x, x, 1), (inv, inv, Fraction(1, 2)), (x, inv, 3)], 2)):
+        lifts.clear()
+        got = charts.sum_products(loc_x, triples)
+        assert len(lifts) == want_lifts
+        want, cancelled = ref_sum_products(loc_x, triples)
+        assert not cancelled
         assert (got.num.nums, got.num.den, got.s) == (want.num.nums, want.num.den, want.s)
 
 

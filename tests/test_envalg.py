@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from jetalg import envalg
-from jetalg.charts import RingElem
+from jetalg.charts import ChartMismatch, RingElem
 from jetalg.envalg import (
     DiffOp, TensorElem, av_to_tensor, fun_factor, pbw_normalize, u_mul, vf_factor,
 )
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import phi
 from jetalg.multipoly import mi_below, mi_binomials, mi_factorial, mi_range, mi_zero
+from jetalg.parser import parse_expression
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
@@ -42,6 +43,22 @@ def test_apply(loc_x):
     d2 = DiffOp(loc_x, {(2,): loc_x.one()})
     assert d2.apply(x ** 3) == 6 * x
     assert DiffOp.identity(loc_x).apply(x ** 3) == x ** 3
+
+
+def test_apply_refuses_a_function_on_another_chart(loc_x, elliptic, p1):
+    """1 + x d/dx on loc_x applied to an element of another chart raises
+    ChartMismatch up front, whether the derivatives would have run (on
+    punctured_1, to a value on the wrong chart) or failed (on elliptic,
+    beyond the degree bound)."""
+    punctured = p1.charts["punctured_1"]
+    f = parse_expression("(t^2 - t + 1)/(t - 1)", punctured)
+    op = DiffOp(loc_x, {(0,): loc_x.one(), (1,): loc_x.param(0)})
+    for g in (f, elliptic.gen(0) * elliptic.param(0)):
+        with pytest.raises(ChartMismatch):
+            op.apply(g)
+    t = punctured.param(0)
+    right = DiffOp(punctured, {(0,): punctured.one(), (1,): t})
+    assert right.apply(f) == (2 * t ** 3 - 4 * t ** 2 + 2 * t - 1) * punctured.inv_denominator(2)
 
 
 def test_apply_is_composition(loc_x, elliptic):

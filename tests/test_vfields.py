@@ -1,3 +1,6 @@
+import pytest
+
+from jetalg.charts import ChartMismatch
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
@@ -12,6 +15,13 @@ def test_apply_examples(loc_x, elliptic):
     y = elliptic.gen(0)
     xe = elliptic.param(0)
     assert d.apply(y) == (3 * xe ** 2 - elliptic.one()) * (2 * y).invert()
+
+
+def test_apply_refuses_a_function_on_another_chart(affine2, elliptic):
+    # d/dx2 on affine2: elliptic has one parameter, so deriving would fail
+    # with an IndexError; the chart check comes first
+    with pytest.raises(ChartMismatch):
+        VectorField.coordinate(affine2, 1).apply(elliptic.gen(0))
 
 
 def test_bracket_examples(loc_x, affine2):

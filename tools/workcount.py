@@ -7,7 +7,7 @@ SUITE is a verify suite id or ``all``; LABEL is a built-in chart name or a
 chart JSON file, and the charts and the atlas default as for ``jetalg
 verify``.  The tool loads the atlas, then the charts, then runs
 ``suites.run_verification`` and prints the run's exit code (0 when every
-check passes, else 1) and five counts of loading the charts (their
+check passes, else 1) and seven counts of loading the charts (their
 derivative tables) and of the run, not of loading the atlas:
 
 * ``add_product.calls`` and ``add_product.pairs`` -- calls of the one
@@ -16,7 +16,10 @@ derivative tables) and of the run, not of loading the atlas:
 * ``derive.fresh`` -- ``RingElem._derive`` calls, the derivations the
   element memo does not answer;
 * ``reduce.calls`` -- ``ChartSpec.reduce`` calls;
-* ``invert.calls`` -- ``RingElem.invert`` calls.
+* ``invert.calls`` -- ``RingElem.invert`` calls;
+* ``sum_products.calls`` -- calls of the sum-of-products kernel
+  ``charts.sum_products``;
+* ``lift.calls`` -- ``ChartSpec.lift`` calls (cached or not).
 
 Counts are of one fresh process: the charts' power and kernel caches start
 empty.  The wrappers are installed from outside the library, as the
@@ -31,7 +34,7 @@ import sys
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
-from jetalg import multipoly  # noqa: E402
+from jetalg import charts, multipoly  # noqa: E402
 from jetalg.charts import ChartSpec, RingElem  # noqa: E402
 from jetalg.cli import DEFAULT_ATLAS, DEFAULT_CHARTS  # noqa: E402
 from jetalg.fileio import load_atlas, load_chart  # noqa: E402
@@ -42,7 +45,7 @@ from jetalg.suites import run_verification  # noqa: E402
 from spans import patch_function, patch_method  # noqa: E402
 
 COUNTS = ("add_product.calls", "add_product.pairs", "derive.fresh",
-          "reduce.calls", "invert.calls")
+          "reduce.calls", "invert.calls", "sum_products.calls", "lift.calls")
 
 
 def install(counts):
@@ -55,9 +58,12 @@ def install(counts):
         return add_product(out, a, b, f, top)
 
     patch_function(multipoly, "add_product", counted_add_product)
+    patch_function(charts, "sum_products",
+                   _counter(counts, "sum_products.calls", charts.sum_products))
     for cls, attr, name in ((RingElem, "_derive", "derive.fresh"),
                             (ChartSpec, "reduce", "reduce.calls"),
-                            (RingElem, "invert", "invert.calls")):
+                            (RingElem, "invert", "invert.calls"),
+                            (ChartSpec, "lift", "lift.calls")):
         patch_method(cls, attr, _counter(counts, name, cls.__dict__[attr]))
 
 
