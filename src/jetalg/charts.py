@@ -82,11 +82,12 @@ products by s = a.s + b.s, each group summed into one dict over one content
 denominator.  One group (most calls) sits at S = s and takes no lift.  With
 more, each group's sum is lifted to S, the componentwise maximum of their s,
 by one product with F^(S - s).  ``reduce`` runs once.  A single triple (over
-half the calls) is the plain a * b * q, measured faster end to end.
-Representation rule: the result sits over F^S.  Adding the products one at
-a time (for a combination: scaling each X by a and adding) gives the same
-numerator and s unless a partial sum cancels to exactly zero midway; it is
-the same ring element in every case.
+half the calls) is the plain a * b * q: against the grouped path, ten
+alternating benchmark pairs read transport ``wall_s`` -6.9% (lower in 10/10)
+and verify-all -2.2% (7/10) with it.  Representation rule: the result sits
+over F^S.  Adding the products one at a time (for a combination: scaling
+each X by a and adding) gives the same numerator and s unless a partial sum
+cancels to exactly zero midway; it is the same ring element in every case.
 
 Lift rule.  Every chart lifts each group's unreduced sum to S in one
 product.  Reducing each group first and adding the groups as ``RingElem``s

@@ -88,9 +88,6 @@ class DiffOp(SparseElem):
             v.chart, None, {mi_unit(n, i): c for i, c in enumerate(v.coeffs)}
         )
 
-    def coeff(self, m):
-        return self.get(tuple(m))
-
     def __mul__(self, other):
         """Composition, renormalized with the Leibniz rule (_leibniz)."""
         if not isinstance(other, DiffOp):
@@ -111,9 +108,6 @@ class DiffOp(SparseElem):
 
     _key_order = staticmethod(grlex_key)
     _term_str = staticmethod(_dterm_str)
-
-    def __repr__(self):
-        return f"DiffOp({str(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +218,6 @@ class TensorElem(SparseElem):
         n = self.chart.nparams
         word = "*".join(_basis_str(m, i, n) for m, i in w) or "1"
         return f"{_dterm_str(dm, c)} (x) {word}"
-
-    def __repr__(self):
-        return f"TensorElem(r={self.r}, {str(self)!r})"
 
 
 def fun_factor(f, r):

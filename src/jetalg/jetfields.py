@@ -91,9 +91,6 @@ class JetField(TupleElem):
         """Minimum t-valuation over the components; k+1 when zero."""
         return min(c.t_order() for c in self.comps)
 
-    def truncated(self, k):
-        return JetField._new(self.chart, k, [c.truncated(k) for c in self.comps])
-
     def bracket(self, other):
         """[u, w]: per component j, one charts.sum_products per coefficient
         over the triples of both halves of the module docstring's formula,
@@ -129,9 +126,6 @@ class JetField(TupleElem):
 
     def __str__(self):
         return field_str(self, "[{}]*d/d{}")
-
-    def __repr__(self):
-        return f"JetField(order={self.order}, {str(self)!r})"
 
 
 def jf_from_pair(a, v, k):

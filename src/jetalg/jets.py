@@ -23,11 +23,7 @@ Tables over multi-indices come from the one walk of multipoly: jet_along
 fills its derivative chain with mi_fill and delta_powers is an mi_powers
 table.
 
-The two commuting actions of the coordinate fields are
-    act_first(i)  : differentiate the coefficients and subtract d/dt_i
-    act_second(i) : d/dt_i
-both of which are only determined to order k-1.  eval_diagonal reads off the
-constant coefficient (evaluation at t = 0).
+eval_diagonal reads off the constant coefficient (evaluation at t = 0).
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from fractions import Fraction
 
 from .multipoly import (
     grlex_key, indexed_names, mi_add, mi_binomial, mi_check, mi_degree,
-    mi_factorial, mi_fill, mi_lower, mi_powers, mi_range, mi_zero, mono_str,
+    mi_factorial, mi_fill, mi_powers, mi_range, mi_zero, mono_str,
     pow_by_squaring,
 )
 from .sparse import SparseElem
@@ -98,33 +94,6 @@ class Jet(SparseElem):
         """Constant coefficient (set t = 0)."""
         return self.coeff(mi_zero(self.chart.nparams))
 
-    def act_first(self, i):
-        """Action of d/dx_i through the first factor: differentiate the
-        coefficients and subtract the formal t_i-derivative.  The top-order
-        coefficients of the input do not determine the result's top order,
-        so the output is a jet of order k-1."""
-        if self.order == 0:
-            raise ValueError("act_first needs order >= 1")
-        return self._dx(i) - self._dt(i)
-
-    def act_second(self, i):
-        """Action of d/dx_i through the second factor: the formal
-        t_i-derivative, again of order k-1."""
-        if self.order == 0:
-            raise ValueError("act_second needs order >= 1")
-        return self._dt(i)
-
-    def _dx(self, i):
-        return Jet._new(self.chart, self.order - 1, {
-            m: c.derive(i) for m, c in self.terms.items()
-            if mi_degree(m) <= self.order - 1
-        })
-
-    def _dt(self, i):
-        return Jet._new(self.chart, self.order - 1, {
-            mi_lower(m, i): c * m[i] for m, c in self.terms.items() if m[i]
-        })
-
     def truncated(self, k):
         if k > self.order:
             raise ValueError("cannot extend a jet to higher order")
@@ -138,9 +107,6 @@ class Jet(SparseElem):
     def _term_str(self, m, c):
         mono = mono_str(indexed_names("t", self.chart.nparams), m)
         return f"({c})*{mono}" if mono else f"({c})"
-
-    def __repr__(self):
-        return f"Jet(order={self.order}, {str(self)!r})"
 
 
 def jet_along(f, k, step):

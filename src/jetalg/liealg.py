@@ -125,9 +125,6 @@ class LElem(SparseElem):
     def _term_str(self, key, c):
         return f"({c})*{_basis_str(*key, self.nvars)}"
 
-    def __repr__(self):
-        return f"LElem(r={self.r}, {str(self)!r})"
-
 
 class CurrentElem(SparseElem):
     """A (x) L^(r): basis terms with chart-ring coefficients."""
@@ -164,9 +161,6 @@ class CurrentElem(SparseElem):
     def _term_str(self, key, c):
         return f"({c})*{_basis_str(*key, self.chart.nparams)}"
 
-    def __repr__(self):
-        return f"CurrentElem(r={self.r}, {str(self)!r})"
-
 
 class SemiDirectElem(TupleElem):
     """Pair (vector field, current element) in the semidirect product, at
@@ -202,9 +196,6 @@ class SemiDirectElem(TupleElem):
 
     def __str__(self):
         return f"({self.v} ; {self.c})"
-
-    def __repr__(self):
-        return f"SemiDirectElem({str(self)!r})"
 
 
 def phi(u):

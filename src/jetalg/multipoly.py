@@ -37,7 +37,6 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -176,10 +175,11 @@ def indexed_names(stem, n):
 
 
 def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
+    # int first: isinstance against Fraction, an ABC, is slow on an int
     if isinstance(c, int):
         return Fraction(c)
+    if isinstance(c, Fraction):
+        return c
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
@@ -358,7 +358,7 @@ class Poly:
         n = len(vars)
         top = mono_layout(n)[1]
         clean = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms  # a mapping or pairs
         for m, c in items:
             m = tuple(m)
             if len(m) != n:

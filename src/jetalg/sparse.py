@@ -18,7 +18,9 @@ subclass names the slots, checks caller input in its constructor, and adds
 its scalar action, bracket and display.
 
 Both bases check that two operands share chart and grade (``_check``); their
-``_new`` is the trusted constructor for internal results.
+``_new`` is the trusted constructor for internal results.  Their common
+parent ``_Linear`` holds the shared ``repr``: the class name, the grade when
+it is not None, and ``str(self)``.
 """
 
 from __future__ import annotations
@@ -34,9 +36,13 @@ def accumulate(out, key, c):
 
 
 class _Linear:
-    """Chart and grade slots, the operand check and subtraction."""
+    """Chart and grade slots, the operand check, subtraction and repr."""
 
     __slots__ = ("chart", "grade")
+
+    def __repr__(self):
+        grade = "" if self.grade is None else f"grade={self.grade}, "
+        return f"{type(self).__name__}({grade}{str(self)!r})"
 
     def _check(self, other):
         if self.chart is not other.chart and self.chart != other.chart:

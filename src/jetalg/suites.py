@@ -30,8 +30,8 @@ from .atlas import (
 from .envalg import av_to_tensor, pbw_normalize, u_mul
 from .jets import delta, jet_of, taylor_identity_check
 from .jetfields import _defect, _remainder, jf_from_pair
-from .liealg import CurrentElem, basis_bracket, phi, psi
-from .multipoly import mi_degree, mi_range
+from .liealg import CurrentElem, basis_bracket, basis_elements, phi, psi
+from .multipoly import mi_degree
 from .report import CheckRecord, Report
 from .sparse import accumulate
 from .sampling import Sampler, derive_seed
@@ -325,31 +325,28 @@ def suite_transition(env):
             yield f"transition/{label}/validate", st0, {"pair": label}, ok, {"error": err}
             if not ok:
                 continue
-            n = tp.overlap.nparams
-            monos = mi_range(n, mbound)[1:]
-            for m in monos:
-                for p in range(n):
-                    check = f"transition/{label}/m{list(m)}/p{p}"
-                    ce = transition_l(tp, m, p, r)
-                    ok = ce == transition_via_iso(tp, m, p, r)
-                    yield (f"{check}/dual-route", st1,
-                           {"pair": label, "m": list(m), "p": p, "r": r}, ok,
-                           {"result": ce})
-                    yield (f"{check}/filtration", st2,
+            basis = basis_elements(tp.overlap.nparams, mbound)
+            for m, p in basis:
+                check = f"transition/{label}/m{list(m)}/p{p}"
+                ce = transition_l(tp, m, p, r)
+                ok = ce == transition_via_iso(tp, m, p, r)
+                yield (f"{check}/dual-route", st1,
+                       {"pair": label, "m": list(m), "p": p, "r": r}, ok,
+                       {"result": ce})
+                yield (f"{check}/filtration", st2,
+                       {"pair": label, "m": list(m), "p": p, "r": r},
+                       filtration_check(tp, m, p, r), {"result": ce})
+                if mi_degree(m) == 1:
+                    yield (f"{check}/jacobian", st3,
                            {"pair": label, "m": list(m), "p": p, "r": r},
-                           filtration_check(tp, m, p, r), {"result": ce})
-                    if mi_degree(m) == 1:
-                        yield (f"{check}/jacobian", st3,
-                               {"pair": label, "m": list(m), "p": p, "r": r},
-                               jacobian_quotient_check(tp, m, p, r), {"result": ce})
+                           jacobian_quotient_check(tp, m, p, r), {"result": ce})
             back = env.atlas.transitions.get((to, fr))
             if back is not None and back.overlap == tp.overlap:
-                for m in monos:
-                    for p in range(n):
-                        unit = CurrentElem(tp.overlap, r, {(m, p): tp.overlap.one()})
-                        ok = transport_current(back, transition_l(tp, m, p, r), r) == unit
-                        yield (f"transition/{label}/m{list(m)}/p{p}/inverse", st4,
-                               {"pair": label, "m": list(m), "p": p, "r": r}, ok, {})
+                for m, p in basis:
+                    unit = CurrentElem(tp.overlap, r, {(m, p): tp.overlap.one()})
+                    ok = transport_current(back, transition_l(tp, m, p, r), r) == unit
+                    yield (f"transition/{label}/m{list(m)}/p{p}/inverse", st4,
+                           {"pair": label, "m": list(m), "p": p, "r": r}, ok, {})
     return _records(env, "transition", checks())
 
 
@@ -368,13 +365,11 @@ def suite_cocycle(env):
             tps = [env.atlas.transitions[k] for k in keys]
             if not (tps[0].overlap == tps[1].overlap == tps[2].overlap):
                 continue
-            n = tps[0].overlap.nparams
-            for m in mi_range(n, mbound)[1:]:
-                for p in range(n):
-                    ok = cocycle_check(env.atlas, (i, j, l), m, p, r)
-                    yield (f"cocycle/{i},{j},{l}/m{list(m)}/p{p}", st,
-                           {"triple": [i, j, l], "m": list(m), "p": p, "r": r},
-                           ok, {})
+            for m, p in basis_elements(tps[0].overlap.nparams, mbound):
+                ok = cocycle_check(env.atlas, (i, j, l), m, p, r)
+                yield (f"cocycle/{i},{j},{l}/m{list(m)}/p{p}", st,
+                       {"triple": [i, j, l], "m": list(m), "p": p, "r": r},
+                       ok, {})
     return _records(env, "cocycle", checks())
 
 

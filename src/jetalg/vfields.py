@@ -68,9 +68,6 @@ class VectorField(TupleElem):
     def __str__(self):
         return field_str(self, "({})*d/d{}")
 
-    def __repr__(self):
-        return f"VectorField({str(self)!r})"
-
 
 def field_str(u, fmt):
     """Display of a field with one part per parameter x_i:

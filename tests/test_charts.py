@@ -303,8 +303,10 @@ def test_operand_dispatch_of_ring_elements_and_polynomials(loc_x):
     assert 2 * r == r * 2 == r + r and (2 * r).num == num * 2
     assert not r == 3 and loc_x.elem(3) == 3 and 3 == loc_x.elem(3)
     assert (r + Fraction(1, 2)) - r == loc_x.elem(Fraction(1, 2))
+    assert 1 - r == loc_x.one() - r and (1 - r) + r == 1
     half = Poly.const(loc_x.allvars, Fraction(1, 2))
     assert half == Fraction(1, 2) and Fraction(1, 2) == half and not num == 1
+    assert 1 - num == Poly.one(loc_x.allvars) - num and (1 - num) + num == 1
     with pytest.raises(TypeError):
         r * num
     with pytest.raises(TypeError):

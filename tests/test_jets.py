@@ -103,25 +103,6 @@ def test_order_mismatch_rejected(loc_x):
         jet_of(x, 2) * jet_of(x, 3)
 
 
-def test_first_factor_action(loc_x):
-    x = loc_x.param(0)
-    # act_first differentiates the first tensor factor only: it kills j(f)
-    # (which is the expansion of 1 (x) f) and acts as d/dx on f (x) 1
-    for f in (x ** 3, loc_x.inv_denominator()):
-        assert jet_of(f, 3).act_first(0).is_zero()
-        assert jet_scalar(f, 3).act_first(0) == jet_scalar(f.derive(0), 2)
-    # on delta(x) = x (x) 1 - 1 (x) x only the first part survives
-    assert delta(x, 3).act_first(0) == jet_scalar(loc_x.one(), 2)
-
-
-def test_second_factor_action(loc_x):
-    x = loc_x.param(0)
-    j = jet_of(x ** 2, 2).act_second(0)
-    assert j.order == 1
-    assert j.coeff((0,)) == 2 * x
-    assert j.coeff((1,)) == 2 * loc_x.one()
-
-
 def test_eval_diagonal(loc_x):
     x = loc_x.param(0)
     f, g = x ** 2, loc_x.inv_denominator()

@@ -99,6 +99,15 @@ def test_every_linear_type_sits_on_one_base():
             assert name not in vars(cls), (cls.__name__, name)
 
 
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_repr_names_the_class_and_the_grade(kind):
+    x = SAMPLERS[kind](Sampler(7), CHARTS["elliptic"])
+    text = repr(x)
+    assert text.startswith(f"{kind}(") and repr(str(x)) in text
+    assert ("grade=" in text) == (x.grade is not None)
+    assert x.grade is None or f"grade={x.grade}, " in text
+
+
 def test_repeated_keys_sum(elliptic):
     x = elliptic.param(0)
     j = Jet(elliptic, 1, [((1,), x), ((1,), x), ((0,), x), ((0,), -x)])
