@@ -55,9 +55,10 @@ product above has by construction and filtration_check verifies directly.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
-from .charts import ChartMismatch, NotInvertible
+from .charts import ChartMismatch, NotInvertible, sum_products
 from .jets import Jet, jet_along, jet_scalar
 from .jetfields import JetField, decompose
 from .liealg import CurrentElem, basis_check
@@ -82,42 +83,30 @@ class MissingTransition(TransitionError):
 
 
 def mat_det(rows):
-    n = len(rows)
-    if n == 1:
+    """Determinant over the chart ring, expanded along the first row."""
+    if len(rows) == 1:
         return rows[0][0]
-    det = None
-    for c in range(n):
-        minor = [r[:c] + r[c + 1:] for r in rows[1:]]
-        term = rows[0][c] * mat_det(minor)
-        if c % 2:
-            term = -term
-        det = term if det is None else det + term
-    return det
+    terms = [a * _cofactor(rows, 0, c) for c, a in enumerate(rows[0])]
+    return sum(terms[1:], terms[0])
+
+
+def _cofactor(rows, i, j):
+    """(-1)^(i+j) times the determinant of rows without row i and column j."""
+    det = mat_det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
+    return -det if (i + j) % 2 else det
 
 
 def mat_inv(rows):
     """Inverse of a matrix over the chart ring, by adjugate over determinant.
     Raises JacobianNotInvertible when the determinant cannot be inverted."""
     n = len(rows)
-    det = mat_det(rows)
     try:
-        dinv = det.invert()
+        dinv = mat_det(rows).invert()
     except NotInvertible as e:
         raise JacobianNotInvertible(str(e)) from e
     if n == 1:
         return [[dinv]]
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[a][b] for b in range(n) if b != i]
-                for a in range(n) if a != j
-            ]
-            cof = mat_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            inv[i][j] = cof * dinv
-    return inv
+    return [[_cofactor(rows, j, i) * dinv for j in range(n)] for i in range(n)]
 
 
 def frame_jet(frame, f, r):
@@ -133,31 +122,41 @@ def compose_formula(f, args):
 
     f is a ring element read as a formula in its chart's parameters; args are
     elements, all on one chart, standing for those parameters in order.  The
-    formula's denominator must become invertible after substitution."""
-    src = f.chart
+    formula's denominator must become invertible after substitution.  Each
+    argument has one table of its powers (mi_powers), up to its largest
+    exponent in the formula, and each polynomial is one sum_products.  One
+    table over every multi-index up to the formula's degree would hold
+    C(n + deg, n) products (a 254 MB peak for s^40 t^40 + s at
+    (x1 + 1, x2 + 1))."""
+    src, n = f.chart, f.chart.nparams
     args = tuple(args)
-    if len(args) != src.nparams or not args:
+    if len(args) != n or not args:
         raise ValueError("need one argument per formula parameter")
     target = args[0].chart
     for a in args[1:]:
         args[0]._check(a)
 
+    exps = src.exponents(f.s)
+    used = [f.num] + [fk for fk, e in zip(src.factors, exps) if e]
+    one = target.one()
+    powers = [  # powers[i][(e,)] = args[i]^e
+        mi_powers(one, [a], max((m[i] for p in used for m in p.terms), default=0))
+        for i, a in enumerate(args)
+    ]
+
     def poly_at(p):
-        out = target.zero()
-        for m, c in p.terms.items():
-            if any(m[src.nparams:]):
-                raise ValueError("formula may not involve algebraic generators")
-            term = target.elem(c)
-            for i in range(src.nparams):
-                if m[i]:
-                    term = term * args[i] ** m[i]
-            out = out + term
-        return out
+        if any(any(m[n:]) for m in p.terms):
+            raise ValueError("formula may not involve algebraic generators")
+        return sum_products(target, [
+            (math.prod((powers[i][m[i:i + 1]] for i in range(1, n)),
+                       start=powers[0][m[:1]]), one, c)
+            for m, c in p.terms.items()
+        ])
 
     val = poly_at(f.num)
-    for fk, n in zip(src.factors, src.exponents(f.s)):
-        if n:
-            val = val * poly_at(fk).invert() ** n
+    for fk, e in zip(src.factors, exps):
+        if e:
+            val = val * poly_at(fk).invert() ** e
     return val
 
 
@@ -247,11 +246,6 @@ class TransitionPair:
             return got
         n = self.overlap.nparams
         dG = [frame_jet(self.y_frame, g, r) - jet_scalar(g, r) for g in self.G]
-        for d in dG:
-            if d.t_order() < 1:
-                raise InverseCheckFailed(
-                    "increment series of G has a constant term"
-                )
         products = mi_powers(jet_scalar(self.overlap.one(), r), dG, r)
         hcomp = [
             [

@@ -6,7 +6,6 @@ validation fails, 2 on usage, parse, or schema errors."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .jetfields import jf_from_pair, localization_defect, localization_remainder
 from .liealg import CurrentElem, SemiDirectElem, phi, psi
 from .multipoly import mi_degree, mi_range
 from .parser import ExprSyntaxError, parse_expression
+from .report import dumps
 from .suites import SUITE_IDS, run_verification
 from .vfields import VectorField
 
@@ -132,7 +132,7 @@ def _parse_av_word(src, chart):
 
 def _emit(args, text, data):
     if getattr(args, "format", "text") == "json":
-        payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        payload = dumps(data)
     else:
         payload = text if text.endswith("\n") else text + "\n"
     out = getattr(args, "out", None)

@@ -82,9 +82,19 @@ def loads_chart(data, path=""):
     return ChartSpec(name, params, gens, den)
 
 
-def load_chart(filename):
+def _read_json(filename):
+    """The JSON value of a chart or atlas file.  The decoder recurses once
+    per nesting level, so a file nested deeper than the interpreter's
+    recursion limit raises SchemaError."""
     with open(filename) as fh:
-        return loads_chart(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError(filename, "JSON nested too deeply") from None
+
+
+def load_chart(filename):
+    return loads_chart(_read_json(filename))
 
 
 def loads_atlas(data):
@@ -148,8 +158,7 @@ def _exprs(data, path, key, chart):
 
 
 def load_atlas(filename):
-    with open(filename) as fh:
-        return loads_atlas(json.load(fh))
+    return loads_atlas(_read_json(filename))
 
 
 # ---------------------------------------------------------------------------

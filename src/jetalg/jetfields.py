@@ -55,21 +55,7 @@ class JetField(TupleElem):
     # The base slots under their jet-field names.
     order = TupleElem.grade
     comps = TupleElem.parts
-
-    def __init__(self, chart, order, comps):
-        comps = tuple(comps)
-        if len(comps) != chart.nparams:
-            raise ValueError(f"need {chart.nparams} component jets")
-        for j in comps:
-            if not isinstance(j, Jet):
-                raise TypeError("components must be Jets")
-            if j.order != order:
-                raise ValueError("component jet order mismatch")
-            if j.chart is not chart and j.chart != chart:
-                raise ChartMismatch("component lives on a different chart")
-        self.chart = chart
-        self.order = order
-        self.comps = comps
+    _part = Jet
 
     @classmethod
     def zero(cls, chart, order):

@@ -149,10 +149,6 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {val!r}", pos)
 
 
-def parse_ast(src):
-    return _Parser(src).parse()
-
-
 def _eval(ast, leaf, inverse):
     """Evaluate a parse tree: leaf(kind, value, pos) gives the element of a
     "num" or "name" node, inverse(x) the inverse of a denominator."""
@@ -193,7 +189,7 @@ def _evaluate(src, leaf, inverse):
     evaluation recurse once per nesting level, so an expression deeper than
     the interpreter's recursion limit raises ExprSyntaxError."""
     try:
-        return _eval(parse_ast(src), leaf, inverse)
+        return _eval(_Parser(src).parse(), leaf, inverse)
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply", 0) from None
 

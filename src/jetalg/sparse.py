@@ -14,8 +14,11 @@ by one ``charts.sum_products`` per key, as the products do: no scaled X.
 
 TupleElem: vector fields, jet fields and semidirect pairs are a fixed tuple
 of ``parts`` (ring or module elements) with partwise linear structure.  A
-subclass names the slots, checks caller input in its constructor, and adds
-its scalar action, bracket and display.
+subclass names the slots and adds its scalar action, bracket and display.
+Caller input is validated through the base constructor, which reads the
+subclass's ``_part`` (RingElem or Jet): one part of that type per chart
+parameter, on the chart and at the grade.  SemiDirectElem, whose two parts
+differ in type, checks its own.
 
 Both bases check that two operands share chart and grade (``_check``); their
 ``_new`` is the trusted constructor for internal results.  Their common
@@ -158,6 +161,24 @@ class TupleElem(_Linear):
     structure."""
 
     __slots__ = ("parts",)
+
+    def __init__(self, chart, grade, parts):
+        """Validating constructor for caller input: one part per chart
+        parameter, each an instance of the subclass's ``_part`` on this
+        chart and, when grade is not None, at this grade."""
+        parts = tuple(parts)
+        if len(parts) != chart.nparams:
+            raise ValueError(f"need {chart.nparams} parts, got {len(parts)}")
+        for p in parts:
+            if not isinstance(p, self._part):
+                raise TypeError(f"parts must be {self._part.__name__}")
+            if p.chart is not chart and p.chart != chart:
+                raise ChartMismatch("part lives on a different chart")
+            if grade is not None and p.grade != grade:
+                raise ValueError(f"part grade {p.grade} differs from {grade}")
+        self.chart = chart
+        self.grade = grade
+        self.parts = parts
 
     @classmethod
     def _new(cls, chart, grade, parts):

@@ -32,7 +32,7 @@ from .jets import delta, jet_of, taylor_identity_check
 from .jetfields import _defect, _remainder, jf_from_pair
 from .liealg import CurrentElem, basis_bracket, basis_elements, phi, psi
 from .multipoly import mi_degree
-from .report import CheckRecord, Report
+from .report import Report
 from .sparse import accumulate
 from .sampling import Sampler, derive_seed
 
@@ -67,11 +67,12 @@ class SuiteEnv:
         return " ".join(parts)
 
     def record(self, suite, check, statement, params, ok, inputs):
-        witness = None
+        rec = {"check": check, "statement": statement, "params": params,
+               "status": "pass" if ok else "fail"}
         if not ok:
-            witness = {"repro": self.repro(suite)}
-            witness.update({k: str(v) for k, v in inputs.items()})
-        return CheckRecord(check, statement, params, "pass" if ok else "fail", witness)
+            rec["witness"] = {"repro": self.repro(suite),
+                              **{k: str(v) for k, v in inputs.items()}}
+        return rec
 
 
 def _records(env, suite, items):
@@ -409,5 +410,5 @@ def run_verification(suite, charts, atlas, orders, samples, seed,
         params={"orders": env.orders, "samples": samples, "suite": suite},
     )
     for sid in ids:
-        report.extend(_SUITE_FUNCS[sid](env))
+        report.records.extend(_SUITE_FUNCS[sid](env))
     return report

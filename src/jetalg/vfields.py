@@ -8,7 +8,7 @@ coefficientwise.
 
 from __future__ import annotations
 
-from .charts import ChartMismatch, RingElem, sum_products
+from .charts import RingElem, sum_products
 from .sparse import TupleElem
 
 
@@ -19,21 +19,10 @@ class VectorField(TupleElem):
     __slots__ = ()
 
     coeffs = TupleElem.parts  # the base slot under its coefficient name
+    _part = RingElem
 
     def __init__(self, chart, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != chart.nparams:
-            raise ValueError(
-                f"need {chart.nparams} coefficients, got {len(coeffs)}"
-            )
-        for c in coeffs:
-            if not isinstance(c, RingElem):
-                raise TypeError("coefficients must be RingElem")
-            if c.chart is not chart and c.chart != chart:
-                raise ChartMismatch("coefficient lives on a different chart")
-        self.chart = chart
-        self.grade = None
-        self.coeffs = coeffs
+        super().__init__(chart, None, coeffs)
 
     @classmethod
     def zero(cls, chart):

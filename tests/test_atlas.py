@@ -57,6 +57,58 @@ def test_compose_formula_geometric():
     assert compose_formula(inv_t, [inv_t]) == t
     assert compose_formula((t + 1) * inv_t, [inv_t]) == t + 1
     assert compose_formula(t ** 2 + 1, [t + 1]) == t ** 2 + 2 * t + 2
+    # two parameters on a chart with a generator: a formula that does not
+    # use the generator substitutes, one that does is refused
+    curve = loads_chart({"name": "curve", "params": ["s", "t"], "gens": [
+        {"name": "u", "degree": 2, "rhs": "s^3 - t + 1"}], "denominator": "u"})
+    s, t, u = curve.param(0), curve.param(1), curve.gen(0)
+    x1, x2 = (standard_chart("affine2").param(i) for i in range(2))
+    assert (compose_formula(s ** 2 * t + 3 * t ** 2 - 1, [x1 + 1, x2])
+            == (x1 + 1) ** 2 * x2 + 3 * x2 ** 2 - 1)
+    for f in (u + s, curve.inv_denominator()):
+        with pytest.raises(ValueError, match="algebraic generators"):
+            compose_formula(f, [x1, x2])
+
+
+def test_compose_formula_tables_each_argument_to_its_own_exponent(monkeypatch, affine2):
+    # one power table per argument, up to its largest exponent: a table over
+    # every multi-index up to the degree would hold C(n + deg, n) products
+    # (325 here, and 3321 for s^40 t^40, which took 254 MB)
+    sizes, real = [], atlas.mi_powers
+
+    def counted(*args):
+        table = real(*args)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(atlas, "mi_powers", counted)
+    plane = loads_chart({"name": "plane", "params": ["s", "t"], "gens": [],
+                         "denominator": "1"})
+    s, t = plane.param(0), plane.param(1)
+    x1, x2 = affine2.param(0), affine2.param(1)
+    got = compose_formula(s ** 12 * t ** 12 + s, [x1 + 1, x2 + 1])
+    assert got == (x1 + 1) ** 12 * (x2 + 1) ** 12 + x1 + 1
+    assert sizes == [13, 13]
+
+
+def test_mat_inv_is_a_two_sided_inverse_in_three_parameters():
+    # A = L U with L unipotent lower and U upper with diagonal (x1, 1, 1),
+    # so det A = x1 is a unit of the chart that inverts x1 and A is not
+    # symmetric: a transposed cofactor gives no inverse
+    chart = loads_chart({"name": "c3", "params": ["x1", "x2", "x3"],
+                         "gens": [], "denominator": "x1"})
+    x1, x2, x3 = (chart.param(i) for i in range(3))
+    one = chart.one()
+    A = [[x1, x3, one],
+         [x1 * x2, x2 * x3 + 1, 2 * x2],
+         [x1 * x3, x3 ** 2 + x2, x2 ** 2 + x3 + 1]]
+    assert atlas.mat_det(A) == x1
+    inv = atlas.mat_inv(A)
+    for P, Q in ((inv, A), (A, inv)):
+        for i in range(3):
+            for j in range(3):
+                got = sum((P[i][k] * Q[k][j] for k in range(3)), chart.zero())
+                assert got == (one if i == j else chart.zero()), (i, j)
 
 
 def test_degenerate_jacobian_rejected():

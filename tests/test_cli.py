@@ -511,3 +511,86 @@ def test_unbounded_power_exits_2_quickly(capsys, chart, expr, msg):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err == f"error: {msg}\n"
+
+
+# -- refusals: one row per message, each exits 2 with one stderr line
+
+@pytest.mark.parametrize("argv,msg", [
+    (("transition", "--atlas", "nosuch", "--pair", "std:inf", "--monomial",
+      "1", "--order", "2"),
+     "nosuch: not a built-in atlas name or a readable file"),
+    (("localize", "--chart", "affine2", "--vf", "1", "--order", "1"),
+     "expected 2 component(s) separated by ';', got 1 (position 0)"),
+    (("bracket", "--chart", "loc_x", "--left", "x", "--right", "1 # 1",
+      "--order", "1"),
+     "expected 'coefficient # v1;...;vN' (position 0)"),
+    (("delta", "--chart", "loc_x", "--power", "a", "--order", "1"),
+     "bad monomial 'a': expected comma-separated integers (position 0)"),
+    (("delta", "--chart", "affine2", "--power", "1", "--order", "1"),
+     "monomial needs 2 non-negative exponent(s), got '1' (position 0)"),
+    (("av-map", "--chart", "loc_x", "--word", "g x", "--order", "1"),
+     "each factor must start with 'f' or 'v', got 'g x' (position 0)"),
+    (("av-map", "--chart", "loc_x", "--word", " | ", "--order", "1"),
+     "empty word (position 0)"),
+    (("validate",), "nothing to validate: pass --chart and/or --atlas"),
+    (("delta", "--chart", "loc_x", "--expr", "x", "--power", "1", "--order", "1"),
+     "pass exactly one of --expr or --power"),
+    (("delta", "--chart", "loc_x", "--order", "1"),
+     "pass exactly one of --expr or --power"),
+    (("psi", "--chart", "loc_x", "--term", "1:0", "--order", "1"),
+     "expected 'm1,..,mN:index:expression', got '1:0' (position 0)"),
+    (("psi", "--chart", "loc_x", "--term", "2:0:x", "--order", "1"),
+     "term '2:0:x' out of range for order 1"),
+    (("transition", "--atlas", "p1", "--pair", "std-inf", "--monomial", "1",
+      "--order", "2"),
+     "--pair must look like FROM:TO"),
+    (("transition", "--atlas", "p1", "--pair", "std:inf", "--monomial", "0",
+      "--order", "2"),
+     "the monomial must have positive total degree"),
+    (("cocycle", "--atlas", "p1", "--triple", "std,inf", "--order", "2"),
+     "--triple must name three charts, comma separated"),
+    (("verify", "--suite", "taylor", "--orders", "0"),
+     "--orders must be positive integers, comma separated"),
+])
+def test_each_refusal_exits_2_with_its_message(capsys, argv, msg):
+    assert run_err(capsys, *argv) == (2, f"error: {msg}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("jet", "--chart", "{}", "--expr", "x", "--order", "1"),
+    ("validate", "--atlas", "{}"),
+])
+def test_deeply_nested_file_exits_2(capsys, tmp_path, argv):
+    # the JSON decoder recurses once per level: a file deeper than the
+    # recursion limit is a schema error, not a traceback
+    fn = tmp_path / "deep.json"
+    fn.write_text("[" * 200000)
+    code, err = run_err(capsys, *(a.format(fn) for a in argv))
+    assert (code, err) == (2, f"error: {fn}: JSON nested too deeply\n")
+
+
+def test_jacobian_without_inverse_in_an_atlas_file_exits_1(capsys, tmp_path):
+    # G = x + x^2 over an overlap that inverts only x: the Jacobian 1 + 2x
+    # has no inverse there, a mathematical failure of the file
+    fn = tmp_path / "atlas.json"
+    fn.write_text(json.dumps({
+        "name": "bad",
+        "charts": [{"name": "c", "params": ["x"], "gens": [], "denominator": "x"}],
+        "transitions": [{"from": "c", "to": "c", "overlap": "c",
+                         "G": ["x + x^2"], "H": ["x"]}],
+    }))
+    code, err = run_err(capsys, "transition", "--atlas", str(fn), "--pair",
+                        "c:c", "--monomial", "1", "--order", "2")
+    assert (code, err) == (1, "check failed: cannot invert 2*x + 1\n")
+
+
+def test_verify_json_is_the_report_json(capsys):
+    from jetalg.fixtures import standard_atlas, standard_chart
+    from jetalg.suites import run_verification
+
+    code, out = run(capsys, "verify", "--suite", "taylor", "--chart", "loc_x",
+                    "--orders", "1", "--samples", "1", "--format", "json")
+    report = run_verification("taylor", [standard_chart("loc_x")],
+                              standard_atlas("p1"), [1], 1, 0,
+                              chart_labels=["loc_x"], atlas_label="p1")
+    assert code == 0 and out == report.to_json()

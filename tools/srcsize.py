@@ -20,8 +20,9 @@ import tokenize
 _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def split(text):
-    """{"code", "docstring", "comment", "blank"} -> line count of one file."""
+def line_kinds(text):
+    """Line number -> "code", "docstring", "comment" or "blank", for every
+    line of one file."""
     kinds = {}  # line number -> set of token kinds on it
     toks = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
             if t.type != tokenize.NL]
@@ -38,10 +39,15 @@ def split(text):
             kind = "code"
         for row in range(tok.start[0], tok.end[0] + 1):
             kinds.setdefault(row, set()).add(kind)
+    return {row: next((k for k in ("code", "docstring", "comment")
+                       if k in kinds.get(row, ())), "blank")
+            for row in range(1, len(text.splitlines()) + 1)}
+
+
+def split(text):
+    """{"code", "docstring", "comment", "blank"} -> line count of one file."""
     out = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
-    for row in range(1, len(text.splitlines()) + 1):
-        got = kinds.get(row, ())
-        kind = next((k for k in ("code", "docstring", "comment") if k in got), "blank")
+    for kind in line_kinds(text).values():
         out[kind] += 1
     return out
 
