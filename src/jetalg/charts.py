@@ -68,11 +68,14 @@ with the lifted multiplier into one dict of packed monomials by
 ``multipoly.add_product`` (a quotient piece is N times -df_k/dx_i with the
 factor s_k) and calls ``reduce`` once on the sum.
 
-Derivative memo.  ``RingElem._derivs`` (empty from every constructor) keeps
-each d/dx_i asked of the element; a repeated ``derive(i)`` checks i and
-returns the stored object.  The chart keeps no table of them, so the memo
-dies with its element; an equal, distinct element derives again, to the same
-numerator and s.  ``ChartSpec.param`` keeps one element per parameter.
+Derivative and inverse memo.  ``RingElem._derivs`` (empty from every
+constructor) keeps each d/dx_i asked of the element; a repeated
+``derive(i)`` checks i and returns the stored object.  ``RingElem._inv``
+(None from every constructor) keeps the element's inverse the same way; a
+refused inversion stores nothing, so a repeat searches and raises again.
+The chart keeps no table of either, so the memo dies with its element; an
+equal, distinct element derives and inverts again, to the same numerator
+and s.  ``ChartSpec.param`` keeps one element per parameter.
 
 Sum-of-products kernel.  The Jet, jet-field, current, Leibniz and
 vector-field products and the A-linear combinations sum q * a * X
@@ -440,9 +443,10 @@ class ChartSpec:
 class RingElem:
     """num / F^s on a chart, s the packed exponents of the factors of g (the
     module docstring); num is stored relation-reduced.  The constructor
-    takes num / g^s.  ``_derivs``: None or the derivative memo, i -> d/dx_i."""
+    takes num / g^s.  ``_derivs``: None or the derivative memo, i -> d/dx_i;
+    ``_inv``: None or the inverse (the module's memo)."""
 
-    __slots__ = ("chart", "num", "s", "_derivs")
+    __slots__ = ("chart", "num", "s", "_derivs", "_inv")
 
     def __init__(self, chart, num, s=0):
         if s < 0:
@@ -454,7 +458,7 @@ class RingElem:
         self.chart = chart
         self.num = num
         self.s = s * chart._gexp if num.nums else 0
-        self._derivs = None
+        self._derivs = self._inv = None
 
     @classmethod
     def _new(cls, chart, num, s):
@@ -466,7 +470,7 @@ class RingElem:
         self.chart = chart
         self.num = num
         self.s = s if num.nums else 0
-        self._derivs = None
+        self._derivs = self._inv = None
         return self
 
     def _check(self, other):
@@ -618,11 +622,17 @@ class RingElem:
         return out
 
     def invert(self):
-        """Multiplicative inverse, when the numerator divides a power of g.
+        """Multiplicative inverse, when the numerator divides a power of g,
+        kept in the inverse memo (module docstring)."""
+        if self._inv is None:
+            self._inv = self._invert()
+        return self._inv
 
-        Searches k upward for num | g^k by exact division: first the raw
-        g^k = g^(k-1) * g, then the reduced g^k, the reduced g^(k-1) times g
-        and reduced, where reduce changed it (never without generators).
+    def _invert(self):
+        """A fresh search for the inverse: k upward for num | g^k by exact
+        division, first the raw g^k = g^(k-1) * g, then the reduced g^k, the
+        reduced g^(k-1) times g and reduced, where reduce changed it (never
+        without generators).
         Either hit is sound because division is performed in the free ring.
         Only these two powers are held, and the chart keeps neither.  The
         inverse q F^s / g^k then sits over the componentwise maximum t of

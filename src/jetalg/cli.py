@@ -215,15 +215,16 @@ def cmd_psi(args):
         v = VectorField.zero(chart)
     terms = []
     for spec in args.term or []:
-        pieces = spec.split(":", 2)
-        if len(pieces) != 3:
+        try:
+            m_src, i_src, expr = spec.split(":", 2)
+            i = int(i_src)
+        except ValueError:  # too few pieces, or an index that is no integer
             raise ExprSyntaxError(
-                f"expected 'm1,..,mN:index:expression', got {spec!r}", 0)
-        m = _parse_monomial(pieces[0], chart.nparams)
-        i = int(pieces[1])
+                f"expected 'm1,..,mN:index:expression', got {spec!r}", 0) from None
+        m = _parse_monomial(m_src, chart.nparams)
         if not (1 <= mi_degree(m) <= k) or not (0 <= i < chart.nparams):
             raise ValueError(f"term {spec!r} out of range for order {k}")
-        terms.append(((m, i), parse_expression(pieces[2], chart)))
+        terms.append(((m, i), parse_expression(expr, chart)))
     p = SemiDirectElem(v, CurrentElem(chart, k, terms))
     return _show(args, psi(p, k))
 
@@ -236,19 +237,20 @@ def cmd_localize(args):
     v = _parse_vf(args.vf, chart)
     part, defect = localization_defect(g, v, m, k)
     rem = localization_remainder(g, v, m, k)
+    order, matches = defect.jf_order(), defect == rem
     lines = [
         f"partial sum S_{m}: {part}",
         f"closed-form defect: {rem}",
-        f"defect order: {defect.jf_order()} (needs >= {min(m, k) + 1})",
-        f"defect matches closed form: {defect == rem}",
+        f"defect order: {order} (needs >= {min(m, k) + 1})",
+        f"defect matches closed form: {matches}",
     ]
     _emit(args, "\n".join(lines), {
         "partial_sum": value_to_data(part),
         "defect": value_to_data(defect),
-        "defect_order": defect.jf_order(),
-        "matches_closed_form": defect == rem,
+        "defect_order": order,
+        "matches_closed_form": matches,
     })
-    return 0 if defect == rem else 1
+    return 0 if matches else 1
 
 
 def cmd_dop_mul(args):
@@ -321,9 +323,10 @@ def cmd_verify(args):
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise ValueError(
             f"--samples must be >= 1 and <= {MAX_SAMPLES}, got {args.samples}")
-    orders = [int(p) for p in args.orders.split(",")]
-    if not orders or any(k < 1 for k in orders):
+    pieces = args.orders.split(",")
+    if not all(p.strip().isdecimal() and int(p) >= 1 for p in pieces):
         raise ValueError("--orders must be positive integers, comma separated")
+    orders = [int(p) for p in pieces]
     if max(orders) > MAX_ORDER or len(set(orders)) < len(orders):
         raise ValueError(f"--orders must be distinct and at most "
                          f"{MAX_ORDER}, got {args.orders!r}")

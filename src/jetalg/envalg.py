@@ -201,8 +201,6 @@ class TensorElem(SparseElem):
         for (k, w1), a in self.terms.items():
             for (l, w2), b in other.terms.items():
                 dterms = _leibniz(a, k, b, l)
-                if not dterms:
-                    continue
                 for word, wc in _expansion(w1 + w2, self.r):
                     for m, c, db, q in dterms:
                         pairs.setdefault((m, word), []).append((c, db, q * wc))

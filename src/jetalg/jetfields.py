@@ -30,7 +30,9 @@ localization_partial_sum builds the truncated series that exhibits
     S_m = sum_{r=0}^{m} (1/g^{r+1}) delta(g)^r (1 # eta),
 
 whose defect against 1 # (1/g) eta (localization_defect) has t-valuation
->= m+1 and is given in closed form by localization_remainder.
+>= m+1 and is given in closed form by localization_remainder.  Each map
+asks g for its inverse, which g keeps (the inverse memo of ``charts``), so
+a caller checking many fields against one g inverts it once.
 """
 
 from __future__ import annotations
@@ -159,13 +161,21 @@ def localization_partial_sum(g, v, m, k):
     g must be invertible on the chart.  For m >= k this equals
     1 # (1/g) v exactly: delta(g)^r has t-order >= r, so every term with
     r > k is zero at order k and the sum stops at min(m, k)."""
-    return _partial_sum(g, g.invert(), v, m, k)
+    if m < 0:
+        raise ValueError("partial sum index must be >= 0")
+    ginv = g.invert()
+    dg = delta(g, k)
+    items = [(ginv, jet_scalar(v.chart.one(), k), 1)]  # (1/g^{r+1}, delta(g)^r, 1)
+    for _ in range(min(m, k)):
+        items.append((items[-1][0] * ginv, items[-1][1] * dg, 1))
+    return jf_from_vf(v, k).scale_jet(Jet.combination(v.chart, k, items))
 
 
 def localization_defect(g, v, m, k):
     """(S_m, 1 # (1/g) v - S_m) at order k: the partial sum and its defect,
     which localization_remainder gives in closed form."""
-    return _defect(g, g.invert(), v, m, k)
+    part = localization_partial_sum(g, v, m, k)
+    return part, jf_from_pair(v.chart.one(), v.scale(g.invert()), k) - part
 
 
 def localization_remainder(g, v, m, k):
@@ -175,31 +185,10 @@ def localization_remainder(g, v, m, k):
 
     (the s = 0 term reads 1 # (1/g) v).  Exact at every order, and of
     t-valuation >= m+1."""
-    return _remainder(g, g.invert(), v, m, k)
-
-
-# The three maps above for a given ginv = 1/g, so that a caller checking
-# many fields against one g inverts it once.
-
-def _partial_sum(g, ginv, v, m, k):
-    if m < 0:
-        raise ValueError("partial sum index must be >= 0")
-    dg = delta(g, k)
-    items = [(ginv, jet_scalar(v.chart.one(), k), 1)]  # (1/g^{r+1}, delta(g)^r, 1)
-    for _ in range(min(m, k)):
-        items.append((items[-1][0] * ginv, items[-1][1] * dg, 1))
-    return jf_from_vf(v, k).scale_jet(Jet.combination(v.chart, k, items))
-
-
-def _defect(g, ginv, v, m, k):
-    part = _partial_sum(g, ginv, v, m, k)
-    return part, jf_from_pair(v.chart.one(), v.scale(ginv), k) - part
-
-
-def _remainder(g, ginv, v, m, k):
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
     chart = v.chart
+    ginv = g.invert()
     items = []  # per component: (1/g^s, jet of g^{s-1} v_i, sign)
     for s in range(m + 2):
         a = chart.one() if s == 0 else ginv ** s

@@ -70,10 +70,15 @@ def mi_sub(a, b):
 
 
 def mi_check(m, n):
-    """m as a tuple, checked to have one entry per variable (n of them)."""
+    """m as a tuple, checked to have one entry per variable (n of them),
+    each a non-negative int."""
     m = tuple(m)
     if len(m) != n:
         raise ValueError(f"multi-index {m} does not have {n} entries")
+    for e in m:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"multi-index {m} has an entry that is not a "
+                             f"non-negative integer")
     return m
 
 

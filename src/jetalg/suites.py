@@ -29,7 +29,7 @@ from .atlas import (
 )
 from .envalg import av_to_tensor, pbw_normalize, u_mul
 from .jets import delta, jet_of, taylor_identity_check
-from .jetfields import _defect, _remainder, jf_from_pair
+from .jetfields import jf_from_pair, localization_defect, localization_remainder
 from .liealg import CurrentElem, basis_bracket, basis_elements, phi, psi
 from .multipoly import mi_degree
 from .report import Report
@@ -204,14 +204,13 @@ def suite_localization(env):
     st = "localization series: closed-form defect of valuation m+1"
 
     def checks(chart, k, smp, n):
-        g = chart.elem(chart.denominator)
-        ginv = g.invert()  # once for the n checks
+        g = chart.elem(chart.denominator)  # inverted once, for the n checks
         for idx in range(n):
             v = smp.vfield(chart, max_s=0)
             m = smp.rng.randint(0, k)
-            defect = _defect(g, ginv, v, m, k)[1]
+            defect = localization_defect(g, v, m, k)[1]
             ok = (
-                defect == _remainder(g, ginv, v, m, k)
+                defect == localization_remainder(g, v, m, k)
                 and defect.jf_order() >= m + 1
                 and (m < k or defect.is_zero())
             )
@@ -231,11 +230,11 @@ def suite_pbw(env):
             smp = Sampler(derive_seed(env.seed, "pbw", nvars, r))
             for idx in range(env.samples):
                 check = f"pbw/n{nvars}/{idx}"
+                params = {"nvars": nvars, "r": r, "case": idx}
                 word = smp.basis_word(nvars, r, smp.rng.randint(2, 4))
                 out = pbw_normalize(word, nvars, r)
                 ok = all(pbw_normalize(w, nvars, r) == {w: 1} for w in out)
-                yield (f"{check}/normal", st1,
-                       {"nvars": nvars, "r": r, "case": idx}, ok, {"word": word})
+                yield f"{check}/normal", st1, params, ok, {"word": word}
                 a, b = word[0], word[1]
                 diff = u_mul({(a,): 1}, {(b,): 1}, r)
                 for w, c in u_mul({(b,): 1}, {(a,): 1}, r).items():
@@ -244,14 +243,13 @@ def suite_pbw(env):
                 ok = {w: c for w, c in diff.items() if c} == {
                     (key,): c for key, c in br.items()
                 }
-                yield (f"{check}/commutator", st2,
-                       {"nvars": nvars, "r": r, "case": idx}, ok, {"a": a, "b": b})
+                yield f"{check}/commutator", st2, params, ok, {"a": a, "b": b}
                 w1 = {smp.basis_word(nvars, r, 2): 1}
                 w2 = {smp.basis_word(nvars, r, 2): 1}
                 w3 = {smp.basis_word(nvars, r, 2): 1}
                 ok = u_mul(u_mul(w1, w2, r), w3, r) == u_mul(w1, u_mul(w2, w3, r), r)
-                yield (f"{check}/assoc", st3, {"nvars": nvars, "r": r, "case": idx},
-                       ok, {"w1": w1, "w2": w2, "w3": w3})
+                yield (f"{check}/assoc", st3, params, ok,
+                       {"w1": w1, "w2": w2, "w3": w3})
     return _records(env, "pbw", checks())
 
 
@@ -329,17 +327,14 @@ def suite_transition(env):
             basis = basis_elements(tp.overlap.nparams, mbound)
             for m, p in basis:
                 check = f"transition/{label}/m{list(m)}/p{p}"
+                params = {"pair": label, "m": list(m), "p": p, "r": r}
                 ce = transition_l(tp, m, p, r)
                 ok = ce == transition_via_iso(tp, m, p, r)
-                yield (f"{check}/dual-route", st1,
-                       {"pair": label, "m": list(m), "p": p, "r": r}, ok,
-                       {"result": ce})
-                yield (f"{check}/filtration", st2,
-                       {"pair": label, "m": list(m), "p": p, "r": r},
+                yield f"{check}/dual-route", st1, params, ok, {"result": ce}
+                yield (f"{check}/filtration", st2, params,
                        filtration_check(tp, m, p, r), {"result": ce})
                 if mi_degree(m) == 1:
-                    yield (f"{check}/jacobian", st3,
-                           {"pair": label, "m": list(m), "p": p, "r": r},
+                    yield (f"{check}/jacobian", st3, params,
                            jacobian_quotient_check(tp, m, p, r), {"result": ce})
             back = env.atlas.transitions.get((to, fr))
             if back is not None and back.overlap == tp.overlap:
@@ -374,18 +369,8 @@ def suite_cocycle(env):
     return _records(env, "cocycle", checks())
 
 
-_SUITE_FUNCS = {
-    "taylor": suite_taylor,
-    "jet-hom": suite_jet_hom,
-    "smash-bracket": suite_smash_bracket,
-    "iso-roundtrip": suite_iso_roundtrip,
-    "iso-hom": suite_iso_hom,
-    "localization": suite_localization,
-    "pbw": suite_pbw,
-    "av-tensor": suite_av_tensor,
-    "transition": suite_transition,
-    "cocycle": suite_cocycle,
-}
+# suite id -> suite_<id> (dashes as underscores)
+_SUITE_FUNCS = {sid: globals()["suite_" + sid.replace("-", "_")] for sid in SUITE_IDS}
 
 
 def run_verification(suite, charts, atlas, orders, samples, seed,

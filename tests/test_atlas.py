@@ -19,6 +19,11 @@ def test_builtin_atlases_validate(p1, p1_pair):
     p1_pair.validate(jet_order=3)
 
 
+def test_transition_pair_repr(p1_pair):
+    assert (repr(p1_pair.transition("std", "inf"))
+            == "TransitionPair('std' -> 'inf' on 'std_inf')")
+
+
 def test_identity_transition_validates(loc_x):
     validate_transition(identity_transition(loc_x), jet_order=3)
 

@@ -117,6 +117,11 @@ def test_genspec_repr():
     assert repr(GenSpec("y", 2, rhs)) == "GenSpec(y^2 = x^3 - x + 1)"
 
 
+def test_ring_element_and_polynomial_reprs(loc_x):
+    assert repr(loc_x.param(0).num) == "Poly('x')"
+    assert repr(loc_x.inv_denominator()) == "RingElem('(1)/(x)' on 'loc_x')"
+
+
 def test_relation_reduction(elliptic):
     y = elliptic.gen(0)
     x = elliptic.param(0)
@@ -252,6 +257,23 @@ def test_refused_inversion_leaves_the_power_caches_as_they_were():
     with pytest.raises(NotInvertible):
         a.invert()
     assert chart._lifts == lifts and chart._fpow == fpow
+
+
+def test_invert_keeps_its_result_on_the_element(elliptic, monkeypatch):
+    # a repeat returns the stored object without a second search; a refused
+    # inversion stores nothing, so a repeat searches and raises again
+    calls = []
+    real = RingElem._invert
+    monkeypatch.setattr(RingElem, "_invert",
+                        lambda self: calls.append(self) or real(self))
+    y = elliptic.gen(0)
+    inv = y.invert()
+    assert y.invert() is inv and len(calls) == 1
+    bad = elliptic.param(0) + 1
+    for _ in range(2):
+        with pytest.raises(NotInvertible):
+            bad.invert()
+    assert len(calls) == 3 and bad._inv is None
 
 
 # -- invert against the search over independently built powers of g

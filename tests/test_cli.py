@@ -192,12 +192,29 @@ def test_localize_command(capsys):
     assert "defect" in out.lower()
 
 
+def test_localize_inverts_g_once(capsys, monkeypatch):
+    from jetalg.charts import RingElem
+
+    calls = []
+    real = RingElem._invert
+    monkeypatch.setattr(RingElem, "_invert",
+                        lambda self: calls.append(self) or real(self))
+    code, _ = run(capsys, "localize", "--chart", "elliptic", "--vf", "x",
+                  "--order", "3")
+    assert code == 0 and len(calls) == 1
+
+
 def test_dop_mul_command(capsys):
     code, data = run_json(capsys, "dop-mul", "--chart", "loc_x",
                           "--left", "1 @ 1", "--right", "x @ 0",
                           "--apply", "x^2")
     assert code == 0
     assert data["kind"] == "elem"
+
+
+def test_dop_mul_skips_empty_pieces(capsys):
+    assert run(capsys, "dop-mul", "--chart", "loc_x", "--left", "1 @ 1; ;",
+               "--right", "x @ 0") == (0, "(1) + (x)*D[1]\n")
 
 
 def test_av_map_command(capsys):
@@ -246,6 +263,12 @@ def test_cocycle_command(capsys):
                     "--triple", "std,inf,shift", "--order", "3")
     assert code == 0
     assert "ok" in out.lower() or "holds" in out.lower()
+
+
+def test_cocycle_command_on_one_monomial(capsys):
+    code, out = run(capsys, "cocycle", "--atlas", "p1", "--triple",
+                    "std,inf,shift", "--monomial", "1", "--order", "2")
+    assert (code, out) == (0, "m=[1] p=0: ok\ncocycle identity: holds\n")
 
 
 # -- verification driver
@@ -551,6 +574,14 @@ def test_unbounded_power_exits_2_quickly(capsys, chart, expr, msg):
      "--triple must name three charts, comma separated"),
     (("verify", "--suite", "taylor", "--orders", "0"),
      "--orders must be positive integers, comma separated"),
+    (("verify", "--orders", "1,x"),
+     "--orders must be positive integers, comma separated"),
+    (("verify", "--orders", ""),
+     "--orders must be positive integers, comma separated"),
+    (("verify", "--orders", "1,,2"),
+     "--orders must be positive integers, comma separated"),
+    (("psi", "--chart", "loc_x", "--term", "1:a:x", "--order", "1"),
+     "expected 'm1,..,mN:index:expression', got '1:a:x' (position 0)"),
 ])
 def test_each_refusal_exits_2_with_its_message(capsys, argv, msg):
     assert run_err(capsys, *argv) == (2, f"error: {msg}\n")
@@ -582,6 +613,31 @@ def test_jacobian_without_inverse_in_an_atlas_file_exits_1(capsys, tmp_path):
     code, err = run_err(capsys, "transition", "--atlas", str(fn), "--pair",
                         "c:c", "--monomial", "1", "--order", "2")
     assert (code, err) == (1, "check failed: cannot invert 2*x + 1\n")
+
+
+def test_transition_suite_records_a_refused_pair_and_skips_its_checks(capsys, tmp_path):
+    # p1_pair with the std->inf H replaced by x: the formulas no longer
+    # reproduce G there, so that pair's validate record fails and its basis
+    # checks are skipped; inf->std still runs, and its inverse checks, which
+    # go back through the altered pair, fail
+    from jetalg.fixtures import STANDARD_ATLASES
+
+    data = json.loads(json.dumps(STANDARD_ATLASES["p1_pair"]))
+    (pair,) = [t for t in data["transitions"] if (t["from"], t["to"]) == ("std", "inf")]
+    pair["H"] = ["x"]
+    fn = tmp_path / "atlas.json"
+    fn.write_text(json.dumps(data))
+    code, report = run_json(capsys, "verify", "--suite", "transition",
+                            "--atlas", str(fn), "--orders", "1,2")
+    assert code == 1
+    failed = {r["check"]: r for r in report["records"] if r["status"] == "fail"}
+    assert sorted(failed) == ["transition/inf->std/m[1]/p0/inverse",
+                              "transition/inf->std/m[2]/p0/inverse",
+                              "transition/std->inf/validate"]
+    assert (failed["transition/std->inf/validate"]["witness"]["error"]
+            == "x_of_y[0] does not reproduce G_0 on the overlap")
+    assert not [r for r in report["records"]
+                if r["check"].startswith("transition/std->inf/m")]
 
 
 def test_verify_json_is_the_report_json(capsys):

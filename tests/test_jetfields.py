@@ -2,10 +2,11 @@ import os
 
 import pytest
 
+from jetalg.charts import RingElem
 from jetalg.cli import main
 from jetalg.fileio import loads_chart
 from jetalg.jetfields import (
-    JetField, decompose, jf_from_pair, jf_from_vf,
+    JetField, decompose, jf_from_pair, jf_from_vf, localization_defect,
     localization_partial_sum, localization_remainder,
 )
 from jetalg.jets import delta, jet_of
@@ -213,6 +214,19 @@ def test_localization_defect(loc_x, elliptic):
                 # at m = k the series is exact
                 assert target == localization_partial_sum(g, v, k, k)
                 assert target == localization_partial_sum(g, v, k + 2, k)
+
+
+def test_localization_maps_share_one_inversion_of_g(elliptic, monkeypatch):
+    # g keeps its inverse, so the defect and the remainder invert it once
+    calls = []
+    real = RingElem._invert
+    monkeypatch.setattr(RingElem, "_invert",
+                        lambda self: calls.append(self) or real(self))
+    g = elliptic.elem(elliptic.denominator)
+    v = VectorField.coordinate(elliptic, 0)
+    defect = localization_defect(g, v, 1, 2)[1]
+    assert defect == localization_remainder(g, v, 1, 2)
+    assert len(calls) == 1 and calls[0] is g
 
 
 def test_localization_argument_checks(loc_x):

@@ -27,8 +27,8 @@ def test_a_tiny_run_counts_every_kind_of_work():
     got = counts(0)
     assert got.pop("exit") == "0"
     assert set(got) == {"add_product.calls", "add_product.pairs", "derive.fresh",
-                        "reduce.calls", "invert.calls", "sum_products.calls",
+                        "reduce.calls", "invert.fresh", "sum_products.calls",
                         "lift.calls"}
     assert all(int(v) > 0 for v in got.values()), got
     # one inversion of g per order, whatever the number of checks
-    assert got["invert.calls"] == "2"
+    assert got["invert.fresh"] == "2"

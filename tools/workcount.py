@@ -16,7 +16,8 @@ derivative tables) and of the run, not of loading the atlas:
 * ``derive.fresh`` -- ``RingElem._derive`` calls, the derivations the
   element memo does not answer;
 * ``reduce.calls`` -- ``ChartSpec.reduce`` calls;
-* ``invert.calls`` -- ``RingElem.invert`` calls;
+* ``invert.fresh`` -- ``RingElem._invert`` calls, the inversions the
+  element memo does not answer;
 * ``sum_products.calls`` -- calls of the sum-of-products kernel
   ``charts.sum_products``;
 * ``lift.calls`` -- ``ChartSpec.lift`` calls (cached or not).
@@ -45,7 +46,7 @@ from jetalg.suites import run_verification  # noqa: E402
 from spans import patch_function, patch_method  # noqa: E402
 
 COUNTS = ("add_product.calls", "add_product.pairs", "derive.fresh",
-          "reduce.calls", "invert.calls", "sum_products.calls", "lift.calls")
+          "reduce.calls", "invert.fresh", "sum_products.calls", "lift.calls")
 
 
 def install(counts):
@@ -62,7 +63,7 @@ def install(counts):
                    _counter(counts, "sum_products.calls", charts.sum_products))
     for cls, attr, name in ((RingElem, "_derive", "derive.fresh"),
                             (ChartSpec, "reduce", "reduce.calls"),
-                            (RingElem, "invert", "invert.calls"),
+                            (RingElem, "_invert", "invert.fresh"),
                             (ChartSpec, "lift", "lift.calls")):
         patch_method(cls, attr, _counter(counts, name, cls.__dict__[attr]))
 
