@@ -32,12 +32,11 @@ relations and commutators.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .charts import sum_products
 from .liealg import _basis_str, basis_bracket, basis_check, basis_key
 from .multipoly import (
-    grlex_key, mi_binomials, mi_check, mi_degree, mi_factorial, mi_range,
+    grlex_key, mi_binomials, mi_check, mi_degree, mi_inv_factorial, mi_range,
     mi_unit, mi_zero,
 )
 from .sparse import SparseElem, accumulate
@@ -234,8 +233,7 @@ def vf_factor(v, r):
             continue
         terms[(mi_unit(n, i), ())] = f
         for m in mi_range(n, r)[1:]:
-            terms[(mi_zero(n), ((m, i),))] = (f.derive_multi(m)
-                                              * Fraction(1, mi_factorial(m)))
+            terms[(mi_zero(n), ((m, i),))] = f.derive_multi(m) * mi_inv_factorial(m)
     return TensorElem._new(chart, r, terms)
 
 

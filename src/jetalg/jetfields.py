@@ -184,15 +184,20 @@ def localization_remainder(g, v, m, k):
         sum_{s=0}^{m+1} (-1)^s binom(m+1, s) (1/g^s) # (g^{s-1} v)
 
     (the s = 0 term reads 1 # (1/g) v).  Exact at every order, and of
-    t-valuation >= m+1."""
+    t-valuation >= m+1.  The powers are running products, one per step and
+    none after the last s: a_1 = 1/g, a_s = a_{s-1} (1/g) for 1/g^s, and
+    b_1 = 1, b_2 = g, b_s = b_{s-1} g for g^{s-1}.  Reduced normal forms
+    and canonical content are unique, so each equals the power exactly."""
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
     chart = v.chart
     ginv = g.invert()
     items = []  # per component: (1/g^s, jet of g^{s-1} v_i, sign)
-    for s in range(m + 2):
-        a = chart.one() if s == 0 else ginv ** s
-        w = v.scale(ginv if s == 0 else g ** (s - 1))
+    for s in range(m + 2):  # a = 1/g^s, b = g^{s-1}
+        if s < 2:
+            a, b = (chart.one(), ginv) if s == 0 else (ginv, chart.one())
+        else:
+            a, b = a * ginv, g if s == 2 else b * g
         sign = (-1) ** s * math.comb(m + 1, s)
-        items.append([(a, jet_of(c, k), sign) for c in w.coeffs])
+        items.append([(a, jet_of(c, k), sign) for c in v.scale(b).coeffs])
     return JetField._new(chart, k, [Jet.combination(chart, k, col) for col in zip(*items)])

@@ -28,11 +28,9 @@ eval_diagonal reads off the constant coefficient (evaluation at t = 0).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .multipoly import (
     grlex_key, indexed_names, mi_add, mi_binomial, mi_check, mi_degree,
-    mi_factorial, mi_fill, mi_powers, mi_range, mi_zero, mono_str,
+    mi_fill, mi_inv_factorial, mi_powers, mi_range, mi_zero, mono_str,
     pow_by_squaring,
 )
 from .sparse import SparseElem
@@ -48,9 +46,11 @@ class Jet(SparseElem):
     coeffs = SparseElem.terms
 
     def __init__(self, chart, order, coeffs):
-        if order < 0:
-            raise ValueError("jet order must be >= 0")
-        super().__init__(chart, order, coeffs)
+        super().__init__(chart, _order(order), coeffs)
+
+    @classmethod
+    def zero(cls, chart, order):
+        return cls._new(chart, _order(order), {})
 
     @staticmethod
     def _key(chart, order, m):
@@ -98,7 +98,7 @@ class Jet(SparseElem):
         if k > self.order:
             raise ValueError("cannot extend a jet to higher order")
         return Jet._new(
-            self.chart, k,
+            self.chart, _order(k),
             {m: c for m, c in self.terms.items() if mi_degree(m) <= k},
         )
 
@@ -109,14 +109,22 @@ class Jet(SparseElem):
         return f"({c})*{mono}" if mono else f"({c})"
 
 
+def _order(k):
+    """k, refused when negative: the one order check of a jet."""
+    if k < 0:
+        raise ValueError("jet order must be >= 0")
+    return k
+
+
 def jet_along(f, k, step):
     """Order-k jet whose t^m coefficient is (1/m!) D^m f for commuting
     derivations D_i, where step(c, i) = D_i c: the unscaled chain D^m f is
-    one mi_fill from f, scaled on output, so a second jet_of f reads the
-    chain from the derivative memo."""
-    chain = mi_fill(f, f.chart.nparams, k, step)
-    return Jet._new(f.chart, k, {m: c * Fraction(1, mi_factorial(m))
-                                 for m, c in chain.items()})
+    one mi_fill from f, so a second jet_of f reads the chain from the
+    derivative memo.  Each D^m f is scaled on output by the cached 1/m!
+    (mi_inv_factorial), a scaling that keeps its numerator dict
+    (Poly._scale)."""
+    chain = mi_fill(f, f.chart.nparams, _order(k), step)
+    return Jet._new(f.chart, k, {m: c * mi_inv_factorial(m) for m, c in chain.items()})
 
 
 def jet_of(f, k):
@@ -132,7 +140,7 @@ def jet_of_pair(g, f, k):
 
 def jet_scalar(f, k):
     """f * 1: the scalar f sitting at t^0."""
-    return Jet._new(f.chart, k, {mi_zero(f.chart.nparams): f})
+    return Jet._new(f.chart, _order(k), {mi_zero(f.chart.nparams): f})
 
 
 def delta(f, k):

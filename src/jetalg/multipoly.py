@@ -107,9 +107,11 @@ def mi_degree(a):
     return sum(a)
 
 
-def mi_factorial(a):
-    """m! = prod_i m_i!"""
-    return math.prod(map(math.factorial, a))
+@functools.lru_cache(maxsize=1024)
+def mi_inv_factorial(a):
+    """Fraction(1, m!) with m! = prod_i m_i!, built once per m: the jet
+    coefficients scale by it."""
+    return Fraction(1, math.prod(map(math.factorial, a)))
 
 
 def mi_binomial(m, k):
@@ -517,6 +519,8 @@ class Poly:
             n, d = c, 1
         else:
             n, d = c.numerator, c.denominator
+        if n == 1:  # 1/d keeps the numerator (the shared-dict rule of _make)
+            return _make(self.vars, self.nums, self.den * d)
         return _make(self.vars, {m: v * n for m, v in self.nums.items()}, self.den * d)
 
     def __pow__(self, e):
@@ -585,6 +589,9 @@ def _make(vars, nums, den=1):
     every key of nums is a packed monomial over vars within the degree
     bound, every value a nonzero int, and den > 0.  Divides out
     gcd(den, *nums) in one call so the result is canonical.
+    The result may keep ``nums`` itself (Poly._scale by 1/d hands over its
+    operand's dict), so two polynomials can share one dict: no code writes
+    into a Poly's dict, and every add_product target is a fresh one.
     Package-private: charts.reduce uses it too."""
     if den != 1:
         if not nums:

@@ -1,10 +1,12 @@
 import os
+from fractions import Fraction
 
 import pytest
 
 from jetalg.charts import RingElem
 from jetalg.cli import main
 from jetalg.fileio import loads_chart
+from jetalg.fixtures import standard_atlas, standard_chart
 from jetalg.jetfields import (
     JetField, decompose, jf_from_pair, jf_from_vf, localization_defect,
     localization_partial_sum, localization_remainder,
@@ -15,6 +17,7 @@ from jetalg.vfields import VectorField
 from bracketref import mutant_bracket, ref_bracket
 from conftest import make_sampler
 from decompref import ref_decompose
+from jetref import exact, ref_localization_remainder
 from test_factored import C4
 
 
@@ -227,6 +230,25 @@ def test_localization_maps_share_one_inversion_of_g(elliptic, monkeypatch):
     defect = localization_defect(g, v, 1, 2)[1]
     assert defect == localization_remainder(g, v, 1, 2)
     assert len(calls) == 1 and calls[0] is g
+
+
+@pytest.mark.parametrize("name", ["affine2", "elliptic", "loc_x", "triple"])
+def test_localization_remainder_is_exactly_the_power_form(name, monkeypatch):
+    # the running products give the numerator dict, content denominator and
+    # s of the ginv ** s / g ** (s - 1) form, and take no power
+    chart = (standard_atlas("p1").charts["triple"] if name == "triple"
+             else standard_chart(name))
+    smp = make_sampler("jf-remainder-exact", name)
+    gs = (chart.elem(chart.denominator) * Fraction(-3, 2), chart.inv_denominator() * 2)
+    vs = [smp.vfield(chart) for _ in range(2)]
+    cases = [(g, v, m, k) for g, v in zip(gs, vs) for k in range(5) for m in range(k + 1)]
+    want = [ref_localization_remainder(*case) for case in cases]
+    pows = []
+    real = RingElem.__pow__
+    monkeypatch.setattr(RingElem, "__pow__", lambda self, e: pows.append(e) or real(self, e))
+    got = [[exact(c) for c in localization_remainder(*case).comps] for case in cases]
+    assert got == want
+    assert pows == []
 
 
 def test_localization_argument_checks(loc_x):

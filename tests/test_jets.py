@@ -13,7 +13,7 @@ from jetalg.jets import (
 from jetalg.multipoly import Poly, mi_range
 
 from conftest import make_sampler
-from jetref import ref_jet_poly
+from jetref import exact, ref_jet_coeffs, ref_jet_poly
 
 
 def test_jet_of_polynomial(loc_x):
@@ -39,6 +39,18 @@ def test_jet_of_polynomial_matches_the_binomial_reference(name, k, data):
     terms = data.draw(st.dictionaries(exps, coefs, max_size=5))
     p = chart.elem(Poly(chart.allvars, {a + (0,) * chart.ngens: c for a, c in terms.items()}))
     assert jet_of(p, k) == ref_jet_poly(chart, terms, k)
+
+
+@pytest.mark.parametrize("name", sorted(_POLY_CHARTS))
+def test_jet_coefficients_are_exactly_the_scaled_derivatives(name):
+    # numerator dict, content denominator and s of each coefficient equal
+    # those of d^m f * Fraction(1, m!), at every |m| <= 6
+    chart = _POLY_CHARTS[name]
+    smp = make_sampler("jet-exact", name)
+    for _ in range(3):
+        f = smp.nonzero_elem(chart, max_s=2)
+        got = exact(jet_of(f, 6))
+        assert got == ref_jet_coeffs(f, 6) and got
 
 
 def test_jet_of_inverse_is_geometric(loc_x):

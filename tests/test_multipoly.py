@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetalg.multipoly import (
     POW_BITS, DEGREE_LIMIT, Poly, add_product, grlex_key, mi_add, mi_below,
-    mi_binomial, mi_binomials, mi_degree, mi_factorial, mi_fill, mi_le,
+    mi_binomial, mi_binomials, mi_degree, mi_fill, mi_inv_factorial, mi_le,
     mi_powers, mi_range, mi_split, mi_sub, mono_layout, mono_pack,
     poly_div_exact, power_check,
 )
@@ -60,7 +60,10 @@ def test_binomial_square():
 
 
 def test_multiindex_helpers():
-    assert mi_factorial((2, 1)) == 2
+    assert mi_inv_factorial((2, 1)) == Fraction(1, 2)
+    assert mi_inv_factorial((3, 0, 2)) == Fraction(1, 12)
+    # built once per multi-index: a repeat returns the cached object
+    assert mi_inv_factorial((2, 1)) is mi_inv_factorial((2, 1))
     assert mi_binomial((2, 1), (1, 0)) == 2
     assert mi_binomial((2, 1), (2, 1)) == 1
     assert mi_degree((2, 1)) == 3
@@ -248,6 +251,17 @@ def test_kernel_matches_reference_scalar_mul(a, c):
     p = Poly(VARS, a)
     assert canonical(p * c) == ref_scale(a, c)
     assert canonical(c * p) == ref_scale(a, c)
+
+
+@settings(deadline=None, max_examples=80)
+@given(ref_dicts, st.integers(1, 720))
+def test_scaling_by_one_over_d_matches_reference_and_keeps_the_operand(a, d):
+    # p * (1/d) may share p's numerator dict, so p must read as before
+    p = Poly(VARS, a)
+    nums, den = dict(p.nums), p.den
+    assert canonical(p * Fraction(1, d)) == ref_scale(a, Fraction(1, d))
+    assert (p.nums, p.den) == (nums, den)
+    assert canonical(p) == a
 
 
 @settings(deadline=None, max_examples=60)

@@ -15,8 +15,12 @@ from jetalg.charts import (
 from jetalg.envalg import DiffOp, TensorElem, av_to_tensor
 from jetalg.fileio import SchemaError, loads_atlas, loads_chart, value_from_data
 from jetalg.fixtures import STANDARD_CHARTS, standard_atlas, standard_chart
-from jetalg.jetfields import jf_from_pair
-from jetalg.jets import Jet, jet_of
+from jetalg.jetfields import (
+    JetField, jf_from_pair, localization_partial_sum, localization_remainder,
+)
+from jetalg.jets import (
+    Jet, delta, delta_powers, jet_of, jet_scalar, taylor_identity_check,
+)
 from jetalg.liealg import CurrentElem, LElem, SemiDirectElem, basis_check, psi
 from jetalg.multipoly import (
     Poly, mi_add, mi_binomial, mi_le, mi_split, mi_sub, mi_unit,
@@ -28,6 +32,10 @@ from jetalg.vfields import VectorField
 
 def _x():
     return standard_chart("loc_x").param(0)
+
+
+def _dx():
+    return VectorField.coordinate(standard_chart("loc_x"), 0)
 
 
 def _punct():
@@ -183,6 +191,32 @@ REFUSALS = {
     # jets, jet fields and the Lie side
     "jet order": (lambda: Jet(standard_chart("loc_x"), -1, {}), ValueError,
                   "jet order must be >= 0"),
+    "jet truncated below zero": (lambda: _jet().truncated(-1), ValueError,
+                                 "jet order must be >= 0"),
+    "jet_scalar order": (lambda: jet_scalar(_x(), -3), ValueError,
+                         "jet order must be >= 0"),
+    "jet zero order": (lambda: Jet.zero(standard_chart("loc_x"), -1), ValueError,
+                       "jet order must be >= 0"),
+    "jet field zero order": (lambda: JetField.zero(standard_chart("loc_x"), -2),
+                             ValueError, "jet order must be >= 0"),
+    "jet_of order": (lambda: jet_of(_x(), -1), ValueError,
+                     "jet order must be >= 0"),
+    "delta order": (lambda: delta(_x(), -1), ValueError,
+                    "jet order must be >= 0"),
+    "delta_powers order": (lambda: delta_powers(standard_chart("loc_x"), -1, 1),
+                           ValueError, "jet order must be >= 0"),
+    "jf_from_pair order": (lambda: jf_from_pair(_x(), _dx(), -1), ValueError,
+                           "jet order must be >= 0"),
+    "frame_jet order": (lambda: frame_jet([_dx()], _x(), -1), ValueError,
+                        "jet order must be >= 0"),
+    "taylor check order": (lambda: taylor_identity_check(_x(), -1), ValueError,
+                           "jet order must be >= 0"),
+    "localization partial sum order": (
+        lambda: localization_partial_sum(_x(), _dx(), 1, -1), ValueError,
+        "jet order must be >= 0"),
+    "localization remainder order": (
+        lambda: localization_remainder(_x(), _dx(), 1, -1), ValueError,
+        "jet order must be >= 0"),
     "jet power": (lambda: _jet() ** -1, ValueError,
                   "exponent must be a non-negative integer"),
     "jet truncated upward": (lambda: _jet().truncated(3), ValueError,

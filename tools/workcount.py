@@ -7,7 +7,7 @@ SUITE is a verify suite id or ``all``; LABEL is a built-in chart name or a
 chart JSON file, and the charts and the atlas default as for ``jetalg
 verify``.  The tool loads the atlas, then the charts, then runs
 ``suites.run_verification`` and prints the run's exit code (0 when every
-check passes, else 1) and seven counts of loading the charts (their
+check passes, else 1) and eight counts of loading the charts (their
 derivative tables) and of the run, not of loading the atlas:
 
 * ``add_product.calls`` and ``add_product.pairs`` -- calls of the one
@@ -20,7 +20,9 @@ derivative tables) and of the run, not of loading the atlas:
   element memo does not answer;
 * ``sum_products.calls`` -- calls of the sum-of-products kernel
   ``charts.sum_products``;
-* ``lift.calls`` -- ``ChartSpec.lift`` calls (cached or not).
+* ``lift.calls`` -- ``ChartSpec.lift`` calls (cached or not);
+* ``pow.calls`` -- ``RingElem.__pow__`` calls, the powers of ring
+  elements taken by binary exponentiation.
 
 Counts are of one fresh process: the charts' power and kernel caches start
 empty.  The wrappers are installed from outside the library, as the
@@ -46,7 +48,8 @@ from jetalg.suites import run_verification  # noqa: E402
 from spans import patch_function, patch_method  # noqa: E402
 
 COUNTS = ("add_product.calls", "add_product.pairs", "derive.fresh",
-          "reduce.calls", "invert.fresh", "sum_products.calls", "lift.calls")
+          "reduce.calls", "invert.fresh", "sum_products.calls", "lift.calls",
+          "pow.calls")
 
 
 def install(counts):
@@ -64,7 +67,8 @@ def install(counts):
     for cls, attr, name in ((RingElem, "_derive", "derive.fresh"),
                             (ChartSpec, "reduce", "reduce.calls"),
                             (RingElem, "_invert", "invert.fresh"),
-                            (ChartSpec, "lift", "lift.calls")):
+                            (ChartSpec, "lift", "lift.calls"),
+                            (RingElem, "__pow__", "pow.calls")):
         patch_method(cls, attr, _counter(counts, name, cls.__dict__[attr]))
 
 
