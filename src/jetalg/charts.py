@@ -46,7 +46,11 @@ refuses a power before its first product by ``multipoly.power_check`` on
 the chart's ``power_weights``, which ``multipoly.power_weights`` builds in
 the constructor.  Sums at one denominator, negations and rational multiples
 of reduced numerators are reduced already and skip ``reduce``
-(``RingElem._new``).
+(``RingElem._new``).  A product with the unit (s = 0, numerator 1 over
+content 1) returns the other factor itself: that factor's numerator is
+reduced already, so reduce(N * 1) would rebuild the same numerator, content
+and s.  The result therefore shares the other factor's derivative and
+inverse memos.
 
 Derivation kernel.  d/dx_i of N/F^s is a sum of pieces, each a partial of N
 times a multiplier M that sits over a packed denominator o, its offset: the
@@ -112,10 +116,10 @@ input unchecked; it may refuse a result whose largest term cancels.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .multipoly import (
     DEGREE_LIMIT, FIELD_BITS, FIELD_MASK, Poly, _make, add_product, mi_check,
@@ -148,12 +152,10 @@ class NotInvertible(ChartError):
     division search can find."""
 
 
-class GenSpec(NamedTuple):
+class GenSpec(collections.namedtuple("GenSpec", "name degree rhs")):
     """One algebraic generator: y^degree = rhs."""
 
-    name: str
-    degree: int
-    rhs: Poly
+    __slots__ = ()
 
     def __repr__(self):
         return f"GenSpec({self.name}^{self.degree} = {self.rhs})"
@@ -191,10 +193,9 @@ class ChartSpec:
         if self.nparams == 0:
             raise ChartError("a chart needs at least one parameter")
         for j, gs in enumerate(self.gens):
-            if not isinstance(gs.degree, int) or gs.degree < 2:
-                raise NonMonicRelation(
-                    f"generator {gs.name}: degree must be an integer >= 2"
-                )
+            if not isinstance(gs.degree, int) or not 2 <= gs.degree < DEGREE_LIMIT:
+                raise NonMonicRelation(f"generator {gs.name}: degree must be "
+                                       f"an integer from 2 to {DEGREE_LIMIT - 1}")
             allowed = set(range(self.nparams)) | {self.gen_index(l) for l in range(j)}
             if not gs.rhs.support_vars() <= allowed:
                 raise NonMonicRelation(
@@ -530,6 +531,11 @@ class RingElem:
                 return RingElem._new(self.chart, self.num * other, self.s)
             return NotImplemented
         self._check(other)
+        # a unit factor returns the other factor itself (module docstring)
+        if not other.s and other.num.nums == _UNIT_NUMS and other.num.den == 1:
+            return self
+        if not self.s and self.num.nums == _UNIT_NUMS and self.num.den == 1:
+            return other
         chart = self.chart
         s = self.s + other.s
         if s & chart._guard:
@@ -692,6 +698,7 @@ class RingElem:
         return f"RingElem({str(self)!r} on {self.chart.name!r})"
 
 
+_UNIT_NUMS = {0: 1}  # the numerators of 1: the constant monomial packs to 0
 _EXPONENT_BOUND = (f"a factor of the denominator would pass the exponent "
                    f"bound {DEGREE_LIMIT - 1}")
 

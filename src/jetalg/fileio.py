@@ -11,8 +11,13 @@ Atlas schema:  {"name": str, "charts": [chart, ...],
                 "transitions": [{"from": str, "to": str, "overlap": str,
                                  "G": [expr, ...], "H": [expr, ...]}, ...]}
 The overlap names a chart in the same file; G and H are parsed over it.
+An optional "x_of_y"/"y_of_x" pair holds {"chart": str, "exprs": [expr, ...]}
+each.
 
-Schema violations raise SchemaError whose message carries the JSON path.
+Schema violations raise SchemaError whose message carries the JSON path:
+a key the schema does not name, in any object, a field of the wrong type
+(``true`` is not an int), and a parameter or generator name that is not
+the parser's NAME token, which no expression could refer to.
 Value serialization (value_to_data / value_from_data) is loss-free and
 deterministic: coefficients are exact rational strings and term lists are
 sorted in the monomial order.  A ring element is written as {"num", "s"},
@@ -33,7 +38,7 @@ from .jets import Jet
 from .jetfields import JetField
 from .liealg import CurrentElem, LElem, SemiDirectElem
 from .multipoly import Poly
-from .parser import parse_expression, parse_poly
+from .parser import NAME, parse_expression, parse_poly
 from .atlas import AtlasSpec, TransitionPair
 from .vfields import VectorField
 
@@ -51,27 +56,43 @@ def _get(data, path, key, types, required=True, default=None):
             raise SchemaError(here, "missing required field")
         return default
     val = data[key]
-    if not isinstance(val, types):
+    if isinstance(val, bool) or not isinstance(val, types):
         raise SchemaError(here, f"expected {types}, got {type(val).__name__}")
     return val
 
 
-def loads_chart(data, path=""):
+def _object(data, path, what, keys):
+    """data if it is a JSON object whose keys are all among keys."""
     if not isinstance(data, dict):
-        raise SchemaError(path, "chart must be a JSON object")
+        raise SchemaError(path, f"{what} must be a JSON object")
+    for key in data:
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
+    return data
+
+
+def _name(name, path):
+    if not NAME.fullmatch(name):
+        raise SchemaError(path, f"{name!r} is not a name ({NAME.pattern})")
+    return name
+
+
+def loads_chart(data, path=""):
+    _object(data, path, "chart", ("name", "params", "gens", "denominator"))
     name = _get(data, path, "name", str)
     params = _get(data, path, "params", list)
+    ppath = f"{path}.params" if path else "params"
     if not params or not all(isinstance(p, str) for p in params):
-        raise SchemaError(f"{path}.params" if path else "params",
-                          "must be a non-empty list of names")
+        raise SchemaError(ppath, "must be a non-empty list of names")
+    for idx, p in enumerate(params):
+        _name(p, f"{ppath}[{idx}]")
     gens_data = _get(data, path, "gens", list, required=False, default=[])
     gens = []
     seen = list(params)
     for idx, g in enumerate(gens_data):
         gpath = f"{path}.gens[{idx}]" if path else f"gens[{idx}]"
-        if not isinstance(g, dict):
-            raise SchemaError(gpath, "generator must be a JSON object")
-        gname = _get(g, gpath, "name", str)
+        _object(g, gpath, "generator", ("name", "degree", "rhs"))
+        gname = _name(_get(g, gpath, "name", str), f"{gpath}.name")
         degree = _get(g, gpath, "degree", int)
         rhs_src = _get(g, gpath, "rhs", str)
         rhs = parse_poly(rhs_src, tuple(seen))
@@ -98,8 +119,7 @@ def load_chart(filename):
 
 
 def loads_atlas(data):
-    if not isinstance(data, dict):
-        raise SchemaError("", "atlas must be a JSON object")
+    _object(data, "", "atlas", ("name", "charts", "transitions"))
     name = _get(data, "", "name", str, required=False, default="atlas")
     charts_data = _get(data, "", "charts", list)
     charts = {}
@@ -111,8 +131,8 @@ def loads_atlas(data):
     transitions = []
     for idx, t in enumerate(_get(data, "", "transitions", list, required=False, default=[])):
         tpath = f"transitions[{idx}]"
-        if not isinstance(t, dict):
-            raise SchemaError(tpath, "transition must be a JSON object")
+        _object(t, tpath, "transition",
+                ("from", "to", "overlap", "G", "H", "x_of_y", "y_of_x"))
         frm = _get(t, tpath, "from", str)
         to = _get(t, tpath, "to", str)
         ov = _get(t, tpath, "overlap", str)
@@ -138,8 +158,7 @@ def loads_atlas(data):
 
 
 def _formula_tuple(data, path, charts):
-    if not isinstance(data, dict):
-        raise SchemaError(path, "formula entry must be a JSON object")
+    _object(data, path, "formula entry", ("chart", "exprs"))
     cname = _get(data, path, "chart", str)
     if cname not in charts:
         raise SchemaError(f"{path}.chart", f"unknown chart {cname!r}")

@@ -41,7 +41,9 @@ class IllegalDenominator(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()]))")
+# a NAME token; chart files may only name parameters and generators by it
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([+\-*/^()]))")
 
 
 def _tokenize(src):

@@ -10,7 +10,6 @@ only."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
 def dumps(data):
@@ -19,13 +18,13 @@ def dumps(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
 class Report:
-    version: str
-    seed: int
-    targets: dict
-    params: dict
-    records: list = field(default_factory=list)
+    def __init__(self, version, seed, targets, params, records=None):
+        self.version = version
+        self.seed = seed
+        self.targets = targets
+        self.params = params
+        self.records = [] if records is None else records
 
     def counts(self):
         passed = sum(1 for r in self.records if r["status"] == "pass")

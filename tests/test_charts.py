@@ -411,6 +411,29 @@ def test_multiplying_by_one_returns_the_element(all_charts):
         assert z.is_zero() and z.s == 0
 
 
+def _form(e):
+    return e.num.nums, e.num.den, e.s
+
+
+def _product_form(a, b):
+    """(nums, den, s) of a * b by the general product: reduce the numerator
+    product, add the packed exponents, and s = 0 for zero."""
+    num = a.chart.reduce(a.num * b.num)
+    return num.nums, num.den, a.s + b.s if num.nums else 0
+
+
+@pytest.mark.parametrize("name", ["loc_x", "elliptic", "affine2", "triple"])
+def test_a_product_with_the_unit_returns_the_other_factor(p1, name):
+    chart = p1.charts["triple"] if name == "triple" else standard_chart(name)
+    x0 = chart.gen(0) if chart.ngens else chart.param(0)
+    for x in (chart.zero(), (x0 + 2) * chart.inv_denominator(3), x0):
+        assert x * chart.one() is x and chart.one() * x is x
+        assert _form(x) == _product_form(x, chart.one()) == _product_form(chart.one(), x)
+        for y in (chart.elem(2), chart.inv_denominator(), chart.elem(Fraction(1, 3))):
+            assert _form(x * y) == _product_form(x, y)
+            assert _form(y * x) == _product_form(y, x)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_sum_over_unequal_powers_of_g_is_reduced(elliptic, seed):

@@ -538,6 +538,31 @@ def test_unbounded_power_exits_2_quickly(capsys, chart, expr, msg):
 
 # -- refusals: one row per message, each exits 2 with one stderr line
 
+def _chart_file(**fields):
+    """A one-generator chart file with fields replaced (None drops one)."""
+    data = {"name": "c", "params": ["x"],
+            "gens": [{"name": "y", "degree": 2, "rhs": "x"}], "denominator": "y"}
+    data.update(fields)
+    return {k: v for k, v in data.items() if v is not None}
+
+
+def _gen_file(**fields):
+    return _chart_file(gens=[{"name": "y", "degree": 2, "rhs": "x", **fields}])
+
+
+def _p1_pair_file(edit):
+    """p1_pair's atlas file with edit applied to its data."""
+    from jetalg.fixtures import STANDARD_ATLASES
+
+    data = json.loads(json.dumps(STANDARD_ATLASES["p1_pair"]))
+    edit(data)
+    return data
+
+
+def _rename(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
 @pytest.mark.parametrize("argv,msg", [
     (("transition", "--atlas", "nosuch", "--pair", "std:inf", "--monomial",
       "1", "--order", "2"),
@@ -582,8 +607,48 @@ def test_unbounded_power_exits_2_quickly(capsys, chart, expr, msg):
      "--orders must be positive integers, comma separated"),
     (("psi", "--chart", "loc_x", "--term", "1:a:x", "--order", "1"),
      "expected 'm1,..,mN:index:expression', got '1:a:x' (position 0)"),
+    # chart and atlas files (a dict is written to a file and named by path):
+    # keys the schema does not name, in every kind of object
+    (("validate", "--chart", _chart_file(gens=None, generators=[])),
+     "generators: unknown field"),
+    (("jet", "--chart", _chart_file(gens=None, generators=[]), "--expr", "x",
+      "--order", "1"), "generators: unknown field"),
+    (("validate", "--chart", _gen_file(deg=3)), "gens[0].deg: unknown field"),
+    (("validate", "--atlas", _p1_pair_file(lambda d: _rename(d, "transitions", "transition"))),
+     "transition: unknown field"),
+    (("validate", "--atlas", _p1_pair_file(lambda d: d["charts"][0].update(gen=[]))),
+     "charts[0].gen: unknown field"),
+    (("validate", "--atlas", _p1_pair_file(lambda d: [
+        _rename(d["transitions"][0], k, k + "_") for k in ("x_of_y", "y_of_x")])),
+     "transitions[0].x_of_y_: unknown field"),
+    (("validate", "--atlas", _p1_pair_file(
+        lambda d: d["transitions"][0]["x_of_y"].update(expr="1/t"))),
+     "transitions[0].x_of_y.expr: unknown field"),
+    # names no expression can name, and true as a degree
+    (("validate", "--chart", _chart_file(params=[""])),
+     "params[0]: '' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    (("validate", "--chart", _chart_file(params=["1x"])),
+     "params[0]: '1x' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    (("validate", "--chart", _chart_file(params=["x y"])),
+     "params[0]: 'x y' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    (("validate", "--chart", _chart_file(params=["x+1"])),
+     "params[0]: 'x+1' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    (("validate", "--chart", _chart_file(params=["x^2"])),
+     "params[0]: 'x^2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    (("validate", "--chart", _chart_file(params=["\u00e9"])),
+     "params[0]: '\u00e9' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    (("validate", "--chart", _gen_file(name="y 2")),
+     "gens[0].name: 'y 2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    (("validate", "--chart", _gen_file(degree=True)),
+     "gens[0].degree: expected <class 'int'>, got bool"),
 ])
-def test_each_refusal_exits_2_with_its_message(capsys, argv, msg):
+def test_each_refusal_exits_2_with_its_message(capsys, tmp_path, argv, msg):
+    def written(i, data):
+        fn = tmp_path / f"file{i}.json"
+        fn.write_text(json.dumps(data))
+        return str(fn)
+
+    argv = [written(i, a) if isinstance(a, dict) else a for i, a in enumerate(argv)]
     assert run_err(capsys, *argv) == (2, f"error: {msg}\n")
 
 
@@ -650,3 +715,11 @@ def test_verify_json_is_the_report_json(capsys):
                               standard_atlas("p1"), [1], 1, 0,
                               chart_labels=["loc_x"], atlas_label="p1")
     assert code == 0 and out == report.to_json()
+
+
+def test_reports_do_not_share_records():
+    from jetalg.report import Report
+
+    a, b = (Report(version="0", seed=0, targets={}, params={}) for _ in range(2))
+    a.records.append({"check": "c", "statement": "s", "status": "pass"})
+    assert b.records == [] and b.counts() == (0, 0) and a.counts() == (1, 0)

@@ -184,6 +184,43 @@ REFUSALS = {
     "schema formula chart": (
         lambda: _atlas_with_formula({"chart": "nosuch", "exprs": ["x"]}),
         SchemaError, "x_of_y.chart: unknown chart 'nosuch'"),
+    "schema unknown chart field": (
+        lambda: loads_chart({"name": "c", "params": ["x"], "generators": [],
+                             "denominator": "x"}),
+        SchemaError, "generators: unknown field"),
+    "schema unknown generator field": (
+        lambda: loads_chart({"name": "c", "params": ["x"], "denominator": "y",
+                             "gens": [{"name": "y", "degree": 2, "rhs": "x", "deg": 2}]}),
+        SchemaError, "gens[0].deg: unknown field"),
+    "schema unknown atlas field": (
+        lambda: loads_atlas({"charts": [STANDARD_CHARTS["loc_x"]], "transition": []}),
+        SchemaError, "transition: unknown field"),
+    "schema unknown atlas chart field": (
+        lambda: loads_atlas({"charts": [STANDARD_CHARTS["loc_x"] | {"gen": []}]}),
+        SchemaError, "charts[0].gen: unknown field"),
+    "schema unknown transition field": (
+        lambda: loads_atlas({"charts": [STANDARD_CHARTS["loc_x"]], "transitions": [
+            {"from": "loc_x", "to": "loc_x", "overlap": "loc_x", "G": ["x"],
+             "H": ["x"], "x_of_y_": {}, "y_of_x_": {}}]}),
+        SchemaError, "transitions[0].x_of_y_: unknown field"),
+    "schema unknown formula field": (
+        lambda: _atlas_with_formula({"chart": "loc_x", "exprs": ["x"], "expr": "x"}),
+        SchemaError, "x_of_y.expr: unknown field"),
+    "schema parameter name": (
+        lambda: loads_chart({"name": "c", "params": ["x", "x+1"], "denominator": "x"}),
+        SchemaError, "params[1]: 'x+1' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    "schema generator name": (
+        lambda: loads_chart({"name": "c", "params": ["x"], "denominator": "1",
+                             "gens": [{"name": "1y", "degree": 2, "rhs": "x"}]}),
+        SchemaError, "gens[0].name: '1y' is not a name"),
+    "schema bool degree": (
+        lambda: loads_chart({"name": "c", "params": ["x"], "denominator": "y",
+                             "gens": [{"name": "y", "degree": True, "rhs": "x"}]}),
+        SchemaError, "gens[0].degree: expected <class 'int'>, got bool"),
+    "schema degree beyond the bound": (
+        lambda: loads_chart({"name": "c", "params": ["x"], "denominator": "y",
+                             "gens": [{"name": "y", "degree": 100000, "rhs": "x"}]}),
+        NonMonicRelation, "generator y: degree must be an integer from 2 to 32767"),
     "built-in chart": (lambda: standard_chart("nosuch"), KeyError,
                        "no built-in chart 'nosuch'"),
     "built-in atlas": (lambda: standard_atlas("nosuch"), KeyError,
@@ -238,6 +275,10 @@ REFUSALS = {
         lambda: ChartSpec("c", ["x"], [GenSpec("x", 2, Poly.one(("x",)))],
                           denominator=Poly.variable(("x",), "x")),
         NonMonicRelation, "parameter and generator names must be distinct"),
+    "generator degree bound": (
+        lambda: ChartSpec("c", ["x"], [GenSpec("y", 32768, Poly.variable(("x",), "x"))],
+                          denominator=Poly.variable(("x", "y"), "y")),
+        NonMonicRelation, "generator y: degree must be an integer from 2 to 32767"),
     "derivative exponent bound": (
         lambda: RingElem(standard_chart("loc_x"), (_x() + 1).num, 32767).derive(0),
         ValueError, "would pass the exponent bound 32767"),
