@@ -1,12 +1,12 @@
 """What importing jetalg costs a fresh process, module by module.
 
-    python3 tools/startup.py [MODULE ...]
+    python3 tools/startup.py
 
-MODULE defaults to ``jetalg.cli``, what every ``jetalg`` command imports.
-The tool runs one clean child of this interpreter: ``-S`` (no ``site``, so
-no ``.pth`` file from site-packages is loaded), ``-X importtime``,
-``PYTHONDONTWRITEBYTECODE=1`` and ``src`` first on ``PYTHONPATH``.  It
-prints
+The tool runs one clean child of this interpreter that imports
+``jetalg.cli``, what every ``jetalg`` command imports: ``-S`` (no
+``site``, so no ``.pth`` file from site-packages is loaded), ``-X
+importtime``, ``PYTHONDONTWRITEBYTECODE=1`` and ``src`` first on
+``PYTHONPATH``.  It prints
 
 * the total import milliseconds of the child (the sum of every module's
   self time, the interpreter's own start-up imports included),
@@ -24,22 +24,21 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT = ("jetalg.cli",)
+CODE = ("import sys\n"
+        "before = set(sys.modules)\n"
+        "import jetalg.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n")
 
 
-def run_child(modules=DEFAULT, python=sys.executable):
-    """(rows, loaded) of one clean child importing modules: rows are the
-    ``-X importtime`` lines as (module, self_us, cumulative_us) in import
-    order, loaded the sorted top-level names, jetalg's excluded, of the
-    modules the imports added to the child's ``sys.modules``."""
-    code = ("import sys\n"
-            "before = set(sys.modules)\n"
-            + "".join(f"import {m}\n" for m in modules)
-            + "print(' '.join(sorted(set(sys.modules) - before)))\n")
+def run_child():
+    """(rows, loaded) of one clean child importing ``jetalg.cli``: rows are
+    the ``-X importtime`` lines as (module, self_us, cumulative_us) in
+    import order, loaded the sorted top-level names, jetalg's excluded, of
+    the standard-library modules the import added to ``sys.modules``."""
     path = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(p for p in (path, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([python, "-S", "-X", "importtime", "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", CODE], env=env,
                           capture_output=True, text=True, check=True)
     rows = []
     for line in proc.stderr.splitlines():
@@ -51,17 +50,10 @@ def run_child(modules=DEFAULT, python=sys.executable):
     return rows, sorted(loaded - {"jetalg"})
 
 
-def loaded_modules(modules=DEFAULT, python=sys.executable):
-    """The standard-library top-level modules that importing modules loads
-    in a clean ``-S`` child beyond a bare interpreter."""
-    return run_child(modules, python)[1]
-
-
-def main(argv):
-    modules = tuple(argv[1:]) or DEFAULT
-    rows, loaded = run_child(modules)
+def main():
+    rows, loaded = run_child()
     total = sum(self_us for _, self_us, _ in rows)
-    print(f"python {sys.version.split()[0]} -S -X importtime, import {' '.join(modules)}")
+    print(f"python {sys.version.split()[0]} -S -X importtime, import jetalg.cli")
     print(f"total import {total / 1000:.1f} ms ({len(rows)} modules)")
     print("jetalg modules (self ms, cumulative ms):")
     for name, self_us, cum_us in rows:
@@ -72,4 +64,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
