@@ -223,20 +223,9 @@ class TransitionPair:
             ))
         return tuple(frames)
 
-    @property
-    def x_frame(self):
-        return self.frames[0]
-
-    @property
-    def y_frame(self):
-        return self.frames[1]
-
     def dH_dx(self, q, p):
         """h_qp = dH_q/dx_p."""
-        return self.x_frame[p].apply(self.H[q])
-
-    def dG_dy(self, i, j):
-        return self.y_frame[j].apply(self.G[i])
+        return self.frames[0][p].apply(self.H[q])
 
     # -- shared jet data at truncation r
 
@@ -245,11 +234,12 @@ class TransitionPair:
         if got is not None:
             return got
         n = self.overlap.nparams
-        dG = [frame_jet(self.y_frame, g, r) - jet_scalar(g, r) for g in self.G]
+        x_frame, y_frame = self.frames
+        dG = [frame_jet(y_frame, g, r) - jet_scalar(g, r) for g in self.G]
         products = mi_powers(jet_scalar(self.overlap.one(), r), dG, r)
         hcomp = [
             [
-                _subst(frame_jet(self.x_frame, self.dH_dx(q, p), r), products)
+                _subst(frame_jet(x_frame, self.dH_dx(q, p), r), products)
                 for p in range(n)
             ]
             for q in range(n)
@@ -346,7 +336,7 @@ def _iso_data(tp, r):
     got = tp._iso.get(r)
     if got is not None:
         return got
-    dx = [jet_scalar(g, r) - frame_jet(tp.x_frame, g, r) for g in tp.G]
+    dx = [jet_scalar(g, r) - frame_jet(tp.frames[0], g, r) for g in tp.G]
     powers = mi_powers(jet_scalar(tp.overlap.one(), r), dx, r)
     got = tp._iso[r] = (powers, {})
     return got
@@ -412,10 +402,11 @@ def jacobian_quotient_check(tp, a, p, r):
         raise ValueError("jacobian_quotient_check needs |a| = 1")
     i, _ = mi_split(a)
     ce = transition_l(tp, a, p, r)
+    y_frame = tp.frames[1]
     for b in range(n):
         for q in range(n):
             got = ce.coeff(mi_unit(n, b), q)
-            want = tp.dG_dy(i, b) * tp.dH_dx(q, p)
+            want = y_frame[b].apply(tp.G[i]) * tp.dH_dx(q, p)
             if got != want:
                 return False
     return True
@@ -429,7 +420,7 @@ def cocycle_check(atl, triple, m, p, r):
     t_jl = atl.transition(j, l)
     t_il = atl.transition(i, l)
     if not (t_ij.overlap == t_jl.overlap == t_il.overlap):
-        raise TransitionError(
+        raise MissingTransition(
             "cocycle check needs all three transitions over one overlap chart"
         )
     lhs = transport_current(t_jl, transition_l(t_ij, m, p, r), r)
@@ -438,18 +429,22 @@ def cocycle_check(atl, triple, m, p, r):
 
 
 class AtlasSpec:
-    """Charts by name plus directed transitions keyed by (from, to)."""
+    """Charts by name plus directed transitions keyed by (from, to), each
+    between known charts of its overlap's dimension (checked here)."""
 
     def __init__(self, name, charts, transitions):
         self.name = name
         self.charts = dict(charts)
         self.transitions = {}
         for tp in transitions:
-            if tp.from_name not in self.charts or tp.to_name not in self.charts:
+            a, b, n = tp.from_name, tp.to_name, tp.overlap.nparams
+            if a not in self.charts or b not in self.charts:
+                raise TransitionError(f"transition {a}->{b} references unknown charts")
+            if self.charts[a].nparams != n or self.charts[b].nparams != n:
                 raise TransitionError(
-                    f"transition {tp.from_name}->{tp.to_name} references unknown charts"
+                    f"transition {a}->{b}: chart dimensions do not match the overlap"
                 )
-            self.transitions[(tp.from_name, tp.to_name)] = tp
+            self.transitions[(a, b)] = tp
 
     def transition(self, a, b):
         got = self.transitions.get((a, b))
@@ -458,11 +453,7 @@ class AtlasSpec:
         return got
 
     def validate(self, jet_order=2):
-        for (a, b), tp in self.transitions.items():
-            if self.charts[a].nparams != tp.overlap.nparams or self.charts[b].nparams != tp.overlap.nparams:
-                raise TransitionError(
-                    f"transition {a}->{b}: chart dimensions do not match the overlap"
-                )
+        for tp in self.transitions.values():
             validate_transition(tp, jet_order)
 
     def __repr__(self):

@@ -545,8 +545,6 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
         chart = self.chart
         weights = chart.power_weights
         power_check(self.num, e, weights)

@@ -22,7 +22,7 @@ from .jets import delta, delta_power, jet_of
 from .jetfields import jf_from_pair, localization_defect, localization_remainder
 from .liealg import CurrentElem, SemiDirectElem, phi, psi
 from .multipoly import mi_degree, mi_range
-from .parser import ExprSyntaxError, parse_expression
+from .parser import parse_expression
 from .report import dumps
 from .suites import SUITE_IDS, run_verification
 from .vfields import VectorField
@@ -55,14 +55,14 @@ def _resolve_atlas(label):
 def _parse_vf(src, chart):
     parts = [p.strip() for p in src.split(";")]
     if len(parts) != chart.nparams:
-        raise ExprSyntaxError(
-            f"expected {chart.nparams} component(s) separated by ';', got {len(parts)}", 0)
+        raise ValueError(
+            f"expected {chart.nparams} component(s) separated by ';', got {len(parts)}")
     return VectorField(chart, [parse_expression(p, chart) for p in parts])
 
 
 def _parse_jetfield(src, chart, k):
     if "#" not in src:
-        raise ExprSyntaxError("expected 'coefficient # v1;...;vN'", 0)
+        raise ValueError("expected 'coefficient # v1;...;vN'")
     a_src, vf_src = src.split("#", 1)
     a = parse_expression(a_src.strip(), chart)
     return jf_from_pair(a, _parse_vf(vf_src, chart), k)
@@ -72,13 +72,11 @@ def _parse_monomial(src, n):
     try:
         m = tuple(int(p) for p in src.split(","))
     except ValueError:
-        raise ExprSyntaxError(f"bad monomial {src!r}: expected comma-separated integers", 0)
+        raise ValueError(f"bad monomial {src!r}: expected comma-separated integers")
     if len(m) != n or any(e < 0 for e in m):
-        raise ExprSyntaxError(
-            f"monomial needs {n} non-negative exponent(s), got {src!r}", 0)
+        raise ValueError(f"monomial needs {n} non-negative exponent(s), got {src!r}")
     if mi_degree(m) > MAX_ORDER:
-        raise ExprSyntaxError(
-            f"monomial {src!r} has total degree above {MAX_ORDER}", 0)
+        raise ValueError(f"monomial {src!r} has total degree above {MAX_ORDER}")
     return m
 
 
@@ -123,10 +121,10 @@ def _parse_av_word(src, chart):
         elif kind == "v":
             factors.append(("vf", _parse_vf(rest, chart)))
         else:
-            raise ExprSyntaxError(
-                f"each factor must start with 'f' or 'v', got {piece!r}", 0)
+            raise ValueError(
+                f"each factor must start with 'f' or 'v', got {piece!r}")
     if not factors:
-        raise ExprSyntaxError("empty word", 0)
+        raise ValueError("empty word")
     return factors
 
 
@@ -219,8 +217,8 @@ def cmd_psi(args):
             m_src, i_src, expr = spec.split(":", 2)
             i = int(i_src)
         except ValueError:  # too few pieces, or an index that is no integer
-            raise ExprSyntaxError(
-                f"expected 'm1,..,mN:index:expression', got {spec!r}", 0) from None
+            raise ValueError(
+                f"expected 'm1,..,mN:index:expression', got {spec!r}") from None
         m = _parse_monomial(m_src, chart.nparams)
         if not (1 <= mi_degree(m) <= k) or not (0 <= i < chart.nparams):
             raise ValueError(f"term {spec!r} out of range for order {k}")

@@ -36,8 +36,8 @@ import functools
 from .charts import sum_products
 from .liealg import _basis_str, basis_bracket, basis_check, basis_key
 from .multipoly import (
-    grlex_key, mi_binomials, mi_check, mi_degree, mi_inv_factorial, mi_range,
-    mi_unit, mi_zero,
+    grlex_key, indexed_names, mi_binomials, mi_check, mi_degree,
+    mi_inv_factorial, mi_range, mi_unit, mi_zero,
 )
 from .sparse import SparseElem, accumulate
 
@@ -71,10 +71,6 @@ class DiffOp(SparseElem):
     @staticmethod
     def _key(chart, _grade, m):
         return mi_check(m, chart.nparams)
-
-    @classmethod
-    def identity(cls, chart):
-        return cls.from_function(chart.one())
 
     @classmethod
     def from_function(cls, f):
@@ -183,10 +179,6 @@ class TensorElem(SparseElem):
             raise ValueError("PBW word is not in normal order")
         return (dm, w)
 
-    @classmethod
-    def unit(cls, chart, r):
-        return fun_factor(chart.one(), r)
-
     def coeff(self, dm, w):
         return self.get((tuple(dm), tuple(w)))
 
@@ -212,8 +204,8 @@ class TensorElem(SparseElem):
 
     def _term_str(self, key, c):
         dm, w = key
-        n = self.chart.nparams
-        word = "*".join(_basis_str(m, i, n) for m, i in w) or "1"
+        names = indexed_names("X", self.chart.nparams, self.chart.allvars)
+        word = "*".join(_basis_str(m, i, names) for m, i in w) or "1"
         return f"{_dterm_str(dm, c)} (x) {word}"
 
 

@@ -123,10 +123,6 @@ def jf_from_pair(a, v, k):
     return JetField._new(v.chart, k, [jet_of(c, k).scale(a) for c in v.coeffs])
 
 
-def jf_from_vf(v, k):
-    return jf_from_pair(v.chart.one(), v, k)
-
-
 def decompose(u, params=None, basis=None):
     """Write u as a finite sum of decomposables: returns [(a, eta), ...] with
     sum jf_from_pair(a, eta, k) == u.
@@ -163,12 +159,12 @@ def localization_partial_sum(g, v, m, k):
     r > k is zero at order k and the sum stops at min(m, k)."""
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
-    ginv = g.invert()
+    ginv, one = g.invert(), v.chart.one()
     dg = delta(g, k)
-    items = [(ginv, jet_scalar(v.chart.one(), k), 1)]  # (1/g^{r+1}, delta(g)^r, 1)
+    items = [(ginv, jet_scalar(one, k), 1)]  # (1/g^{r+1}, delta(g)^r, 1)
     for _ in range(min(m, k)):
         items.append((items[-1][0] * ginv, items[-1][1] * dg, 1))
-    return jf_from_vf(v, k).scale_jet(Jet.combination(v.chart, k, items))
+    return jf_from_pair(one, v, k).scale_jet(Jet.combination(v.chart, k, items))
 
 
 def localization_defect(g, v, m, k):

@@ -31,7 +31,6 @@ from __future__ import annotations
 from .multipoly import (
     grlex_key, indexed_names, mi_add, mi_binomial, mi_check, mi_degree,
     mi_fill, mi_inv_factorial, mi_powers, mi_range, mi_zero, mono_str,
-    pow_by_squaring,
 )
 from .sparse import SparseElem
 
@@ -77,11 +76,6 @@ class Jet(SparseElem):
                     pairs.setdefault(mi_add(m1, m2), []).append((c1, c2, 1))
         return Jet._from_products(self.chart, k, pairs)
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        return pow_by_squaring(jet_scalar(self.chart.one(), self.order), self, e)
-
     # -- structure maps
 
     def t_order(self):
@@ -105,7 +99,8 @@ class Jet(SparseElem):
     _key_order = staticmethod(grlex_key)
 
     def _term_str(self, m, c):
-        mono = mono_str(indexed_names("t", self.chart.nparams), m)
+        chart = self.chart
+        mono = mono_str(indexed_names("t", chart.nparams, chart.allvars), m)
         return f"({c})*{mono}" if mono else f"({c})"
 
 

@@ -76,8 +76,7 @@ def basis_bracket(a, i, b, j, r):
     return {k: c for k, c in out.items() if c}
 
 
-def _basis_str(m, i, nvars):
-    names = indexed_names("X", nvars)
+def _basis_str(m, i, names):
     return f"{mono_str(names, m)}*d/d{names[i]}"
 
 
@@ -123,7 +122,7 @@ class LElem(SparseElem):
     _key_order = staticmethod(basis_key)
 
     def _term_str(self, key, c):
-        return f"({c})*{_basis_str(*key, self.nvars)}"
+        return f"({c})*{_basis_str(*key, indexed_names('X', self.nvars))}"
 
 
 class CurrentElem(SparseElem):
@@ -159,7 +158,8 @@ class CurrentElem(SparseElem):
     _key_order = staticmethod(basis_key)
 
     def _term_str(self, key, c):
-        return f"({c})*{_basis_str(*key, self.chart.nparams)}"
+        names = indexed_names("X", self.chart.nparams, self.chart.allvars)
+        return f"({c})*{_basis_str(*key, names)}"
 
 
 class SemiDirectElem(TupleElem):

@@ -175,10 +175,14 @@ def mono_str(names, m):
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
 
 
-def indexed_names(stem, n):
+def indexed_names(stem, n, taken=()):
     """Display names of n formal variables: the stem alone for one, else
-    stem1..stemn."""
-    return (stem,) if n == 1 else tuple(f"{stem}{i + 1}" for i in range(n))
+    stem1..stemn, with the stem repeated (t, tt, ...) until no name is one
+    of taken, a chart's own names, so that the display reads back."""
+    names = (stem,) if n == 1 else tuple(f"{stem}{i + 1}" for i in range(n))
+    if set(names).isdisjoint(taken):
+        return names
+    return indexed_names(stem + stem[0], n, taken)
 
 
 def _as_fraction(c):
@@ -230,11 +234,11 @@ def degree_check(k, top):
 
 
 def power_check(p, e, weights=(1, ())):
-    """Raise ValueError, before p ** e is computed, unless the degree and the
-    coefficient bits of its reduced form stay within the bounds; return both
-    estimates.  weights is a chart's power_weights: (den, gens) with one
-    (shift, excess, slack, wbits, dbits) per generator y_j; the default
-    weighs every variable 1, for powers that nothing reduces.
+    """Raise ValueError, before p ** e is computed, unless e is an int >= 0
+    and the degree and the coefficient bits of its reduced form stay within
+    the bounds; return both estimates.  weights is a chart's power_weights:
+    (den, gens) with one (shift, excess, slack, wbits, dbits) per generator
+    y_j; the default weighs every variable 1, for powers that nothing reduces.
 
     Degree: y_j weighs w_j = weight(q_j) / d_j (parameters 1; a polynomial's
     weight is the largest weighted degree of its monomials); scaled by den, a
@@ -252,6 +256,8 @@ def power_check(p, e, weights=(1, ())):
     the largest y_j exponent in p.  Without generators in p the degree is
     exactly e * degree and N(p) the sum of |numerators|; bits <= 1 (0, or +-1
     of norm 1) has no bit bound."""
+    if type(e) is not int or e < 0:
+        raise ValueError("exponent must be a non-negative integer")
     top = mono_layout(len(p.vars))[1]
     den, gens = weights
     wdeg, norm, high = 0, 0, [0] * len(gens)
@@ -333,7 +339,7 @@ def add_product(out, a, b, f, top):
 
 def pow_by_squaring(one, base, e):
     """base ** e for an integer e >= 0 by binary exponentiation, starting
-    from the unit ``one``; shared by Poly, RingElem and Jet."""
+    from the unit ``one``; shared by Poly and RingElem."""
     out = one
     while e:
         if e & 1:
@@ -367,11 +373,7 @@ class Poly:
         clean = {}
         items = terms.items() if hasattr(terms, "items") else terms  # a mapping or pairs
         for m, c in items:
-            m = tuple(m)
-            if len(m) != n:
-                raise ValueError(f"exponent tuple {m} does not match {n} variables")
-            if not all(isinstance(e, int) and e >= 0 for e in m):
-                raise ValueError(f"exponents must be non-negative integers: {m}")
+            m = mi_check(m, n)
             c = _as_fraction(c)
             if c:
                 k = mono_pack(m, n)
@@ -526,8 +528,6 @@ class Poly:
     def __pow__(self, e):
         """self ** e; raises ValueError before the first product when the
         power leaves a bound (see power_check)."""
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
         power_check(self, e)
         return pow_by_squaring(Poly.one(self.vars), self, e)
 

@@ -19,12 +19,12 @@ def dumps(data):
 
 
 class Report:
-    def __init__(self, version, seed, targets, params, records=None):
+    def __init__(self, version, seed, targets, params):
         self.version = version
         self.seed = seed
         self.targets = targets
         self.params = params
-        self.records = [] if records is None else records
+        self.records = []
 
     def counts(self):
         passed = sum(1 for r in self.records if r["status"] == "pass")

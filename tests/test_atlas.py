@@ -127,7 +127,7 @@ def test_degenerate_jacobian_rejected():
     with pytest.raises(JacobianNotInvertible):
         validate_transition(bad)
     with pytest.raises(JacobianNotInvertible):
-        bad.x_frame
+        bad.frames
 
 
 def test_projective_pair_values(p1_pair):

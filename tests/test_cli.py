@@ -135,6 +135,23 @@ def test_jet_command(capsys):
     assert len(data["coeffs"]) == 3
 
 
+@pytest.mark.parametrize("params,argv,out", [
+    (["t1", "t2"], ("jet", "--expr", "t2", "--order", "1"), "(t2) + (1)*tt2"),
+    (["t"], ("jet", "--expr", "t^2", "--order", "1"), "(t^2) + (2*t)*tt"),
+    (["X"], ("phi", "--field", "1 # X^2", "--order", "2"),
+     "((X^2)*d/dX ; (2*X)*XX*d/dXX + (1)*XX^2*d/dXX)"),
+    (["X"], ("av-map", "--word", "v X", "--order", "1"),
+     "(1) (x) XX*d/dXX + (X)*D[1] (x) 1"),
+])
+def test_printed_variables_differ_from_the_chart_names(capsys, tmp_path, params,
+                                                        argv, out):
+    # jets print t, currents X; a chart that has such a name gets tt or XX
+    fn = tmp_path / "c.json"
+    fn.write_text(json.dumps({"name": "c", "params": params, "gens": [],
+                              "denominator": "1"}))
+    assert run(capsys, argv[0], "--chart", str(fn), *argv[1:]) == (0, out + "\n")
+
+
 def test_jet_bad_expression_exits_2(capsys):
     code, _ = run(capsys, "jet", "--chart", "loc_x", "--expr", "1/(x + 1)",
                   "--order", "2")
@@ -424,7 +441,7 @@ def test_monomial_above_the_maximum_order_exits_2_quickly(capsys, argv, mono):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err == (f"error: monomial {mono!r} has total degree above "
-                   f"{cli.MAX_ORDER} (position 0)\n")
+                   f"{cli.MAX_ORDER}\n")
 
 
 def test_monomial_of_the_maximum_order_is_valid(capsys):
@@ -563,30 +580,48 @@ def _rename(obj, old, new):
     obj[new] = obj.pop(old)
 
 
+def _line(name, param="x"):
+    return {"name": name, "params": [param], "gens": [], "denominator": "1"}
+
+
+def _atlas_file(charts, *pairs):
+    """An atlas file over the given charts with identity transitions, one
+    per (from, to, overlap) in pairs."""
+    return {"name": "bad", "charts": charts, "transitions": [
+        {"from": a, "to": b, "overlap": o, "G": [x], "H": [x]}
+        for a, b, o, x in pairs]}
+
+
+# a->b and b->c on o1, a->c on o2
+TWO_OVERLAPS = _atlas_file([_line(c) for c in ("a", "b", "c", "o1", "o2")],
+                           ("a", "b", "o1", "x"), ("b", "c", "o1", "x"),
+                           ("a", "c", "o2", "x"))
+
+
 @pytest.mark.parametrize("argv,msg", [
     (("transition", "--atlas", "nosuch", "--pair", "std:inf", "--monomial",
       "1", "--order", "2"),
      "nosuch: not a built-in atlas name or a readable file"),
     (("localize", "--chart", "affine2", "--vf", "1", "--order", "1"),
-     "expected 2 component(s) separated by ';', got 1 (position 0)"),
+     "expected 2 component(s) separated by ';', got 1"),
     (("bracket", "--chart", "loc_x", "--left", "x", "--right", "1 # 1",
       "--order", "1"),
-     "expected 'coefficient # v1;...;vN' (position 0)"),
+     "expected 'coefficient # v1;...;vN'"),
     (("delta", "--chart", "loc_x", "--power", "a", "--order", "1"),
-     "bad monomial 'a': expected comma-separated integers (position 0)"),
+     "bad monomial 'a': expected comma-separated integers"),
     (("delta", "--chart", "affine2", "--power", "1", "--order", "1"),
-     "monomial needs 2 non-negative exponent(s), got '1' (position 0)"),
+     "monomial needs 2 non-negative exponent(s), got '1'"),
     (("av-map", "--chart", "loc_x", "--word", "g x", "--order", "1"),
-     "each factor must start with 'f' or 'v', got 'g x' (position 0)"),
+     "each factor must start with 'f' or 'v', got 'g x'"),
     (("av-map", "--chart", "loc_x", "--word", " | ", "--order", "1"),
-     "empty word (position 0)"),
+     "empty word"),
     (("validate",), "nothing to validate: pass --chart and/or --atlas"),
     (("delta", "--chart", "loc_x", "--expr", "x", "--power", "1", "--order", "1"),
      "pass exactly one of --expr or --power"),
     (("delta", "--chart", "loc_x", "--order", "1"),
      "pass exactly one of --expr or --power"),
     (("psi", "--chart", "loc_x", "--term", "1:0", "--order", "1"),
-     "expected 'm1,..,mN:index:expression', got '1:0' (position 0)"),
+     "expected 'm1,..,mN:index:expression', got '1:0'"),
     (("psi", "--chart", "loc_x", "--term", "2:0:x", "--order", "1"),
      "term '2:0:x' out of range for order 1"),
     (("transition", "--atlas", "p1", "--pair", "std-inf", "--monomial", "1",
@@ -606,7 +641,7 @@ def _rename(obj, old, new):
     (("verify", "--orders", "1,,2"),
      "--orders must be positive integers, comma separated"),
     (("psi", "--chart", "loc_x", "--term", "1:a:x", "--order", "1"),
-     "expected 'm1,..,mN:index:expression', got '1:a:x' (position 0)"),
+     "expected 'm1,..,mN:index:expression', got '1:a:x'"),
     # chart and atlas files (a dict is written to a file and named by path):
     # keys the schema does not name, in every kind of object
     (("validate", "--chart", _chart_file(gens=None, generators=[])),
@@ -641,6 +676,9 @@ def _rename(obj, old, new):
      "gens[0].name: 'y 2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
     (("validate", "--chart", _gen_file(degree=True)),
      "gens[0].degree: expected <class 'int'>, got bool"),
+    # transitions that the atlas holds, but not over one overlap
+    (("cocycle", "--atlas", TWO_OVERLAPS, "--triple", "a,b,c", "--order", "1"),
+     "cocycle check needs all three transitions over one overlap chart"),
 ])
 def test_each_refusal_exits_2_with_its_message(capsys, tmp_path, argv, msg):
     def written(i, data):
@@ -678,6 +716,30 @@ def test_jacobian_without_inverse_in_an_atlas_file_exits_1(capsys, tmp_path):
     code, err = run_err(capsys, "transition", "--atlas", str(fn), "--pair",
                         "c:c", "--monomial", "1", "--order", "2")
     assert (code, err) == (1, "check failed: cannot invert 2*x + 1\n")
+
+
+# charts a (two parameters) and b (one) with transitions over the line o
+DIMENSIONS = _atlas_file(
+    [{"name": "a", "params": ["x1", "x2"], "gens": [], "denominator": "1"},
+     _line("b", "w"), _line("o")],
+    ("a", "b", "o", "x"), ("b", "a", "o", "x"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("transition", "--pair", "a:b", "--monomial", "1", "--order", "2"),
+    ("cocycle", "--triple", "a,b,a", "--order", "1"),
+    ("verify", "--suite", "transition", "--orders", "1", "--samples", "1"),
+])
+def test_an_atlas_whose_dimensions_differ_is_refused_wherever_it_is_read(
+        capsys, tmp_path, argv):
+    fn = tmp_path / "bad.json"
+    fn.write_text(json.dumps(DIMENSIONS))
+    code, err = run_err(capsys, *argv, "--atlas", str(fn))
+    assert (code, err) == (
+        1, "check failed: transition a->b: chart dimensions do not match the overlap\n")
+    code, out = run(capsys, "validate", "--atlas", str(fn))
+    assert (code, out) == (1, f"atlas {fn}: FAILED (transition a->b: chart "
+                              "dimensions do not match the overlap)\n")
 
 
 def test_transition_suite_records_a_refused_pair_and_skips_its_checks(capsys, tmp_path):

@@ -42,7 +42,7 @@ def test_apply(loc_x):
     assert xd.apply(x ** 2) == 2 * x ** 2
     d2 = DiffOp(loc_x, {(2,): loc_x.one()})
     assert d2.apply(x ** 3) == 6 * x
-    assert DiffOp.identity(loc_x).apply(x ** 3) == x ** 3
+    assert DiffOp.from_function(loc_x.one()).apply(x ** 3) == x ** 3
 
 
 def test_apply_refuses_a_function_on_another_chart(loc_x, elliptic, p1):
@@ -123,7 +123,7 @@ def test_tensor_products(loc_x):
     one_tensor_e = TensorElem(loc_x, r, {((0,), (E,)): one})
     assert one_tensor_e * d_tensor_1 == TensorElem(loc_x, r, {((1,), (E,)): one})
     s = smash = one_tensor_e * x_tensor_1
-    assert TensorElem.unit(loc_x, r) * s == smash
+    assert fun_factor(loc_x.one(), r) * s == smash
 
 
 def test_factor_maps(loc_x):
@@ -156,7 +156,7 @@ def test_defining_relation_example(loc_x):
     r = 2
     diff = (av_to_tensor([("vf", d), ("fun", x)], r)
             - av_to_tensor([("fun", x), ("vf", d)], r))
-    assert diff == TensorElem.unit(loc_x, r)
+    assert diff == fun_factor(loc_x.one(), r)
 
 
 def test_av_multiplicative(all_charts):

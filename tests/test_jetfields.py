@@ -8,7 +8,7 @@ from jetalg.cli import main
 from jetalg.fileio import loads_chart
 from jetalg.fixtures import standard_atlas, standard_chart
 from jetalg.jetfields import (
-    JetField, decompose, jf_from_pair, jf_from_vf, localization_defect,
+    JetField, decompose, jf_from_pair, localization_defect,
     localization_partial_sum, localization_remainder,
 )
 from jetalg.jets import delta, jet_of
@@ -125,7 +125,7 @@ def test_order_examples(loc_x):
     d = VectorField.coordinate(loc_x, 0)
     k = 2
     assert jf_from_pair(loc_x.one(), d, k).jf_order() == 0
-    u = jf_from_vf(d, k).scale_jet(delta(x, k))
+    u = jf_from_pair(loc_x.one(), d, k).scale_jet(delta(x, k))
     assert u.jf_order() == 1
     assert JetField.zero(loc_x, k).jf_order() == k + 1
 
@@ -137,7 +137,7 @@ def test_anchor(loc_x):
     k = 2
     assert jf_from_pair(x, v, k).anchor() == v.scale(x)
     assert jf_from_pair(loc_x.one(), d, k).anchor() == d
-    u = jf_from_vf(d, k).scale_jet(delta(x, k))
+    u = jf_from_pair(loc_x.one(), d, k).scale_jet(delta(x, k))
     assert u.anchor() == VectorField.zero(loc_x)
 
 
@@ -179,7 +179,7 @@ def test_decompose_matches_the_per_pair_power_loop(all_charts, p1):
     overlap in the pair's x-frame (params G, basis the x-frame fields)."""
     cases = [(chart, chart.name, None, None) for chart in all_charts]
     for (a, b), tp in sorted(p1.transitions.items()):
-        cases.append((tp.overlap, f"p1-{a}:{b}", list(tp.G), list(tp.x_frame)))
+        cases.append((tp.overlap, f"p1-{a}:{b}", list(tp.G), list(tp.frames[0])))
     for chart, label, params, basis in cases:
         smp = make_sampler("jf-decompose-ref", label)
         for k in (1, 2, 3, 4):

@@ -248,14 +248,6 @@ def test_truncation_consistency(loc_x):
     assert jet_of(f, 3).truncated(2) == jet_of(f, 2)
 
 
-def test_jet_power_is_repeated_product(elliptic):
-    j = jet_of(elliptic.gen(0) + elliptic.param(0) * Fraction(1, 3), 3)
-    expected = jet_scalar(elliptic.one(), 3)
-    for n in range(7):
-        assert j ** n == expected
-        expected = expected * j
-
-
 def test_jet_product_reduces_once_per_coefficient(elliptic, monkeypatch):
     x, y = elliptic.param(0), elliptic.gen(0)
     a = jet_of(y * x + elliptic.inv_denominator(), 3)

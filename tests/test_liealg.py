@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jetalg import jets
-from jetalg.jetfields import jf_from_pair, jf_from_vf
+from jetalg.jetfields import jf_from_pair
 from jetalg.jets import Jet, delta
 from jetalg.liealg import (
     CurrentElem, LElem, SemiDirectElem, basis_elements, basis_key, phi, psi,
@@ -113,7 +113,7 @@ def test_phi_splits_off_the_anchor(loc_x):
     p0 = phi(jf_from_pair(loc_x.one(), d, k))
     assert p0.v == d and p0.c.is_zero()
 
-    high = jf_from_vf(d, k).scale_jet(delta(x, k))
+    high = jf_from_pair(loc_x.one(), d, k).scale_jet(delta(x, k))
     assert phi(high).v.is_zero()
 
 

@@ -12,7 +12,7 @@ from jetalg.atlas import (
 from jetalg.charts import (
     ChartMismatch, ChartSpec, GenSpec, NonMonicRelation, RingElem, sum_products,
 )
-from jetalg.envalg import DiffOp, TensorElem, av_to_tensor
+from jetalg.envalg import DiffOp, TensorElem, av_to_tensor, fun_factor
 from jetalg.fileio import SchemaError, loads_atlas, loads_chart, value_from_data
 from jetalg.fixtures import STANDARD_CHARTS, standard_atlas, standard_chart
 from jetalg.jetfields import (
@@ -254,8 +254,6 @@ REFUSALS = {
     "localization remainder order": (
         lambda: localization_remainder(_x(), _dx(), 1, -1), ValueError,
         "jet order must be >= 0"),
-    "jet power": (lambda: _jet() ** -1, ValueError,
-                  "exponent must be a non-negative integer"),
     "jet truncated upward": (lambda: _jet().truncated(3), ValueError,
                              "cannot extend a jet to higher order"),
     "jet field charts": (
@@ -295,6 +293,12 @@ REFUSALS = {
                    "exponent must be a non-negative integer"),
     "poly power": (lambda: _x().num ** -1, ValueError,
                    "exponent must be a non-negative integer"),
+    # bool is an int subclass: True is refused as an exponent, as in a
+    # multi-index
+    "ring power of True": (lambda: _x() ** True, ValueError,
+                           "exponent must be a non-negative integer"),
+    "poly power of True": (lambda: _x().num ** True, ValueError,
+                           "exponent must be a non-negative integer"),
     "poly unknown variable": (lambda: Poly.variable(("x",), "z"), ValueError,
                               "unknown variable 'z'"),
     "poly variable lists": (lambda: Poly.one(("x",)) + Poly.one(("y",)),
@@ -346,8 +350,8 @@ FOREIGN = {
     "Poly -": (lambda: _x().num, "__sub__"),
     "Jet *": (_jet, "__mul__"),
     "Jet ==": (_jet, "__eq__"),
-    "DiffOp *": (lambda: DiffOp.identity(standard_chart("loc_x")), "__mul__"),
-    "TensorElem *": (lambda: TensorElem.unit(standard_chart("loc_x"), 1), "__mul__"),
+    "DiffOp *": (lambda: DiffOp.from_function(_x()), "__mul__"),
+    "TensorElem *": (lambda: fun_factor(_x(), 1), "__mul__"),
 }
 
 
@@ -373,11 +377,13 @@ MI_ENTRY_POINTS = {
                                          {((2,) + m, 0): standard_chart("affine2").one()}),
     "LElem": lambda m: LElem(2, 2, {((2,) + m, 0): 1}),
     "derive_multi": lambda m: _x().derive_multi(m),
+    "Poly": lambda m: Poly(("x",), {m: 1}),
     "value_from_data": lambda m: value_from_data(_jet_data(list(m)), standard_chart("loc_x")),
 }
 
 
-@pytest.mark.parametrize("entry", [-1, 0.5, "1"], ids=["negative", "float", "str"])
+@pytest.mark.parametrize("entry", [-1, 0.5, "1", True],
+                         ids=["negative", "float", "str", "bool"])
 @pytest.mark.parametrize("where", MI_ENTRY_POINTS)
 def test_multi_index_entries_must_be_non_negative_ints(where, entry):
     with pytest.raises(ValueError, match="not a non-negative integer"):

@@ -26,7 +26,7 @@ def ref_transition_l(tp, m, p, r):
     n = ov.nparams
     m = tuple(m)
     _products, hcomp = tp._composition_data(r)
-    Gy = [frame_jet(tp.y_frame, g, r) for g in tp.G]
+    Gy = [frame_jet(tp.frames[1], g, r) for g in tp.G]
     comps = [Jet.zero(ov, r) for _ in range(n)]
     gy_pows = {}
     for k in mi_below(m):

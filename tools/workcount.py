@@ -39,10 +39,8 @@ sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 
 from jetalg import charts, multipoly  # noqa: E402
 from jetalg.charts import ChartSpec, RingElem  # noqa: E402
-from jetalg.cli import DEFAULT_ATLAS, DEFAULT_CHARTS  # noqa: E402
-from jetalg.fileio import load_atlas, load_chart  # noqa: E402
-from jetalg.fixtures import (  # noqa: E402
-    STANDARD_ATLASES, STANDARD_CHARTS, standard_atlas, standard_chart,
+from jetalg.cli import (  # noqa: E402
+    DEFAULT_ATLAS, DEFAULT_CHARTS, _resolve_atlas, _resolve_chart,
 )
 from jetalg.suites import run_verification  # noqa: E402
 from spans import patch_function, patch_method  # noqa: E402
@@ -90,12 +88,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     counts = dict.fromkeys(COUNTS, 0)
     install(counts)
-    atlas = (standard_atlas(args.atlas) if args.atlas in STANDARD_ATLASES
-             else load_atlas(args.atlas))
+    atlas = _resolve_atlas(args.atlas)
     counts.update(dict.fromkeys(COUNTS, 0))
     labels = args.chart or list(DEFAULT_CHARTS)
-    charts = [standard_chart(c) if c in STANDARD_CHARTS else load_chart(c)
-              for c in labels]
+    charts = [_resolve_chart(c) for c in labels]
     report = run_verification(args.suite, charts, atlas,
                               [int(k) for k in args.orders.split(",")],
                               args.samples, args.seed, labels, args.atlas)
