@@ -41,10 +41,10 @@ keys directly: it reads the generator's field with a shift and a mask,
 lowers that field and the degree field by the exponent it removes, and
 brings the powers of q_j it substitutes to one common denominator per pass.
 Numerators obey the degree bound of ``multipoly`` (total degree at most
-32767); arithmetic beyond it raises ValueError, and ``RingElem.__pow__``
-refuses a power before its first product by ``multipoly.power_check`` on
-the chart's ``power_weights``, which ``multipoly.power_weights`` builds in
-the constructor.  Sums at one denominator, negations and rational multiples
+32767); arithmetic beyond it raises ValueError.  Powers, fresh inversions
+and power-cache fills run under the work meter of ``multipoly``
+(``metered``), which each pass of ``reduce`` is charged to as well.  Sums
+at one denominator, negations and rational multiples
 of reduced numerators are reduced already and skip ``reduce``
 (``RingElem._new``).  A product with the unit (s = 0, numerator 1 over
 content 1) returns the other factor itself: that factor's numerator is
@@ -121,9 +121,11 @@ import functools
 import math
 from fractions import Fraction
 
+from . import multipoly
 from .multipoly import (
-    DEGREE_LIMIT, FIELD_BITS, FIELD_MASK, Poly, _make, add_product, mi_check,
-    mono_layout, poly_div_exact, pow_by_squaring, power_check, power_weights,
+    DEGREE_LIMIT, FIELD_BITS, FIELD_MASK, PAIR_UNITS, Poly, _make, add_product,
+    charge, metered, mi_check, mono_layout, poly_div_exact, pow_by_squaring,
+    power_check,
 )
 
 
@@ -226,7 +228,6 @@ class ChartSpec:
         self._fpow = [{0: one} for _ in self.factors]  # [k][e] -> reduced f_k^e
         self._lifts = {0: one}  # packed d -> reduced F^d
         self._kernels = {}   # (i, generators, factors) -> derive kernel
-        self.power_weights = power_weights(len(self.allvars), self.nparams, self.gens)
         self._build_derivative_tables()
         self._param_elems = [self.var(p) for p in self.params]
 
@@ -303,13 +304,17 @@ class ChartSpec:
         q_j^t, t = e // d_j.  One pass groups its terms by t (two terms of
         one group with equal e % d_j have equal e, so the lowered keys stay
         distinct), brings the powers of q_j to one common denominator and
-        makes one add_product per group.  Raises ValueError when a product
-        could leave the degree bound of multipoly."""
+        makes one add_product per group; a metered call pays PAIR_UNITS per
+        term for each pass.  Raises ValueError when a product could leave the
+        degree bound of multipoly."""
         if not self.gens:
             return poly
         nums, den = poly.nums, poly.den
         shifts, top, _ = mono_layout(len(self.allvars))
+        meter = multipoly._left is not None
         for j in range(self.ngens - 1, -1, -1):
+            if meter:
+                charge(PAIR_UNITS * len(nums))
             sh = shifts[self.gen_index(j)]
             d = self.gens[j].degree
             high = [(m, c) for m, c in nums.items() if (m >> sh) & FIELD_MASK >= d]
@@ -335,7 +340,7 @@ class ChartSpec:
     def _q_power(self, j, e):
         """q_j^e, the e-th power of generator j's relation right-hand side."""
         cache = self._qpow[j]
-        return cache.get(e) or _fill(cache, e, lambda p: p * self.gens[j].rhs)
+        return cache.get(e) or metered(_fill, cache, e, lambda p: p * self.gens[j].rhs)
 
     def exponents(self, s):
         """The exponent of each factor in the packed denominator s."""
@@ -358,7 +363,7 @@ class ChartSpec:
                 if e:
                     cache = self._fpow[k]
                     f = self.factors[k]
-                    p = cache.get(e) or _fill(cache, e, lambda p: self.reduce(p * f))
+                    p = cache.get(e) or metered(_fill, cache, e, lambda p: self.reduce(p * f))
                     got = p if got is None else self.reduce(got * p)
             self._lifts[d] = got
         return got
@@ -545,17 +550,13 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        """self ** e, metered; refused before the first product when e times
+        a factor's exponent or (``power_check``) the degree leaves its bound."""
         chart = self.chart
-        weights = chart.power_weights
-        power_check(self.num, e, weights)
-        for f, n in zip(chart.factors, chart.exponents(self.s)) if self.s else ():
-            if n:  # the power sits over f^(e*n)
-                try:
-                    power_check(f, e * n, weights)
-                except ValueError as err:
-                    name = "g" if len(chart.factors) == 1 else f"({f})"
-                    raise ValueError(f"denominator {name}^{e * n}: {err}") from None
-        return pow_by_squaring(chart.one(), self, e)
+        power_check(self.num, e, chart.ngens)
+        if e * max(chart.exponents(self.s)) >= DEGREE_LIMIT:
+            raise ValueError(_EXPONENT_BOUND)
+        return metered(pow_by_squaring, chart.one(), self, e)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -627,9 +628,9 @@ class RingElem:
 
     def invert(self):
         """Multiplicative inverse, when the numerator divides a power of g,
-        kept in the inverse memo (module docstring)."""
+        kept in the inverse memo (module docstring); the search is metered."""
         if self._inv is None:
-            self._inv = self._invert()
+            self._inv = metered(self._invert)
         return self._inv
 
     def _invert(self):
@@ -749,8 +750,9 @@ def _fill(cache, e, step):
     missing powers are filled in order by a loop, each step(the one below),
     so a first large e costs no recursion depth.  The chart's power caches
     (powers of each q_j for reduce, reduced powers of each factor of g for
-    lift) keep every power they fill; a budget on time or memory must count
-    them here.  ``RingElem.invert`` keeps no power of g in them."""
+    lift) keep every power they fill, each once it is finished, so a refused
+    fill, which the callers meter, leaves the cache usable.
+    ``RingElem.invert`` keeps no power of g in them."""
     while len(cache) <= e:
         cache[len(cache)] = step(cache[len(cache) - 1])
     return cache[e]

@@ -69,11 +69,11 @@ def _parse_jetfield(src, chart, k):
 
 
 def _parse_monomial(src, n):
-    try:
-        m = tuple(int(p) for p in src.split(","))
-    except ValueError:
+    parts = src.split(",")  # decimal digits only, as in _order: no sign, no "_"
+    if not all(p.strip().isdecimal() for p in parts):
         raise ValueError(f"bad monomial {src!r}: expected comma-separated integers")
-    if len(m) != n or any(e < 0 for e in m):
+    m = tuple(map(int, parts))
+    if len(m) != n:
         raise ValueError(f"monomial needs {n} non-negative exponent(s), got {src!r}")
     if mi_degree(m) > MAX_ORDER:
         raise ValueError(f"monomial {src!r} has total degree above {MAX_ORDER}")
@@ -215,6 +215,8 @@ def cmd_psi(args):
     for spec in args.term or []:
         try:
             m_src, i_src, expr = spec.split(":", 2)
+            if not i_src.strip().isdecimal():
+                raise ValueError
             i = int(i_src)
         except ValueError:  # too few pieces, or an index that is no integer
             raise ValueError(
@@ -441,6 +443,8 @@ def main(argv=None):
         print(f"check failed: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:
+        if "int_max_str_digits" in str(e):  # CPython's int-to-string refusal
+            e = f"cannot print an integer of more than {sys.get_int_max_str_digits()} digits"
         print(f"error: {e}", file=sys.stderr)
         return 2
 

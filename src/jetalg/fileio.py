@@ -49,15 +49,15 @@ class SchemaError(ValueError):
         self.path = path
 
 
-def _get(data, path, key, types, required=True, default=None):
+def _get(data, path, key, typ, required=True, default=None):
     here = f"{path}.{key}" if path else key
     if key not in data:
         if required:
             raise SchemaError(here, "missing required field")
         return default
     val = data[key]
-    if isinstance(val, bool) or not isinstance(val, types):
-        raise SchemaError(here, f"expected {types}, got {type(val).__name__}")
+    if isinstance(val, bool) or not isinstance(val, typ):
+        raise SchemaError(here, f"expected {typ.__name__}, got {type(val).__name__}")
     return val
 
 

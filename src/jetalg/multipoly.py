@@ -27,8 +27,13 @@ Multi-indices are exponent tuples.  ``mi_range`` lists those up to a degree
 in graded-lex order from one cached table per (n, degree), and ``mi_fill``
 is the one walk that fills a table over them from lower entries: jets,
 delta powers, decompositions and both transition routes use it, most
-through ``mi_powers``.  The power rule lives here whole: ``power_weights``
-builds a chart's weights and ``power_check`` applies them.
+through ``mi_powers``.
+
+Work meter.  ``metered(fn, *args)`` runs fn under one budget of WORK_BUDGET
+units, which nested metered calls share.  Before its work, ``add_product``
+charges PAIR_UNITS per pair of terms plus the product of the two limb
+counts, and each step of ``poly_div_exact`` its scan and its subtraction;
+a spent budget raises ValueError.
 """
 
 from __future__ import annotations
@@ -208,9 +213,7 @@ def _check_vars(vars):
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
-# Bits of the coefficients of a power: it then prints under CPython's
-# 4300-digit int-to-string limit.
-POW_BITS = 1 << 13
+
 
 @functools.cache
 def mono_layout(n):
@@ -233,81 +236,15 @@ def degree_check(k, top):
         )
 
 
-def power_check(p, e, weights=(1, ())):
+def power_check(p, e, ngens=0):
     """Raise ValueError, before p ** e is computed, unless e is an int >= 0
-    and the degree and the coefficient bits of its reduced form stay within
-    the bounds; return both estimates.  weights is a chart's power_weights:
-    (den, gens) with one (shift, excess, slack, wbits, dbits) per generator
-    y_j; the default weighs every variable 1, for powers that nothing reduces.
-
-    Degree: y_j weighs w_j = weight(q_j) / d_j (parameters 1; a polynomial's
-    weight is the largest weighted degree of its monomials); scaled by den, a
-    variable weighs den and y_j den + excess.  Reduction never raises the
-    weighted degree, and the y_l, l <= j, left below d_l add at most the
-    slack sum (d_l - 1) * max(0, 1 - w_l) of the highest y_j in p.  Bits:
-    y_j weighs 2^wbits_j, the least power of two whose d_j-th power is at
-    least max(1, N(q_j)); the norm N(p) = sum |c| prod W^a of the numerators
-    is submultiplicative and never raised by reduction.  Reducing y_j^a adds
-    at most a * dbits_j bits to the content denominator, 2^dbits_j the least
-    power of two whose d_j-th power is at least q_j.den * prod_l
-    2^(dbits_l * A_l), A_l the largest y_l exponent in q_j.  So every
-    numerator and the denominator of the power take at most e * bits bits:
-    the larger bit length of N(p) and p.den, plus sum_j A_j * dbits_j for A_j
-    the largest y_j exponent in p.  Without generators in p the degree is
-    exactly e * degree and N(p) the sum of |numerators|; bits <= 1 (0, or +-1
-    of norm 1) has no bit bound."""
+    and the degree bound holds e * degree, which is exact when none of the
+    last ngens variables (a chart's generators) occurs in p."""
     if type(e) is not int or e < 0:
         raise ValueError("exponent must be a non-negative integer")
-    top = mono_layout(len(p.vars))[1]
-    den, gens = weights
-    wdeg, norm, high = 0, 0, [0] * len(gens)
-    for k, c in p.nums.items():
-        w, b = (k >> top) * den, 0
-        for j, (sh, excess, _, wbits, _) in enumerate(gens):
-            a = (k >> sh) & FIELD_MASK
-            w, b, high[j] = w + a * excess, b + a * wbits, max(high[j], a)
-        wdeg, norm = max(wdeg, w), norm + (abs(c) << b)
-    last = max((j for j, a in enumerate(high) if a), default=-1)
-    bound = (e * wdeg + (gens[last][2] if last >= 0 else 0)) // den
-    if bound >= DEGREE_LIMIT:
-        raise ValueError(
-            f"total degree {bound} exceeds the bound {DEGREE_LIMIT - 1}" if last < 0
-            else f"power {e} can reach total degree {bound} after reduction, "
-                 f"beyond the bound {DEGREE_LIMIT - 1}")
-    bits = (max(norm.bit_length(), p.den.bit_length())
-            + sum(a * g[4] for a, g in zip(high, gens)))
-    total = e * bits if bits > 1 and e else 1
-    if total > POW_BITS:
-        what = (f"can reach {total}-bit coefficients after reduction, beyond"
-                if last >= 0 else f"of a {bits}-bit constant exceeds" if not wdeg
-                else f"of a polynomial with a {bits}-bit coefficient sum exceeds")
-        raise ValueError(f"power {e} {what} the bound of {POW_BITS} bits")
-    return bound, total
-
-
-def power_weights(n, k, gens):
-    """The power_weights of a chart whose generators gens (GenSpec) have
-    right-hand sides over n variables, the first k of them parameters: the
-    weights of power_check, whose docstring states the rule."""
-    w, wbits, dbits = [Fraction(1)] * k, [0] * k, [0] * k
-    for gs in gens:
-        q, d = gs.rhs, gs.degree
-        exps = list(q.terms)  # in the order of q.nums
-        w.append(max((sum(map(operator.mul, a, w)) for a in exps),
-                     default=Fraction(0)) / d)
-        norm = sum(abs(c) << sum(map(operator.mul, a, wbits))
-                   for a, c in zip(exps, q.nums.values()))
-        need = (max(1, -(-norm // q.den)) - 1).bit_length()
-        wbits.append(-(-need // d))
-        high = [max(col) for col in zip([0] * n, *exps)]
-        need = (q.den - 1).bit_length() + sum(map(operator.mul, high, dbits))
-        dbits.append(-(-need // d))
-    den = math.lcm(*(x.denominator for x in w))
-    shifts, slack, out = mono_layout(n)[0], 0, []
-    for j, gs in enumerate(gens, k):
-        slack += (gs.degree - 1) * max(0, 1 - w[j]) * den
-        out.append((shifts[j], int((w[j] - 1) * den), int(slack), wbits[j], dbits[j]))
-    return den, tuple(out)
+    low = (1 << FIELD_BITS * ngens) - 1  # the generators' fields
+    if e * p.degree() >= DEGREE_LIMIT and not any(k & low for k in p.nums):
+        raise ValueError(f"total degree {e * p.degree()} exceeds the bound {DEGREE_LIMIT - 1}")
 
 
 def mono_pack(m, n):
@@ -320,13 +257,49 @@ def mono_pack(m, n):
     return k
 
 
+# ---------------------------------------------------------------------------
+# the work meter
+
+WORK_BUDGET = 10 ** 8
+PAIR_UNITS = 100
+_left = None  # units left in the running metered call; None outside one
+
+
+def metered(fn, *args):
+    """fn(*args) under a fresh budget, or the running one inside another."""
+    global _left
+    if _left is not None:
+        return fn(*args)
+    _left = WORK_BUDGET
+    try:
+        return fn(*args)
+    finally:
+        _left = None
+
+
+def charge(units):
+    """Take units from the running budget, which the caller checks exists."""
+    global _left
+    _left -= units
+    if _left < 0:
+        raise ValueError(f"work budget of {WORK_BUDGET} units exceeded")
+
+
+def _limbs(nums):
+    """The numerators' 64-bit limbs: one per term plus one per 64 bits."""
+    return len(nums) + sum(map(int.bit_length, nums.values())) // 64
+
+
 def add_product(out, a, b, f, top):
     """out += f * a * b on integer numerators keyed by packed monomials (the
     degree field at bit top), after checking the degree bound of the largest
     product key; a and b are nonempty.  The one loop that multiplies two
     numerator dicts: Poly products, chart reduction, derivations and sums of
-    products all end here.  A sum that cancels stays in out as 0."""
+    products all end here.  A sum that cancels stays in out as 0.  In a
+    metered call it charges first (module docstring)."""
     degree_check(max(a) + max(b), top)
+    if _left is not None:
+        charge(PAIR_UNITS * len(a) * len(b) + _limbs(a) * _limbs(b))
     if len(a) < len(b):
         a, b = b, a  # the longer dict in the inner loop
     get = out.get
@@ -526,10 +499,9 @@ class Poly:
         return _make(self.vars, {m: v * n for m, v in self.nums.items()}, self.den * d)
 
     def __pow__(self, e):
-        """self ** e; raises ValueError before the first product when the
-        power leaves a bound (see power_check)."""
+        """self ** e, metered, after power_check."""
         power_check(self, e)
-        return pow_by_squaring(Poly.one(self.vars), self, e)
+        return metered(pow_by_squaring, Poly.one(self.vars), self, e)
 
     def extended(self, newvars):
         """The same polynomial viewed over a longer variable list; the old
@@ -653,7 +625,10 @@ def poly_div_exact(num, den):
     rem = dict(num.nums)
     scale = 1
     steps = []  # (quotient monomial, numerator, scale it is over)
+    meter = _left is not None
     while rem:
+        if meter:  # a step scans the remainder and subtracts the divisor
+            charge(len(rem) + PAIR_UNITS * len(dnums))
         m = max(rem)
         qm = m - dm
         if qm < 0 or qm & guard:
@@ -664,6 +639,8 @@ def poly_div_exact(num, den):
         if mult < 0:
             k, mult = -k, -mult
         if mult != 1:
+            if meter:  # as a product of the remainder by the constant mult
+                charge(PAIR_UNITS * len(rem) + _limbs(rem) * (1 + mult.bit_length() // 64))
             rem = {mm: cc * mult for mm, cc in rem.items()}
             scale *= mult
         steps.append((qm, k, scale))

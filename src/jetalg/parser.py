@@ -12,16 +12,18 @@ Grammar (integers, rationals as quotients, parameter and generator names,
 Denominators (both `/` and `inv`) must be invertible in the chart ring,
 i.e. divide a power of the chart denominator up to a rational factor;
 anything else raises IllegalDenominator.  Rational literals like 3/4 go
-through the same rule (constants invert trivially).
+through the same rule (constants invert trivially).  An INT has at most
+``sys.get_int_max_str_digits()`` digits; evaluation is ``metered``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .charts import NotInvertible
-from .multipoly import Poly
+from .multipoly import Poly, metered
 
 
 class ExprSyntaxError(ValueError):
@@ -59,6 +61,8 @@ def _tokenize(src):
             raise ExprSyntaxError(f"unexpected character {src[at]!r}", at)
         start = m.start(1) if m.group(1) else m.start(2) if m.group(2) else m.start(3)
         if m.group(1):
+            if len(m.group(1)) > (limit := sys.get_int_max_str_digits()) > 0:
+                raise ExprSyntaxError(f"integer literal of more than {limit} digits", start)
             out.append(("num", int(m.group(1)), start))
         elif m.group(2):
             out.append(("name", m.group(2), start))
@@ -187,11 +191,11 @@ def _invert(elem):
 
 
 def _evaluate(src, leaf, inverse):
-    """_eval(ast, leaf, inverse) on the parse of src.  Parsing and
+    """_eval(ast, leaf, inverse) on the parse of src, metered.  Parsing and
     evaluation recurse once per nesting level, so an expression deeper than
     the interpreter's recursion limit raises ExprSyntaxError."""
     try:
-        return _eval(_Parser(src).parse(), leaf, inverse)
+        return metered(_eval, _Parser(src).parse(), leaf, inverse)
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply", 0) from None
 

@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from jetalg import charts
+from jetalg import charts, multipoly
 from jetalg.charts import (
     ChartMismatch, ChartSpec, GenSpec, MissingInvertibleGenerator, NonMonicRelation,
     NotInvertible, RingElem, ZeroDenominator,
 )
 from jetalg.fileio import loads_chart
 from jetalg.fixtures import STANDARD_CHARTS, standard_chart
-from jetalg.multipoly import DEGREE_LIMIT, Poly, power_check, power_weights
+from jetalg.multipoly import DEGREE_LIMIT, Poly
 from jetalg.parser import parse_expression, parse_poly
 
 from conftest import make_sampler
@@ -740,103 +740,58 @@ def test_power_is_the_repeated_product(seed, name, e):
     assert (got.num, got.s) == (want.num, want.s)
 
 
-WEIGHT_CHARTS = [
-    standard_chart("elliptic"),  # w_y = 3/2, no slack; W_y = 2
-    loads_chart({"name": "sqrt_x", "params": ["x"], "denominator": "y",
-                 "gens": [{"name": "y", "degree": 2, "rhs": "x"}]}),
-    loads_chart({"name": "sqrt_2", "params": ["x"], "denominator": "y",
-                 "gens": [{"name": "y", "degree": 2, "rhs": "2"}]}),
-    loads_chart({"name": "tower", "params": ["x"], "denominator": "y*z",
-                 "gens": [{"name": "y", "degree": 2, "rhs": "x"},
-                          {"name": "z", "degree": 3, "rhs": "y + 1"}]}),
-    # rational relations: reduction also grows the content denominator
-    loads_chart({"name": "third", "params": ["x"], "denominator": "y",
-                 "gens": [{"name": "y", "degree": 2, "rhs": "1/3*x + 1"}]}),
-    chart_from(RATIONAL_TOWER),
-]
+# Powers through relations: y^2 = x, whose powers of y keep one term, and
+# two relations with a rational coefficient.  BUDGET is the meter's refusal.
+SQRT_X = loads_chart({"name": "sqrt_x", "params": ["x"], "denominator": "y",
+                      "gens": [{"name": "y", "degree": 2, "rhs": "x"}]})
+THIRD = loads_chart({"name": "third", "params": ["x"], "denominator": "y",
+                     "gens": [{"name": "y", "degree": 2, "rhs": "1/3*x + 1"}]})
 QUARTER = loads_chart({"name": "quarter", "params": ["x"], "denominator": "y",
                        "gens": [{"name": "y", "degree": 2, "rhs": "x/4 + 1/4"}]})
+BUDGET = f"work budget of {multipoly.WORK_BUDGET} units exceeded"
 
 
-def test_power_weights_are_the_recorded_tuples(p1):
-    # (den, one (shift, excess, slack, wbits, dbits) per generator), as
-    # the chart constructor built them before multipoly.power_weights
-    want = [
-        (WEIGHT_CHARTS[0], (2, ((0, 1, 0, 1, 0),))),             # elliptic
-        (QUARTER, (2, ((0, -1, 1, 0, 1),))),
-        (WEIGHT_CHARTS[1], (2, ((0, -1, 1, 0, 0),))),            # sqrt_x
-        (WEIGHT_CHARTS[3], (6, ((16, -3, 3, 0, 0), (0, -5, 13, 1, 0)))),  # tower
-        (WEIGHT_CHARTS[5], (6, ((16, 3, 0, 1, 2), (0, -1, 2, 1, 2)))),  # rational tower
-        (_C4, (3, ((16, 0, 0, 1, 0), (0, 1, 0, 1, 0)))),
-        (p1.charts["triple"], (1, ())),
-    ]
-    for chart, weights in want:
-        assert chart.power_weights == weights, chart.name
-        assert power_weights(len(chart.allvars), chart.nparams, chart.gens) == weights
+def test_generator_powers_reduce_through_rational_relations():
+    # reduction grows the content denominator: y^40 = (x/3 + 1)^20 and
+    # y^12 = ((x + 1)/4)^6
+    assert (THIRD.gen(0) ** 40).num.den == 3 ** 20
+    assert (QUARTER.gen(0) ** 12).num.den == 2 ** 12
 
 
-@settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2 ** 32 - 1), idx=st.integers(0, len(WEIGHT_CHARTS) - 1),
-       e=st.integers(0, 6))
-def test_reduced_power_stays_within_the_weight_bound(seed, idx, e):
-    # reduction never raises the weighted degree or the weighted norm, and
-    # reducing y_j^a adds at most a * dbits_j bits to the content
-    # denominator: the power's degree, numerators and denominator stay
-    # within the estimates power_check returns
-    chart = WEIGHT_CHARTS[idx]
-    a = make_sampler("pow-weight", seed).elem(chart, max_deg=3, max_s=1)
-    degree, bits = power_check(a.num, e, chart.power_weights)
-    got = (a ** e).num
-    assert got.degree() <= degree
-    assert max(map(abs, got.nums.values()), default=got.den).bit_length() <= bits
-    assert got.den.bit_length() <= bits
-
-
-def test_generator_powers_stay_within_the_estimates():
-    # powers of a generator come close to the estimates: W_y = 2 on
-    # elliptic, and on y^2 = (x + 1)/4 the norm weight is 1 while the
-    # content denominator 4^(e/2) = 2^e takes the dbits_y = 1 bit per power
-    for chart in WEIGHT_CHARTS + [QUARTER]:
-        for j in range(chart.ngens):
-            for e in range(13):
-                y = chart.gen(j)
-                degree, bits = power_check(y.num, e, chart.power_weights)
-                got = (y ** e).num
-                assert got.degree() <= degree
-                assert max(map(abs, got.nums.values())).bit_length() <= bits
-                assert got.den.bit_length() <= bits
-    y = WEIGHT_CHARTS[4].gen(0)  # y^2 = x/3 + 1: y^40 = (x/3 + 1)^20
-    assert (y ** 40).num.den == 3 ** 20
-    y = QUARTER.gen(0)
-    assert power_check(y.num, 12, QUARTER.power_weights)[1] == 24
-    assert (y ** 12).num.den == 2 ** 12
-
-
-def test_power_with_a_generator_checks_the_bound_first(elliptic, monkeypatch):
-    # y weighs 3/2 in degree and W_y = 2 in the norm on elliptic
-    # (y^2 = x^3 - x + 1): y^e reduces to degree at most 3e/2 with
-    # coefficients of at most 2e bits, so the bit bound binds first and
-    # y^4096 is the largest power accepted, as for (x + 1)^4096
-    y, weights = elliptic.gen(0), elliptic.power_weights
-    assert power_check(y.num, 4096, weights) == (6144, 8192)
-    with pytest.raises(ValueError, match="power 4097 can reach 8194-bit coefficients "
-                                         "after reduction, beyond the bound of 8192 bits"):
-        power_check(y.num, 4097, weights)
-    # y^2 = x has N(q) = 1, so only the degree bounds the powers of y:
-    # y^e reduces to degree at most (e + 1) / 2
-    sqrt_x = WEIGHT_CHARTS[1]
-    r, weights = sqrt_x.gen(0), sqrt_x.power_weights
-    assert power_check(r.num, 65534, weights) == (32767, 1)
-    with pytest.raises(ValueError, match="power 65535 can reach total degree 32768"):
+def test_power_with_a_generator_is_metered():
+    # y^e reduces to one term on y^2 = x, so only the degree bound, which
+    # each product checks first, stops its powers
+    r = SQRT_X.gen(0)
+    assert r ** 65534 == SQRT_X.param(0) ** 32767
+    with pytest.raises(ValueError, match="total degree 32768 exceeds the bound 32767"):
         r ** 65535
-    assert r ** 65534 == sqrt_x.param(0) ** 32767
-    bases = (y, y + elliptic.param(0), y * elliptic.inv_denominator())
-    calls = []
-    mul = RingElem.__mul__
-    monkeypatch.setattr(RingElem, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    for base in bases:
-        with pytest.raises(ValueError, match="after reduction, beyond the bound 32767"):
-            base ** 100000
-        with pytest.raises(ValueError, match="after reduction, beyond the bound of 8192 bits"):
+    # on elliptic y^e has about 3e/2 terms: the meter refuses the squaring
+    # that would pass the budget, also over a power of g
+    chart = loads_chart(STANDARD_CHARTS["elliptic"])
+    y = chart.gen(0)
+    for base in (y, y * chart.inv_denominator()):
+        with pytest.raises(ValueError, match=BUDGET):
             base ** 20000
-    assert calls == []
+
+
+def test_refused_work_leaves_the_chart_usable():
+    # a refused power, inversion and lift keep nothing unfinished: the
+    # caches hold only finished powers and the memos only finished results,
+    # so what follows equals the same work on a fresh chart
+    def values(chart):
+        x, y = chart.param(0), chart.gen(0)
+        return [_form(v) for v in (y ** 40, (x + y) ** 20, (y ** 7).invert(),
+                                   (x * y + 1) ** 3 * y.invert() ** 300 + 1)]
+
+    used = loads_chart(STANDARD_CHARTS["elliptic"])
+    x, y = used.param(0), used.gen(0)
+    with pytest.raises(ValueError, match=BUDGET):
+        y ** 3000
+    big = x ** 1600 + 1
+    with pytest.raises(ValueError, match=BUDGET):
+        big.invert()
+    assert big._inv is None
+    with pytest.raises(ValueError, match=BUDGET):
+        y.invert() ** 1000 + 1  # the lift of 1 to y^1000 fills _fpow
+    assert 300 < len(used._fpow[0]) < 1000
+    assert values(used) == values(loads_chart(STANDARD_CHARTS["elliptic"]))

@@ -6,8 +6,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from jetalg import cli
+from jetalg import cli, multipoly
 from jetalg.cli import main
 
 P1_ATLAS_FILE = str(Path(__file__).resolve().parent.parent / "src" / "jetalg" / "charts" / "p1.json")
@@ -516,41 +517,109 @@ def test_power_beyond_the_degree_bound_exits_2_quickly(capsys):
     assert err == "error: total degree 100000 exceeds the bound 32767\n"
 
 
-@pytest.mark.parametrize("expr,e", [("2^100000", 100000),
-                                    ("2^1000000000", 1000000000)])
-def test_constant_power_beyond_the_bit_bound_exits_2_quickly(capsys, expr, e):
-    start = time.perf_counter()
-    code, err = run_err(capsys, "jet", "--chart", "loc_x", "--expr", expr,
-                        "--order", "1")
-    assert time.perf_counter() - start < 1.0
-    assert code == 2
-    assert err == f"error: power {e} of a 2-bit constant exceeds the bound of 8192 bits\n"
+# Built-in chart files named by path: each call loads a fresh chart, so no
+# power cache filled by an earlier test changes the work a call does.
+CHART_FILES = {name: str(Path(P1_ATLAS_FILE).parent / f"{name}.json")
+               for name in ("loc_x", "elliptic")}
+BUDGET = f"work budget of {multipoly.WORK_BUDGET} units exceeded"
+DIGITS = "cannot print an integer of more than 4300 digits"
+
+
+def run_fresh(capsys, chart, expr):
+    """jet --order 1 of expr on a fresh chart: (exit code, stdout, stderr,
+    seconds), the seconds of CPU time this process spent, which the load of
+    other processes on the machine does not inflate."""
+    start = time.process_time()
+    code = main(["jet", "--chart", CHART_FILES[chart], "--expr=" + expr, "--order", "1"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, time.process_time() - start
+
+
+@pytest.mark.parametrize("expr,msg", [
+    pytest.param("2^100000", DIGITS, id="2^100000-100000"),
+    pytest.param("2^1000000000", BUDGET, id="2^1000000000-1000000000"),
+    pytest.param("2^4096*2^4096*2^4096*2^4096", DIGITS, id="2^16384"),
+])
+def test_constant_power_beyond_the_bit_bound_exits_2_quickly(capsys, expr, msg):
+    # a constant too long to print is refused at output, one too long to
+    # build by the work meter
+    code, out, err, seconds = run_fresh(capsys, "loc_x", expr)
+    assert seconds < 1.0
+    assert (code, out, err) == (2, "", f"error: {msg}\n")
 
 
 @pytest.mark.parametrize("chart,expr,msg", [
-    ("elliptic", "y^100000",
-     "power 100000 can reach total degree 150000 after reduction, beyond the bound 32767"),
-    ("loc_x", "(1048576*x+1)^800",
-     "power 800 of a polynomial with a 21-bit coefficient sum exceeds the bound of 8192 bits"),
-    ("elliptic", "y^20000",
-     "power 20000 can reach 40000-bit coefficients after reduction, beyond the bound of 8192 bits"),
-    ("elliptic", "inv(y)^20000 + 1", "denominator g^20000: "
-     "power 20000 can reach 40000-bit coefficients after reduction, beyond the bound of 8192 bits"),
-    ("elliptic", "inv(y)^100000 + 1", "denominator g^100000: "
-     "power 100000 can reach total degree 150000 after reduction, beyond the bound 32767"),
+    pytest.param("elliptic", "y^100000", BUDGET, id="elliptic-y^100000"),
+    pytest.param("loc_x", "(1048576*x+1)^800", BUDGET, id="loc_x-(1048576*x+1)^800"),
+    pytest.param("elliptic", "y^20000", BUDGET, id="elliptic-y^20000"),
+    pytest.param("elliptic", "inv(y)^20000 + 1", BUDGET, id="elliptic-inv(y)^20000 + 1"),
+    pytest.param("elliptic", "inv(y)^100000 + 1",
+                 "a factor of the denominator would pass the exponent bound 32767",
+                 id="elliptic-inv(y)^100000 + 1"),
+    pytest.param("elliptic", "y^3000", BUDGET, id="elliptic-y^3000"),
+    pytest.param("elliptic", "y^1000", BUDGET, id="elliptic-y^1000"),
+    pytest.param("loc_x", "(x+1)^2000", BUDGET, id="loc_x-(x+1)^2000"),
+    pytest.param("elliptic", "inv(y)^1000 + 1", BUDGET, id="elliptic-inv(y)^1000 + 1"),
+    pytest.param("elliptic", "1/(x^1600+1)", BUDGET, id="elliptic-1/(x^1600+1)"),
+    pytest.param("loc_x", "x^40000", "total degree 40000 exceeds the bound 32767",
+                 id="loc_x-x^40000"),
 ])
 def test_unbounded_power_exits_2_quickly(capsys, chart, expr, msg):
-    # powers whose degree or coefficients would leave the bounds are
-    # refused before their first product: with a generator (reduction
-    # lowers its degree), without one (coefficients beyond CPython's
-    # int-to-string limit), with a generator inside the degree bound, and
-    # over g^e, where the numerator 1 passes but adding 1 would build g^e
-    start = time.perf_counter()
-    code, err = run_err(capsys, "jet", "--chart", chart, "--expr", expr,
-                        "--order", "1")
-    assert time.perf_counter() - start < 1.0
-    assert code == 2
-    assert err == f"error: {msg}\n"
+    # the work meter refuses powers, inversions and the lift of 1 to g^20000
+    # within one budget; a power over g^e beyond the exponent bound, and one
+    # without generators beyond the degree bound, are refused before any
+    # product
+    code, out, err, seconds = run_fresh(capsys, chart, expr)
+    assert seconds < 1.0
+    assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+
+@pytest.mark.parametrize("chart,expr,size,sha256", [
+    pytest.param("loc_x", "(x+1)^1000", 452706,
+                 "4f5380a2151fcf9f00c7ec157fa2f88c9d5715c4a8f7c8e463bd5acd4cc1c886",
+                 id="loc_x-(x+1)^1000"),
+    pytest.param("loc_x", "(1048576*x+1)^380", 941226,
+                 "53edb5b451adca7494c0d4dd7a553959aef5a77bd207fcf4e1e88e251bba2189",
+                 id="loc_x-(1048576*x+1)^380"),
+    pytest.param("loc_x", "inv(x)^1500 + x", 55,
+                 "2581b2dfdbe3ff303108c7857a7aa21d2e199a5663bdbcaaaab16e4e87b74b8d",
+                 id="loc_x-inv(x)^1500 + x"),
+    pytest.param("loc_x", "x^32767", 30,
+                 "9fba5516193b8125f0bc22e517cdda381c4b1f819aa1efa08f667dd0efa99bff",
+                 id="loc_x-x^32767"),
+])
+def test_powers_within_the_budget_print_as_before(capsys, chart, expr, size, sha256):
+    # the jets printed before the work meter, recorded by size and sha256
+    code, out, err, seconds = run_fresh(capsys, chart, expr)
+    assert (code, err) == (0, "")
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, sha256)
+    assert seconds < 1.5
+
+
+def _expressions(names):
+    """Expression text over the chart's names: literals, + - * /, powers
+    with exponents up to 5000, inv, signs and parentheses."""
+    atoms = st.one_of(st.integers(0, 10 ** 12).map(str), st.sampled_from(names))
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        st.tuples(inner, st.integers(0, 5000)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda e: f"inv({e})"),
+        inner.map(lambda e: f"-({e})")), max_leaves=6)
+
+
+@settings(deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), chart=st.sampled_from(["loc_x", "elliptic"]))
+def test_any_expression_exits_0_or_2_within_its_budget(capsys, data, chart):
+    expr = data.draw(_expressions(["x", "y"] if chart == "elliptic" else ["x"]))
+    code, out, err, seconds = run_fresh(capsys, chart, expr)
+    assert seconds < 1.5
+    assert "Traceback" not in err
+    if code == 0:
+        assert out and not err
+    else:
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- refusals: one row per message, each exits 2 with one stderr line
@@ -598,87 +667,147 @@ TWO_OVERLAPS = _atlas_file([_line(c) for c in ("a", "b", "c", "o1", "o2")],
                            ("a", "c", "o2", "x"))
 
 
+# Each row's id is its own (for the first 36, the name pytest gave the row
+# from its position and message), so adding a row or re-wording a message
+# renames no other row.
 @pytest.mark.parametrize("argv,msg", [
-    (("transition", "--atlas", "nosuch", "--pair", "std:inf", "--monomial",
-      "1", "--order", "2"),
-     "nosuch: not a built-in atlas name or a readable file"),
-    (("localize", "--chart", "affine2", "--vf", "1", "--order", "1"),
-     "expected 2 component(s) separated by ';', got 1"),
-    (("bracket", "--chart", "loc_x", "--left", "x", "--right", "1 # 1",
-      "--order", "1"),
-     "expected 'coefficient # v1;...;vN'"),
-    (("delta", "--chart", "loc_x", "--power", "a", "--order", "1"),
-     "bad monomial 'a': expected comma-separated integers"),
-    (("delta", "--chart", "affine2", "--power", "1", "--order", "1"),
-     "monomial needs 2 non-negative exponent(s), got '1'"),
-    (("av-map", "--chart", "loc_x", "--word", "g x", "--order", "1"),
-     "each factor must start with 'f' or 'v', got 'g x'"),
-    (("av-map", "--chart", "loc_x", "--word", " | ", "--order", "1"),
-     "empty word"),
-    (("validate",), "nothing to validate: pass --chart and/or --atlas"),
-    (("delta", "--chart", "loc_x", "--expr", "x", "--power", "1", "--order", "1"),
-     "pass exactly one of --expr or --power"),
-    (("delta", "--chart", "loc_x", "--order", "1"),
-     "pass exactly one of --expr or --power"),
-    (("psi", "--chart", "loc_x", "--term", "1:0", "--order", "1"),
-     "expected 'm1,..,mN:index:expression', got '1:0'"),
-    (("psi", "--chart", "loc_x", "--term", "2:0:x", "--order", "1"),
-     "term '2:0:x' out of range for order 1"),
-    (("transition", "--atlas", "p1", "--pair", "std-inf", "--monomial", "1",
-      "--order", "2"),
-     "--pair must look like FROM:TO"),
-    (("transition", "--atlas", "p1", "--pair", "std:inf", "--monomial", "0",
-      "--order", "2"),
-     "the monomial must have positive total degree"),
-    (("cocycle", "--atlas", "p1", "--triple", "std,inf", "--order", "2"),
-     "--triple must name three charts, comma separated"),
-    (("verify", "--suite", "taylor", "--orders", "0"),
-     "--orders must be positive integers, comma separated"),
-    (("verify", "--orders", "1,x"),
-     "--orders must be positive integers, comma separated"),
-    (("verify", "--orders", ""),
-     "--orders must be positive integers, comma separated"),
-    (("verify", "--orders", "1,,2"),
-     "--orders must be positive integers, comma separated"),
-    (("psi", "--chart", "loc_x", "--term", "1:a:x", "--order", "1"),
-     "expected 'm1,..,mN:index:expression', got '1:a:x'"),
+    pytest.param(("transition", "--atlas", "nosuch", "--pair", "std:inf", "--monomial",
+                  "1", "--order", "2"),
+                 "nosuch: not a built-in atlas name or a readable file",
+                 id="argv0-nosuch: not a built-in atlas name or a readable file"),
+    pytest.param(("localize", "--chart", "affine2", "--vf", "1", "--order", "1"),
+                 "expected 2 component(s) separated by ';', got 1",
+                 id="argv1-expected 2 component(s) separated by ';', got 1"),
+    pytest.param(("bracket", "--chart", "loc_x", "--left", "x", "--right", "1 # 1",
+                  "--order", "1"),
+                 "expected 'coefficient # v1;...;vN'",
+                 id="argv2-expected 'coefficient # v1;...;vN'"),
+    pytest.param(("delta", "--chart", "loc_x", "--power", "a", "--order", "1"),
+                 "bad monomial 'a': expected comma-separated integers",
+                 id="argv3-bad monomial 'a': expected comma-separated integers"),
+    pytest.param(("delta", "--chart", "affine2", "--power", "1", "--order", "1"),
+                 "monomial needs 2 non-negative exponent(s), got '1'",
+                 id="argv4-monomial needs 2 non-negative exponent(s), got '1'"),
+    pytest.param(("av-map", "--chart", "loc_x", "--word", "g x", "--order", "1"),
+                 "each factor must start with 'f' or 'v', got 'g x'",
+                 id="argv5-each factor must start with 'f' or 'v', got 'g x'"),
+    pytest.param(("av-map", "--chart", "loc_x", "--word", " | ", "--order", "1"),
+                 "empty word", id="argv6-empty word"),
+    pytest.param(("validate",), "nothing to validate: pass --chart and/or --atlas",
+                 id="argv7-nothing to validate: pass --chart and/or --atlas"),
+    pytest.param(("delta", "--chart", "loc_x", "--expr", "x", "--power", "1", "--order", "1"),
+                 "pass exactly one of --expr or --power",
+                 id="argv8-pass exactly one of --expr or --power"),
+    pytest.param(("delta", "--chart", "loc_x", "--order", "1"),
+                 "pass exactly one of --expr or --power",
+                 id="argv9-pass exactly one of --expr or --power"),
+    pytest.param(("psi", "--chart", "loc_x", "--term", "1:0", "--order", "1"),
+                 "expected 'm1,..,mN:index:expression', got '1:0'",
+                 id="argv10-expected 'm1,..,mN:index:expression', got '1:0'"),
+    pytest.param(("psi", "--chart", "loc_x", "--term", "2:0:x", "--order", "1"),
+                 "term '2:0:x' out of range for order 1",
+                 id="argv11-term '2:0:x' out of range for order 1"),
+    pytest.param(("transition", "--atlas", "p1", "--pair", "std-inf", "--monomial", "1",
+                  "--order", "2"),
+                 "--pair must look like FROM:TO", id="argv12---pair must look like FROM:TO"),
+    pytest.param(("transition", "--atlas", "p1", "--pair", "std:inf", "--monomial", "0",
+                  "--order", "2"),
+                 "the monomial must have positive total degree",
+                 id="argv13-the monomial must have positive total degree"),
+    pytest.param(("cocycle", "--atlas", "p1", "--triple", "std,inf", "--order", "2"),
+                 "--triple must name three charts, comma separated",
+                 id="argv14---triple must name three charts, comma separated"),
+    pytest.param(("verify", "--suite", "taylor", "--orders", "0"),
+                 "--orders must be positive integers, comma separated",
+                 id="argv15---orders must be positive integers, comma separated"),
+    pytest.param(("verify", "--orders", "1,x"),
+                 "--orders must be positive integers, comma separated",
+                 id="argv16---orders must be positive integers, comma separated"),
+    pytest.param(("verify", "--orders", ""),
+                 "--orders must be positive integers, comma separated",
+                 id="argv17---orders must be positive integers, comma separated"),
+    pytest.param(("verify", "--orders", "1,,2"),
+                 "--orders must be positive integers, comma separated",
+                 id="argv18---orders must be positive integers, comma separated"),
+    pytest.param(("psi", "--chart", "loc_x", "--term", "1:a:x", "--order", "1"),
+                 "expected 'm1,..,mN:index:expression', got '1:a:x'",
+                 id="argv19-expected 'm1,..,mN:index:expression', got '1:a:x'"),
     # chart and atlas files (a dict is written to a file and named by path):
     # keys the schema does not name, in every kind of object
-    (("validate", "--chart", _chart_file(gens=None, generators=[])),
-     "generators: unknown field"),
-    (("jet", "--chart", _chart_file(gens=None, generators=[]), "--expr", "x",
-      "--order", "1"), "generators: unknown field"),
-    (("validate", "--chart", _gen_file(deg=3)), "gens[0].deg: unknown field"),
-    (("validate", "--atlas", _p1_pair_file(lambda d: _rename(d, "transitions", "transition"))),
-     "transition: unknown field"),
-    (("validate", "--atlas", _p1_pair_file(lambda d: d["charts"][0].update(gen=[]))),
-     "charts[0].gen: unknown field"),
-    (("validate", "--atlas", _p1_pair_file(lambda d: [
-        _rename(d["transitions"][0], k, k + "_") for k in ("x_of_y", "y_of_x")])),
-     "transitions[0].x_of_y_: unknown field"),
-    (("validate", "--atlas", _p1_pair_file(
-        lambda d: d["transitions"][0]["x_of_y"].update(expr="1/t"))),
-     "transitions[0].x_of_y.expr: unknown field"),
+    pytest.param(("validate", "--chart", _chart_file(gens=None, generators=[])),
+                 "generators: unknown field", id="argv20-generators: unknown field"),
+    pytest.param(("jet", "--chart", _chart_file(gens=None, generators=[]), "--expr", "x",
+                  "--order", "1"), "generators: unknown field",
+                 id="argv21-generators: unknown field"),
+    pytest.param(("validate", "--chart", _gen_file(deg=3)), "gens[0].deg: unknown field",
+                 id="argv22-gens[0].deg: unknown field"),
+    pytest.param(("validate", "--atlas",
+                  _p1_pair_file(lambda d: _rename(d, "transitions", "transition"))),
+                 "transition: unknown field", id="argv23-transition: unknown field"),
+    pytest.param(("validate", "--atlas", _p1_pair_file(lambda d: d["charts"][0].update(gen=[]))),
+                 "charts[0].gen: unknown field", id="argv24-charts[0].gen: unknown field"),
+    pytest.param(("validate", "--atlas", _p1_pair_file(lambda d: [
+                    _rename(d["transitions"][0], k, k + "_") for k in ("x_of_y", "y_of_x")])),
+                 "transitions[0].x_of_y_: unknown field",
+                 id="argv25-transitions[0].x_of_y_: unknown field"),
+    pytest.param(("validate", "--atlas", _p1_pair_file(
+                    lambda d: d["transitions"][0]["x_of_y"].update(expr="1/t"))),
+                 "transitions[0].x_of_y.expr: unknown field",
+                 id="argv26-transitions[0].x_of_y.expr: unknown field"),
     # names no expression can name, and true as a degree
-    (("validate", "--chart", _chart_file(params=[""])),
-     "params[0]: '' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    (("validate", "--chart", _chart_file(params=["1x"])),
-     "params[0]: '1x' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    (("validate", "--chart", _chart_file(params=["x y"])),
-     "params[0]: 'x y' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    (("validate", "--chart", _chart_file(params=["x+1"])),
-     "params[0]: 'x+1' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    (("validate", "--chart", _chart_file(params=["x^2"])),
-     "params[0]: 'x^2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    (("validate", "--chart", _chart_file(params=["\u00e9"])),
-     "params[0]: '\u00e9' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    (("validate", "--chart", _gen_file(name="y 2")),
-     "gens[0].name: 'y 2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    (("validate", "--chart", _gen_file(degree=True)),
-     "gens[0].degree: expected <class 'int'>, got bool"),
+    pytest.param(("validate", "--chart", _chart_file(params=[""])),
+                 "params[0]: '' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
+                 id="argv27-params[0]: '' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    pytest.param(("validate", "--chart", _chart_file(params=["1x"])),
+                 "params[0]: '1x' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
+                 id="argv28-params[0]: '1x' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    pytest.param(("validate", "--chart", _chart_file(params=["x y"])),
+                 "params[0]: 'x y' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
+                 id="argv29-params[0]: 'x y' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    pytest.param(("validate", "--chart", _chart_file(params=["x+1"])),
+                 "params[0]: 'x+1' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
+                 id="argv30-params[0]: 'x+1' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    pytest.param(("validate", "--chart", _chart_file(params=["x^2"])),
+                 "params[0]: 'x^2' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
+                 id="argv31-params[0]: 'x^2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    pytest.param(("validate", "--chart", _chart_file(params=["\u00e9"])),
+                 "params[0]: '\u00e9' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
+                 id="argv32-params[0]: '\u00e9' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    pytest.param(("validate", "--chart", _gen_file(name="y 2")),
+                 "gens[0].name: 'y 2' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
+                 id="argv33-gens[0].name: 'y 2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
+    pytest.param(("validate", "--chart", _gen_file(degree=True)),
+                 "gens[0].degree: expected int, got bool",
+                 id="argv34-gens[0].degree: expected int, got bool"),
     # transitions that the atlas holds, but not over one overlap
-    (("cocycle", "--atlas", TWO_OVERLAPS, "--triple", "a,b,c", "--order", "1"),
-     "cocycle check needs all three transitions over one overlap chart"),
+    pytest.param(("cocycle", "--atlas", TWO_OVERLAPS, "--triple", "a,b,c", "--order", "1"),
+                 "cocycle check needs all three transitions over one overlap chart",
+                 id="argv35-cocycle check needs all three transitions over one overlap chart"),
+    # integers too long for CPython's int-to-string limit: a literal, and a
+    # value in a message
+    pytest.param(("jet", "--chart", "loc_x", "--expr", "7" * 5000, "--order", "0"),
+                 "integer literal of more than 4300 digits (position 0)",
+                 id="literal of 5000 digits"),
+    pytest.param(("validate", "--chart", _chart_file(denominator="7" * 5000 + "*y")),
+                 "integer literal of more than 4300 digits (position 0)",
+                 id="literal of 5000 digits in a chart file"),
+    pytest.param(("jet", "--chart", "loc_x", "--expr", "1/(2^20000*x + 1)", "--order", "0"),
+                 "cannot print an integer of more than 4300 digits",
+                 id="integer of 6021 digits in a message"),
+    # monomials and indices are decimal digits only: no sign, no underscore
+    pytest.param(("delta", "--chart", "loc_x", "--power", "1_0", "--order", "1"),
+                 "bad monomial '1_0': expected comma-separated integers", id="power 1_0"),
+    pytest.param(("delta", "--chart", "loc_x", "--power", " +2", "--order", "1"),
+                 "bad monomial ' +2': expected comma-separated integers", id="power +2"),
+    pytest.param(("dop-mul", "--chart", "loc_x", "--left", "1 @ 1_0", "--right", "1"),
+                 "bad monomial '1_0': expected comma-separated integers",
+                 id="operator monomial 1_0"),
+    pytest.param(("transition", "--atlas", "p1", "--pair", "std:inf", "--monomial", "+1",
+                  "--order", "1"),
+                 "bad monomial '+1': expected comma-separated integers",
+                 id="transition monomial +1"),
+    pytest.param(("psi", "--chart", "loc_x", "--term", "1:0_0:x", "--order", "1"),
+                 "expected 'm1,..,mN:index:expression', got '1:0_0:x'", id="term index 0_0"),
 ])
 def test_each_refusal_exits_2_with_its_message(capsys, tmp_path, argv, msg):
     def written(i, data):

@@ -8,11 +8,11 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from jetalg import multipoly
 from jetalg.multipoly import (
-    POW_BITS, DEGREE_LIMIT, Poly, add_product, grlex_key, mi_add, mi_below,
-    mi_binomial, mi_binomials, mi_degree, mi_fill, mi_inv_factorial, mi_le,
-    mi_powers, mi_range, mi_split, mi_sub, mono_layout, mono_pack,
-    poly_div_exact, power_check,
+    DEGREE_LIMIT, Poly, add_product, grlex_key, mi_add, mi_below, mi_binomial,
+    mi_binomials, mi_degree, mi_fill, mi_inv_factorial, mi_le, mi_powers,
+    mi_range, mi_split, mi_sub, mono_layout, mono_pack, poly_div_exact,
 )
 from jetalg.fileio import _poly_data, _poly_from
 
@@ -387,35 +387,50 @@ def test_products_beyond_the_degree_bound_raise():
     assert (x ** (DEGREE_LIMIT - 1)).degree() == DEGREE_LIMIT - 1
 
 
-def test_constant_powers_beyond_the_bit_bound_raise():
-    # e * max(bit length of numerator, of denominator) is checked before
-    # the first product; 0 and +-1 have no bound
-    for c, bits in ((3, 2), (Fraction(1, 7), 3), (Fraction(-5, 3), 3)):
-        p = Poly.const(VARS, c)
-        e = POW_BITS // bits
-        assert p ** e == Poly.const(VARS, Fraction(c) ** e)
-        with pytest.raises(ValueError, match="constant exceeds the bound"):
-            p ** (e + 1)
+BUDGET = f"work budget of {multipoly.WORK_BUDGET} units exceeded"
+
+
+def test_the_meter_charges_before_the_work():
+    # PAIR_UNITS per pair of terms plus the product of the limb counts: one
+    # per term plus one per 64 bits of the numerators
+    a, b = {1: 3, 2: 2 ** 64}, {4: 5}
+    out = {}
+
+    def product():
+        left = multipoly._left
+        add_product(out, a, b, 1, 32)
+        return left - multipoly._left
+
+    assert multipoly.metered(product) == multipoly.PAIR_UNITS * 2 + 3 * 1
+    assert multipoly._left is None and out == {5: 15, 6: 5 * 2 ** 64}
+    add_product(out, a, b, 1, 32)  # outside a metered call: no charge
+    assert multipoly._left is None
+    # a nested call shares the running budget; a refusal ends it
+    charge = multipoly.charge
+
+    def nested():
+        charge(multipoly.WORK_BUDGET - 10)
+        return multipoly.metered(lambda: multipoly._left)
+
+    assert multipoly.metered(nested) == 10
+    with pytest.raises(ValueError, match=BUDGET):
+        multipoly.metered(charge, multipoly.WORK_BUDGET + 1)
+    assert multipoly._left is None
+
+
+def test_powers_beyond_the_work_budget_raise():
+    # each squaring is charged before it runs, so the product that would
+    # pass the budget is never built; powers of 0, +-1 and of one term with
+    # coefficient +-1 stay small
+    x = Poly.variable(VARS, VARS[0])
+    with pytest.raises(ValueError, match=BUDGET):
+        Poly.const(VARS, 3) ** (10 ** 9)
+    with pytest.raises(ValueError, match=BUDGET):
+        (1048576 * x + 1) ** 800
+    assert Poly.const(VARS, Fraction(-5, 3)) ** 5000 == Poly.const(VARS, Fraction(-5, 3) ** 5000)
     for c in (0, 1, -1):
         assert Poly.const(VARS, c) ** (10 ** 9 + 1) == Poly.const(VARS, c)
-
-
-def test_polynomial_powers_beyond_the_bit_bound_raise():
-    # e * max(bit length of the sum of |numerators|, of the denominator) is
-    # checked before the first product; every coefficient of an accepted
-    # power has a numerator and a denominator of at most POW_BITS bits
-    x = Poly.variable(VARS, VARS[0])
-    big = 1048576 * x + 1
-    for c in (big ** (POW_BITS // 21)).terms.values():
-        assert max(abs(c.numerator), c.denominator).bit_length() <= POW_BITS
-    for p, bits in ((big, 21), (x + 1, 2), (x * Fraction(1, 3) - 1, 3),
-                    (Poly(VARS, {(1, 0): 3, (0, 1): -2, (0, 0): 2}), 3)):
-        e = POW_BITS // bits
-        power_check(p, e)
-        with pytest.raises(ValueError, match=f"power {e + 1} of a polynomial "
-                           f"with a {bits}-bit coefficient sum exceeds"):
-            p ** (e + 1)
-    for p in (x, -x, x * x):  # one term with coefficient +-1: no bound
+    for p in (x, -x, x * x):
         assert (p ** 10000).degree() == 10000 * p.degree()
 
 

@@ -216,7 +216,7 @@ REFUSALS = {
     "schema bool degree": (
         lambda: loads_chart({"name": "c", "params": ["x"], "denominator": "y",
                              "gens": [{"name": "y", "degree": True, "rhs": "x"}]}),
-        SchemaError, "gens[0].degree: expected <class 'int'>, got bool"),
+        SchemaError, "gens[0].degree: expected int, got bool"),
     "schema degree beyond the bound": (
         lambda: loads_chart({"name": "c", "params": ["x"], "denominator": "y",
                              "gens": [{"name": "y", "degree": 100000, "rhs": "x"}]}),
