@@ -483,6 +483,8 @@ class Poly:
         add_product(out, self.nums, other.nums, 1, FIELD_BITS * len(self.vars))
         if 0 in out.values():
             out = {m: c for m, c in out.items() if c}
+        if _left is not None and other.den != 1:  # the denominators' limbs
+            charge((self.den.bit_length() // 64 + 1) * (other.den.bit_length() // 64 + 1))
         return _make(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__

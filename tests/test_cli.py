@@ -539,10 +539,11 @@ def run_fresh(capsys, chart, expr):
     pytest.param("2^100000", DIGITS, id="2^100000-100000"),
     pytest.param("2^1000000000", BUDGET, id="2^1000000000-1000000000"),
     pytest.param("2^4096*2^4096*2^4096*2^4096", DIGITS, id="2^16384"),
+    pytest.param("(1/7)^1000000000", BUDGET, id="(1/7)^1000000000"),
 ])
 def test_constant_power_beyond_the_bit_bound_exits_2_quickly(capsys, expr, msg):
     # a constant too long to print is refused at output, one too long to
-    # build by the work meter
+    # build by the work meter, which charges a product of denominators too
     code, out, err, seconds = run_fresh(capsys, "loc_x", expr)
     assert seconds < 1.0
     assert (code, out, err) == (2, "", f"error: {msg}\n")

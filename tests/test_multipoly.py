@@ -418,18 +418,26 @@ def test_the_meter_charges_before_the_work():
     assert multipoly._left is None
 
 
-def test_powers_beyond_the_work_budget_raise():
-    # each squaring is charged before it runs, so the product that would
-    # pass the budget is never built; powers of 0, +-1 and of one term with
-    # coefficient +-1 stay small
-    x = Poly.variable(VARS, VARS[0])
+def test_constant_powers_beyond_the_bit_bound_raise():
+    # each squaring is charged before it runs, so a constant whose numerator
+    # or denominator would pass the budget is never built; 0 and +-1 stay small
     with pytest.raises(ValueError, match=BUDGET):
         Poly.const(VARS, 3) ** (10 ** 9)
     with pytest.raises(ValueError, match=BUDGET):
-        (1048576 * x + 1) ** 800
+        Poly.const(VARS, Fraction(1, 7)) ** (10 ** 9)
     assert Poly.const(VARS, Fraction(-5, 3)) ** 5000 == Poly.const(VARS, Fraction(-5, 3) ** 5000)
     for c in (0, 1, -1):
         assert Poly.const(VARS, c) ** (10 ** 9 + 1) == Poly.const(VARS, c)
+
+
+def test_polynomial_powers_beyond_the_bit_bound_raise():
+    # the meter refuses a power of a polynomial with more than one term
+    # before the squaring that would pass the budget; one term with
+    # coefficient +-1 stays small
+    x = Poly.variable(VARS, VARS[0])
+    with pytest.raises(ValueError, match=BUDGET):
+        (1048576 * x + 1) ** 800
+    assert (x + 1) ** 20 == (x + 1) ** 10 * (x + 1) ** 10
     for p in (x, -x, x * x):
         assert (p ** 10000).degree() == 10000 * p.degree()
 
