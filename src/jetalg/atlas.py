@@ -66,8 +66,8 @@ from .multipoly import mi_degree, mi_powers, mi_split, mi_unit
 from .vfields import VectorField
 
 
-class TransitionError(Exception):
-    pass
+class TransitionError(ValueError):
+    """A refusal of an atlas, of a transition pair or of a pair it lacks."""
 
 
 class JacobianNotInvertible(TransitionError):

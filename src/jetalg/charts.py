@@ -129,8 +129,8 @@ from .multipoly import (
 )
 
 
-class ChartError(Exception):
-    pass
+class ChartError(ValueError):
+    """A refusal of a chart or of an operation on its elements."""
 
 
 class NonMonicRelation(ChartError):

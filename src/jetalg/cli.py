@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success (all checks pass), 1 when a mathematical check or
-validation fails, 2 on usage, parse, or schema errors."""
+Exit codes: 0 on success, 1 only as the verdict of validate, localize,
+transition --route both, cocycle and verify, 2 for every refusal."""
 
 from __future__ import annotations
 
@@ -10,11 +10,7 @@ import os
 import sys
 
 from . import __version__
-from .atlas import (
-    MissingTransition, TransitionError, cocycle_check, transition_l,
-    transition_via_iso,
-)
-from .charts import ChartError
+from .atlas import cocycle_check, transition_l, transition_via_iso
 from .envalg import DiffOp, av_to_tensor
 from .fileio import SchemaError, load_atlas, load_chart, value_to_data
 from .fixtures import STANDARD_ATLASES, STANDARD_CHARTS, standard_atlas, standard_chart
@@ -34,6 +30,16 @@ DEFAULT_ATLAS = "p1"
 # in well under a second
 MAX_SAMPLES = 100
 MAX_ORDER = 16
+# every refusal (ChartError, TransitionError and SchemaError are ValueErrors):
+# main prints it as one error line, validate as the target's FAILED line
+REFUSALS = (ValueError, OSError)
+
+
+def _message(e):
+    """The text of a refusal; CPython's int-to-string refusal in our words."""
+    if "int_max_str_digits" in str(e):
+        return f"cannot print an integer of more than {sys.get_int_max_str_digits()} digits"
+    return str(e)
 
 
 def _resolve_chart(label):
@@ -166,8 +172,8 @@ def cmd_validate(args):
                 lines.append(
                     f"atlas {name}: ok "
                     f"({len(atlas.charts)} charts, {len(atlas.transitions)} transitions)")
-        except (ChartError, TransitionError) as e:
-            lines.append(f"{kind} {name}: FAILED ({e})")
+        except REFUSALS as e:
+            lines.append(f"{kind} {name}: FAILED ({_message(e)})")
             failed = True
     if not lines:
         raise ValueError("nothing to validate: pass --chart and/or --atlas")
@@ -436,16 +442,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except MissingTransition as e:  # names a pair the atlas lacks: usage
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ChartError, TransitionError) as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
-        if "int_max_str_digits" in str(e):  # CPython's int-to-string refusal
-            e = f"cannot print an integer of more than {sys.get_int_max_str_digits()} digits"
-        print(f"error: {e}", file=sys.stderr)
+    except REFUSALS as e:
+        print(f"error: {_message(e)}", file=sys.stderr)
         return 2
 
 

@@ -32,8 +32,9 @@ through ``mi_powers``.
 Work meter.  ``metered(fn, *args)`` runs fn under one budget of WORK_BUDGET
 units, which nested metered calls share.  Before its work, ``add_product``
 charges PAIR_UNITS per pair of terms plus the product of the two limb
-counts, and each step of ``poly_div_exact`` its scan and its subtraction;
-a spent budget raises ValueError.
+counts, each step of ``poly_div_exact`` its scan and its subtraction, and
+``_make``'s content gcd GCD_UNITS times the two limb counts; a spent budget
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -262,6 +263,7 @@ def mono_pack(m, n):
 
 WORK_BUDGET = 10 ** 8
 PAIR_UNITS = 100
+GCD_UNITS = 4  # a gcd takes 7-11 ns per pair of limbs: 2-3 ns a unit, as products
 _left = None  # units left in the running metered call; None outside one
 
 
@@ -571,6 +573,8 @@ def _make(vars, nums, den=1):
         if not nums:
             den = 1
         else:
+            if _left is not None:  # the content gcd (module docstring)
+                charge(GCD_UNITS * _limbs(nums) * (den.bit_length() // 64 + 1))
             g = math.gcd(den, *nums.values())
             if g != 1:
                 den //= g

@@ -6,10 +6,11 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from jetalg import cli, multipoly
 from jetalg.cli import main
+from jetalg.suites import SUITE_IDS
 
 P1_ATLAS_FILE = str(Path(__file__).resolve().parent.parent / "src" / "jetalg" / "charts" / "p1.json")
 
@@ -77,24 +78,39 @@ BAD_CHART = {"name": "bad", "params": ["x"],
 
 
 def test_validate_reports_every_target_when_one_fails(capsys, tmp_path):
-    # loading a file validates its charts, so a refusal at load time is a
-    # FAILED line under the label given, next to the lines that pass
-    chart_fn = tmp_path / "bad.json"
-    chart_fn.write_text(json.dumps(BAD_CHART))
-    atlas_fn = tmp_path / "bad_atlas.json"
-    atlas_fn.write_text(json.dumps({"name": "a", "charts": [BAD_CHART]}))
-    argv = ["validate", "--chart", "affine2", "--chart", str(chart_fn),
-            "--atlas", str(atlas_fn)]
+    # every refusal, at load time or in the checks, is a FAILED line under
+    # the label given (the name, once the file is loaded), next to the
+    # lines that pass
+    def written(name, data):
+        fn = tmp_path / name
+        fn.write_text(data if isinstance(data, str) else json.dumps(data))
+        return str(fn)
+
+    bad = written("bad.json", BAD_CHART)
+    bad_atlas = written("bad_atlas.json", {"name": "a", "charts": [BAD_CHART]})
+    schema = written("schema.json", _chart_file(extra=1))
+    deep = written("deep.json", "[" * 200000)
+    wide = json.loads(json.dumps(JACOBIAN))  # a Jacobian of 6021 digits
+    wide["transitions"][0]["G"] = ["2^20000*x^2 + x"]
+    wide = written("wide.json", wide)
     reason = "generator y must divide the denominator"
-    lines = [
-        "chart affine2: ok",
-        f"chart {chart_fn}: FAILED ({reason})",
-        f"atlas {atlas_fn}: FAILED ({reason})",
-    ]
-    code, out = run(capsys, *argv)
-    assert code == 1 and out.splitlines() == lines
-    code, data = run_json(capsys, *argv)
-    assert code == 1 and data == {"results": lines, "ok": False}
+    for targets, failed in [
+        (["--chart", bad, "--atlas", bad_atlas],
+         [f"chart {bad}: FAILED ({reason})", f"atlas {bad_atlas}: FAILED ({reason})"]),
+        (["--chart", schema, "--chart", "nosuch", "--atlas", deep],
+         [f"chart {schema}: FAILED (extra: unknown field)",
+          "chart nosuch: FAILED (nosuch: not a built-in chart name or a readable file)",
+          f"atlas {deep}: FAILED ({deep}: JSON nested too deeply)"]),
+        (["--atlas", wide],
+         ["atlas bad: FAILED (cannot print an integer of more than 4300 digits)"]),
+    ]:
+        argv = ["validate", "--chart", "affine2", *targets]
+        lines = ["chart affine2: ok", *failed]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out.splitlines(), err) == (1, lines, "")
+        code, data = run_json(capsys, *argv)
+        assert code == 1 and data == {"results": lines, "ok": False}
 
 
 @pytest.mark.parametrize("where,path", [
@@ -113,7 +129,7 @@ def test_non_string_atlas_expression_exits_2(capsys, tmp_path, where, path, valu
     entry[0] = value
     fn = tmp_path / "atlas.json"
     fn.write_text(json.dumps(data))
-    code, err = run_err(capsys, "validate", "--atlas", str(fn))
+    code, err = run_err(capsys, *_read_atlas(str(fn)))
     assert code == 2
     assert err == f"error: {path}: expected str, got {type(value).__name__}\n"
 
@@ -134,6 +150,9 @@ def test_jet_command(capsys):
     assert data["kind"] == "jet"
     assert data["order"] == 2
     assert len(data["coeffs"]) == 3
+    # a value that starts with '-' takes the --opt=value form
+    assert run(capsys, "jet", "--chart", "loc_x", "--expr=-x", "--order", "1") == (
+        0, "(-x) + (-1)*t\n")
 
 
 @pytest.mark.parametrize("params,argv,out", [
@@ -437,9 +456,9 @@ def test_order_above_the_maximum_exits_2(capsys, argv):
 ])
 def test_monomial_above_the_maximum_order_exits_2_quickly(capsys, argv, mono):
     # operator and delta-power monomials share the bound of every --order
-    start = time.perf_counter()
+    start = time.process_time()
     code, err = run_err(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert code == 2
     assert err == (f"error: monomial {mono!r} has total degree above "
                    f"{cli.MAX_ORDER}\n")
@@ -492,10 +511,10 @@ def test_validate_at_order_zero(capsys, atlas):
     "+".join(["x"] * 3000),
 ])
 def test_deep_nesting_exits_2_quickly(capsys, expr):
-    start = time.perf_counter()
+    start = time.process_time()
     code, err = run_err(capsys, "jet", "--chart", "loc_x", "--expr=" + expr,
                         "--order", "1")
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert code == 2
     assert err.startswith("error: expression nested too deeply")
 
@@ -509,10 +528,10 @@ def test_large_first_power_is_not_a_nesting_error(capsys):
 
 
 def test_power_beyond_the_degree_bound_exits_2_quickly(capsys):
-    start = time.perf_counter()
+    start = time.process_time()
     code, err = run_err(capsys, "jet", "--chart", "loc_x", "--expr", "(x+1)^100000",
                         "--order", "1")
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert code == 2
     assert err == "error: total degree 100000 exceeds the bound 32767\n"
 
@@ -597,13 +616,13 @@ def test_powers_within_the_budget_print_as_before(capsys, chart, expr, size, sha
     assert seconds < 1.5
 
 
-def _expressions(names):
+def _expressions(names, top=5000):
     """Expression text over the chart's names: literals, + - * /, powers
-    with exponents up to 5000, inv, signs and parentheses."""
+    with exponents up to top, inv, signs and parentheses."""
     atoms = st.one_of(st.integers(0, 10 ** 12).map(str), st.sampled_from(names))
     return st.recursive(atoms, lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
-        st.tuples(inner, st.integers(0, 5000)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, st.integers(0, top)).map(lambda t: f"({t[0]})^{t[1]}"),
         inner.map(lambda e: f"inv({e})"),
         inner.map(lambda e: f"-({e})")), max_leaves=6)
 
@@ -666,6 +685,17 @@ def _atlas_file(charts, *pairs):
 TWO_OVERLAPS = _atlas_file([_line(c) for c in ("a", "b", "c", "o1", "o2")],
                            ("a", "b", "o1", "x"), ("b", "c", "o1", "x"),
                            ("a", "c", "o2", "x"))
+
+
+def _read_chart(data):
+    """argv of a command that reads the chart file data (and refuses it)."""
+    return ("jet", "--chart", data, "--expr", "x", "--order", "0")
+
+
+def _read_atlas(data):
+    """argv of a command that reads the atlas file data (and refuses it)."""
+    return ("transition", "--atlas", data, "--pair", "std:inf", "--monomial", "1",
+            "--order", "1")
 
 
 # Each row's id is its own (for the first 36, the name pytest gave the row
@@ -735,49 +765,48 @@ TWO_OVERLAPS = _atlas_file([_line(c) for c in ("a", "b", "c", "o1", "o2")],
                  id="argv19-expected 'm1,..,mN:index:expression', got '1:a:x'"),
     # chart and atlas files (a dict is written to a file and named by path):
     # keys the schema does not name, in every kind of object
-    pytest.param(("validate", "--chart", _chart_file(gens=None, generators=[])),
+    pytest.param(_read_chart(_chart_file(gens=None, generators=[])),
                  "generators: unknown field", id="argv20-generators: unknown field"),
     pytest.param(("jet", "--chart", _chart_file(gens=None, generators=[]), "--expr", "x",
                   "--order", "1"), "generators: unknown field",
                  id="argv21-generators: unknown field"),
-    pytest.param(("validate", "--chart", _gen_file(deg=3)), "gens[0].deg: unknown field",
+    pytest.param(_read_chart(_gen_file(deg=3)), "gens[0].deg: unknown field",
                  id="argv22-gens[0].deg: unknown field"),
-    pytest.param(("validate", "--atlas",
-                  _p1_pair_file(lambda d: _rename(d, "transitions", "transition"))),
+    pytest.param(_read_atlas(_p1_pair_file(lambda d: _rename(d, "transitions", "transition"))),
                  "transition: unknown field", id="argv23-transition: unknown field"),
-    pytest.param(("validate", "--atlas", _p1_pair_file(lambda d: d["charts"][0].update(gen=[]))),
+    pytest.param(_read_atlas(_p1_pair_file(lambda d: d["charts"][0].update(gen=[]))),
                  "charts[0].gen: unknown field", id="argv24-charts[0].gen: unknown field"),
-    pytest.param(("validate", "--atlas", _p1_pair_file(lambda d: [
-                    _rename(d["transitions"][0], k, k + "_") for k in ("x_of_y", "y_of_x")])),
+    pytest.param(_read_atlas(_p1_pair_file(lambda d: [
+                     _rename(d["transitions"][0], k, k + "_") for k in ("x_of_y", "y_of_x")])),
                  "transitions[0].x_of_y_: unknown field",
                  id="argv25-transitions[0].x_of_y_: unknown field"),
-    pytest.param(("validate", "--atlas", _p1_pair_file(
-                    lambda d: d["transitions"][0]["x_of_y"].update(expr="1/t"))),
+    pytest.param(_read_atlas(_p1_pair_file(
+                     lambda d: d["transitions"][0]["x_of_y"].update(expr="1/t"))),
                  "transitions[0].x_of_y.expr: unknown field",
                  id="argv26-transitions[0].x_of_y.expr: unknown field"),
     # names no expression can name, and true as a degree
-    pytest.param(("validate", "--chart", _chart_file(params=[""])),
+    pytest.param(_read_chart(_chart_file(params=[""])),
                  "params[0]: '' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
                  id="argv27-params[0]: '' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    pytest.param(("validate", "--chart", _chart_file(params=["1x"])),
+    pytest.param(_read_chart(_chart_file(params=["1x"])),
                  "params[0]: '1x' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
                  id="argv28-params[0]: '1x' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    pytest.param(("validate", "--chart", _chart_file(params=["x y"])),
+    pytest.param(_read_chart(_chart_file(params=["x y"])),
                  "params[0]: 'x y' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
                  id="argv29-params[0]: 'x y' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    pytest.param(("validate", "--chart", _chart_file(params=["x+1"])),
+    pytest.param(_read_chart(_chart_file(params=["x+1"])),
                  "params[0]: 'x+1' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
                  id="argv30-params[0]: 'x+1' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    pytest.param(("validate", "--chart", _chart_file(params=["x^2"])),
+    pytest.param(_read_chart(_chart_file(params=["x^2"])),
                  "params[0]: 'x^2' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
                  id="argv31-params[0]: 'x^2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    pytest.param(("validate", "--chart", _chart_file(params=["\u00e9"])),
+    pytest.param(_read_chart(_chart_file(params=["\u00e9"])),
                  "params[0]: '\u00e9' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
                  id="argv32-params[0]: '\u00e9' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    pytest.param(("validate", "--chart", _gen_file(name="y 2")),
+    pytest.param(_read_chart(_gen_file(name="y 2")),
                  "gens[0].name: 'y 2' is not a name ([A-Za-z_][A-Za-z_0-9]*)",
                  id="argv33-gens[0].name: 'y 2' is not a name ([A-Za-z_][A-Za-z_0-9]*)"),
-    pytest.param(("validate", "--chart", _gen_file(degree=True)),
+    pytest.param(_read_chart(_gen_file(degree=True)),
                  "gens[0].degree: expected int, got bool",
                  id="argv34-gens[0].degree: expected int, got bool"),
     # transitions that the atlas holds, but not over one overlap
@@ -789,7 +818,7 @@ TWO_OVERLAPS = _atlas_file([_line(c) for c in ("a", "b", "c", "o1", "o2")],
     pytest.param(("jet", "--chart", "loc_x", "--expr", "7" * 5000, "--order", "0"),
                  "integer literal of more than 4300 digits (position 0)",
                  id="literal of 5000 digits"),
-    pytest.param(("validate", "--chart", _chart_file(denominator="7" * 5000 + "*y")),
+    pytest.param(_read_chart(_chart_file(denominator="7" * 5000 + "*y")),
                  "integer literal of more than 4300 digits (position 0)",
                  id="literal of 5000 digits in a chart file"),
     pytest.param(("jet", "--chart", "loc_x", "--expr", "1/(2^20000*x + 1)", "--order", "0"),
@@ -822,7 +851,7 @@ def test_each_refusal_exits_2_with_its_message(capsys, tmp_path, argv, msg):
 
 @pytest.mark.parametrize("argv", [
     ("jet", "--chart", "{}", "--expr", "x", "--order", "1"),
-    ("validate", "--atlas", "{}"),
+    _read_atlas("{}"),
 ])
 def test_deeply_nested_file_exits_2(capsys, tmp_path, argv):
     # the JSON decoder recurses once per level: a file deeper than the
@@ -833,19 +862,23 @@ def test_deeply_nested_file_exits_2(capsys, tmp_path, argv):
     assert (code, err) == (2, f"error: {fn}: JSON nested too deeply\n")
 
 
-def test_jacobian_without_inverse_in_an_atlas_file_exits_1(capsys, tmp_path):
-    # G = x + x^2 over an overlap that inverts only x: the Jacobian 1 + 2x
-    # has no inverse there, a mathematical failure of the file
+# G = x + x^2 over an overlap that inverts only x: the Jacobian 1 + 2x has
+# no inverse there
+JACOBIAN = {
+    "name": "bad",
+    "charts": [{"name": "c", "params": ["x"], "gens": [], "denominator": "x"}],
+    "transitions": [{"from": "c", "to": "c", "overlap": "c",
+                     "G": ["x + x^2"], "H": ["x"]}],
+}
+
+
+def test_jacobian_without_inverse_in_an_atlas_file_exits_2(capsys, tmp_path):
+    # the pair is refused when a command first uses it: an input error
     fn = tmp_path / "atlas.json"
-    fn.write_text(json.dumps({
-        "name": "bad",
-        "charts": [{"name": "c", "params": ["x"], "gens": [], "denominator": "x"}],
-        "transitions": [{"from": "c", "to": "c", "overlap": "c",
-                         "G": ["x + x^2"], "H": ["x"]}],
-    }))
+    fn.write_text(json.dumps(JACOBIAN))
     code, err = run_err(capsys, "transition", "--atlas", str(fn), "--pair",
                         "c:c", "--monomial", "1", "--order", "2")
-    assert (code, err) == (1, "check failed: cannot invert 2*x + 1\n")
+    assert (code, err) == (2, "error: cannot invert 2*x + 1\n")
 
 
 # charts a (two parameters) and b (one) with transitions over the line o
@@ -866,10 +899,111 @@ def test_an_atlas_whose_dimensions_differ_is_refused_wherever_it_is_read(
     fn.write_text(json.dumps(DIMENSIONS))
     code, err = run_err(capsys, *argv, "--atlas", str(fn))
     assert (code, err) == (
-        1, "check failed: transition a->b: chart dimensions do not match the overlap\n")
+        2, "error: transition a->b: chart dimensions do not match the overlap\n")
     code, out = run(capsys, "validate", "--atlas", str(fn))
     assert (code, out) == (1, f"atlas {fn}: FAILED (transition a->b: chart "
                               "dimensions do not match the overlap)\n")
+
+
+# -- every subcommand: exit 0, 1 only as a verdict, 2 for every refusal
+
+# written files any command may be handed, as "{}/name" (the directory is
+# filled in when the test runs)
+FILES = {
+    "chart.json": _chart_file(),
+    "schema.json": _chart_file(extra=1),
+    "names.json": _chart_file(params=["1x"]),
+    "gen.json": _chart_file(name="nodiv", denominator="x"),
+    "p1_pair.json": _p1_pair_file(lambda d: None),
+    "renamed.json": _p1_pair_file(lambda d: _rename(d, "transitions", "transition")),
+    "h.json": _p1_pair_file(lambda d: d["transitions"][0].update(H=["x"])),
+    "dimensions.json": DIMENSIONS,
+    "two_overlaps.json": TWO_OVERLAPS,
+    "jac.json": JACOBIAN,
+}
+VERDICTS = {"validate", "localize", "transition", "cocycle", "verify"}
+ALWAYS = {"--suite", "--orders", "--samples"}  # verify runs one cheap suite
+
+
+def _pool(good, bad):
+    """One of the good values, or now and then one of the bad ones."""
+    return st.sampled_from(good * 3 + bad)
+
+
+def _values():
+    """The strategy of each option's value, by option."""
+    exprs = _expressions(["x", "y", "x1"], top=50)
+    monomials = _pool(["1", "2", "1,1", "0,2"], ["0", "17", "a", "-1"])
+    indices = _pool(["0", "1"], ["2", "-1"])
+    orders = _pool(["0", "1", "2", "3"], ["17", "x"])
+    vf = st.lists(exprs, min_size=1, max_size=2).map(";".join)
+    jet_field = st.tuples(exprs, vf).map(" # ".join)
+    operator = st.tuples(exprs, monomials).map(" @ ".join)
+    return {
+        "--chart": _pool(["affine2", "loc_x", "elliptic", "{}/chart.json"],
+                         ["p1", "nosuch", *("{}/" + name for name in FILES)]),
+        "--atlas": _pool(["p1", "p1_pair", "{}/p1_pair.json"],
+                         ["loc_x", "nosuch", *("{}/" + name for name in FILES)]),
+        "--order": orders, "--den-power": orders,
+        "--monomial": monomials, "--power": monomials, "--index": indices,
+        "--pair": _pool(["std:inf", "inf:std"], ["a:b", "c:c", "std:nope", "std-inf"]),
+        "--triple": _pool(["std,inf,shift"], ["a,b,c", "a,b,a", "c,c,c", "std,inf"]),
+        "--route": st.sampled_from(["coeff", "both"]),
+        "--suite": st.sampled_from(SUITE_IDS),
+        "--orders": st.just("1"), "--samples": st.just("1"), "--seed": st.just("0"),
+        "--expr": exprs, "--apply": exprs, "--vf": vf, "--field": jet_field,
+        "--left": jet_field | operator, "--right": jet_field | operator,
+        "--term": st.tuples(monomials, indices, exprs).map(":".join),
+        "--word": st.lists(exprs.map("f ".__add__) | vf.map("v ".__add__),
+                           max_size=3).map(" | ".join),
+    }
+
+
+VALUES = _values()
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand of cli.COMMANDS with each option drawn as --opt=value:
+    required ones nearly always given, optional ones half the time."""
+    name, _, options = draw(st.sampled_from(cli.COMMANDS))
+    argv = [name]
+    for flags, kw in options:
+        flag = flags[0]
+        if flag in ALWAYS or (draw(st.integers(0, 19)) < 19 if kw.get("required")
+                              else draw(st.booleans())):
+            argv.append(f"{flag}=" + draw(VALUES[flag]))
+    if draw(st.booleans()):
+        argv.append("--format=json")
+    return argv
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+@example(argv=["jet", "--chart={}/gen.json", "--expr=x", "--order=1"])
+@example(argv=["transition", "--atlas={}/jac.json", "--pair=c:c", "--monomial=1",
+               "--order=2"])
+def test_every_subcommand_exits_by_the_rule(capsys, tmp_path, argv):
+    for name, data in FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    argv = [a.replace("{}", str(tmp_path)) for a in argv]
+    start = time.process_time()
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse refuses the command line
+        code = e.code
+    seconds = time.process_time() - start
+    out, err = capsys.readouterr()
+    assert seconds < 1.5
+    if code == 0:
+        assert out and not err
+    elif code == 1:
+        assert argv[0] in VERDICTS and "--route=coeff" not in argv and out and not err
+    else:
+        assert code == 2 and not out
+        assert (err.startswith("error: ") and err.count("\n") == 1
+                or err.startswith("usage: ") and f"jetalg {argv[0]}: error: " in err)
 
 
 def test_transition_suite_records_a_refused_pair_and_skips_its_checks(capsys, tmp_path):
