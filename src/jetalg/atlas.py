@@ -58,7 +58,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .charts import ChartMismatch, NotInvertible, sum_products
+from .charts import ChartError, NotInvertible, sum_products
 from .jets import Jet, jet_along, jet_scalar
 from .jetfields import JetField, decompose
 from .liealg import CurrentElem, basis_check
@@ -68,18 +68,6 @@ from .vfields import VectorField
 
 class TransitionError(ValueError):
     """A refusal of an atlas, of a transition pair or of a pair it lacks."""
-
-
-class JacobianNotInvertible(TransitionError):
-    pass
-
-
-class InverseCheckFailed(TransitionError):
-    pass
-
-
-class MissingTransition(TransitionError):
-    pass
 
 
 def mat_det(rows):
@@ -98,12 +86,12 @@ def _cofactor(rows, i, j):
 
 def mat_inv(rows):
     """Inverse of a matrix over the chart ring, by adjugate over determinant.
-    Raises JacobianNotInvertible when the determinant cannot be inverted."""
+    Raises TransitionError when the determinant cannot be inverted."""
     n = len(rows)
     try:
         dinv = mat_det(rows).invert()
     except NotInvertible as e:
-        raise JacobianNotInvertible(str(e)) from e
+        raise TransitionError(str(e)) from e
     if n == 1:
         return [[dinv]]
     return [[_cofactor(rows, j, i) * dinv for j in range(n)] for i in range(n)]
@@ -182,7 +170,7 @@ class TransitionPair:
             )
         for e in G + H:
             if e.chart is not overlap and e.chart != overlap:
-                raise ChartMismatch("G/H entries must live on the overlap chart")
+                raise ChartError("G/H entries must live on the overlap chart")
         if formulas is not None:
             x_of_y, y_of_x = formulas
             x_of_y = tuple(x_of_y)
@@ -211,8 +199,8 @@ class TransitionPair:
 
     @functools.cached_property
     def frames(self):
-        """(x-frame, y-frame), built on first use; a JacobianNotInvertible
-        is raised again on the next use."""
+        """(x-frame, y-frame), built on first use; a TransitionError for a
+        Jacobian without inverse is raised again on the next use."""
         n = self.overlap.nparams
         frames = []
         for F in (self.G, self.H):  # the x-frame, then the y-frame
@@ -270,7 +258,7 @@ def validate_transition(tp, jet_order=2):
         for a in range(n):
             for b in range(a + 1, n):
                 if frame[a].bracket(frame[b]) != zero:
-                    raise InverseCheckFailed("frame fields do not commute")
+                    raise TransitionError("frame fields do not commute")
     products, _ = tp._composition_data(jet_order)
     for q in range(n):
         comp = _subst(frame_jet(x_frame, tp.H[q], jet_order), products)
@@ -279,7 +267,7 @@ def validate_transition(tp, jet_order=2):
             expected = expected + Jet(
                 tp.overlap, jet_order, {mi_unit(n, q): tp.overlap.one()})
         if comp != expected:
-            raise InverseCheckFailed(
+            raise TransitionError(
                 f"H_{q}(G(y+Y)) does not equal H_{q} + Y_{q} at order {jet_order}"
             )
     if tp.formulas is not None:
@@ -298,15 +286,15 @@ def _validate_formulas(tp):
         for name, fs, other, inverse, args, target, values in directions:
             for i, f in enumerate(fs):
                 if compose_formula(f, inverse) != inverse[0].chart.param(i):
-                    raise InverseCheckFailed(
+                    raise TransitionError(
                         f"{name}[{i}] composed with {other} is not the identity"
                     )
                 if compose_formula(f, args) != values[i]:
-                    raise InverseCheckFailed(
+                    raise TransitionError(
                         f"{name}[{i}] does not reproduce {target}_{i} on the overlap"
                     )
     except NotInvertible as e:
-        raise InverseCheckFailed(
+        raise TransitionError(
             f"formula substitution needs an unavailable inverse: {e}"
         ) from e
 
@@ -380,7 +368,7 @@ def transport_current(tp, ce, r):
     """Apply a transition to a whole current element, A-linearly in the
     coefficients.  ce must live on the same overlap chart."""
     if ce.chart is not tp.overlap and ce.chart != tp.overlap:
-        raise ChartMismatch("current element must live on the overlap chart")
+        raise ChartError("current element must live on the overlap chart")
     return CurrentElem.combination(tp.overlap, r, [
         (c, transition_l(tp, m, q, r), 1) for (m, q), c in ce.terms.items()
     ])
@@ -420,7 +408,7 @@ def cocycle_check(atl, triple, m, p, r):
     t_jl = atl.transition(j, l)
     t_il = atl.transition(i, l)
     if not (t_ij.overlap == t_jl.overlap == t_il.overlap):
-        raise MissingTransition(
+        raise TransitionError(
             "cocycle check needs all three transitions over one overlap chart"
         )
     lhs = transport_current(t_jl, transition_l(t_ij, m, p, r), r)
@@ -449,7 +437,7 @@ class AtlasSpec:
     def transition(self, a, b):
         got = self.transitions.get((a, b))
         if got is None:
-            raise MissingTransition(f"no transition {a} -> {b}")
+            raise TransitionError(f"no transition {a} -> {b}")
         return got
 
     def validate(self, jet_order=2):

@@ -133,22 +133,6 @@ class ChartError(ValueError):
     """A refusal of a chart or of an operation on its elements."""
 
 
-class NonMonicRelation(ChartError):
-    """An algebraic relation is not of the triangular monic shape."""
-
-
-class MissingInvertibleGenerator(ChartError):
-    """Some y_j does not divide the denominator, so 1/y_j is unavailable."""
-
-
-class ZeroDenominator(ChartError):
-    pass
-
-
-class ChartMismatch(ChartError):
-    """Operands live on different charts."""
-
-
 class NotInvertible(ChartError):
     """The element has no inverse of the form (polynomial)/g^k that the
     division search can find."""
@@ -172,9 +156,9 @@ class ChartSpec:
             variable list (params + generator names) and is promoted.
     denominator: Poly over the full variable list (default 1).
 
-    Raises NonMonicRelation, ChartError (no parameters),
-    MissingInvertibleGenerator, ZeroDenominator, or ValueError when a table
-    leaves the degree bound.
+    Raises ChartError when the relations are not triangular and monic, there
+    is no parameter, the denominator reduces to 0 or a generator does not
+    divide it, and ValueError when a table leaves the degree bound.
     """
 
     def __init__(self, name, params, gens=(), denominator=None):
@@ -191,16 +175,16 @@ class ChartSpec:
             denominator = Poly.one(self.allvars)
         denominator = denominator.extended(self.allvars)
         if len(set(self.allvars)) != len(self.allvars):
-            raise NonMonicRelation("parameter and generator names must be distinct")
+            raise ChartError("parameter and generator names must be distinct")
         if self.nparams == 0:
             raise ChartError("a chart needs at least one parameter")
         for j, gs in enumerate(self.gens):
             if not isinstance(gs.degree, int) or not 2 <= gs.degree < DEGREE_LIMIT:
-                raise NonMonicRelation(f"generator {gs.name}: degree must be "
-                                       f"an integer from 2 to {DEGREE_LIMIT - 1}")
+                raise ChartError(f"generator {gs.name}: degree must be "
+                                 f"an integer from 2 to {DEGREE_LIMIT - 1}")
             allowed = set(range(self.nparams)) | {self.gen_index(l) for l in range(j)}
             if not gs.rhs.support_vars() <= allowed:
-                raise NonMonicRelation(
+                raise ChartError(
                     f"generator {gs.name}: rhs may only use parameters and earlier generators"
                 )
         # the relations are usable: reduce g, check that every generator
@@ -208,12 +192,10 @@ class ChartSpec:
         self._qpow = [{0: Poly.one(self.allvars)} for _ in self.gens]  # [j][e] -> q_j^e
         g = self.reduce(denominator)
         if g.is_zero():
-            raise ZeroDenominator("denominator reduces to 0")
+            raise ChartError("denominator reduces to 0")
         for gs in self.gens:
             if poly_div_exact(g, Poly.variable(self.allvars, gs.name)) is None:
-                raise MissingInvertibleGenerator(
-                    f"generator {gs.name} must divide the denominator"
-                )
+                raise ChartError(f"generator {gs.name} must divide the denominator")
         self.denominator = g
         # the layout of packed denominators: factor k's exponent in the field
         # at bit FIELD_BITS * k, at most DEGREE_LIMIT - 1, so the sum of two
@@ -481,7 +463,7 @@ class RingElem:
 
     def _check(self, other):
         if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch(
+            raise ChartError(
                 f"elements live on different charts: {self.chart.name!r} vs {other.chart.name!r}"
             )
 

@@ -20,7 +20,7 @@ from .liealg import CurrentElem, SemiDirectElem, phi, psi
 from .multipoly import mi_degree, mi_range
 from .parser import parse_expression
 from .report import dumps
-from .suites import SUITE_IDS, run_verification
+from .suites import CHART_SUITES, SUITE_IDS, run_verification
 from .vfields import VectorField
 
 DEFAULT_CHARTS = ("affine2", "loc_x", "elliptic")
@@ -30,8 +30,9 @@ DEFAULT_ATLAS = "p1"
 # in well under a second
 MAX_SAMPLES = 100
 MAX_ORDER = 16
-# every refusal (ChartError, TransitionError and SchemaError are ValueErrors):
-# main prints it as one error line, validate as the target's FAILED line
+# every refusal is a ValueError (ChartError, TransitionError, SchemaError,
+# ExprSyntaxError) or an OSError: main prints it as one error line, validate
+# as the target's FAILED line
 REFUSALS = (ValueError, OSError)
 
 
@@ -338,8 +339,9 @@ def cmd_verify(args):
                          f"{MAX_ORDER}, got {args.orders!r}")
     chart_labels = list(args.chart) if args.chart else list(DEFAULT_CHARTS)
     charts = [_resolve_chart(label) for label in chart_labels]
-    atlas_label = args.atlas if args.atlas else DEFAULT_ATLAS
-    atlas = _resolve_atlas(atlas_label)
+    # the chart suites read no atlas, so only an explicit --atlas is loaded
+    atlas_label = args.atlas or (None if args.suite in CHART_SUITES else DEFAULT_ATLAS)
+    atlas = _resolve_atlas(atlas_label) if atlas_label else None
     report = run_verification(
         args.suite, charts, atlas, orders, args.samples, args.seed,
         chart_labels=chart_labels, atlas_label=atlas_label)

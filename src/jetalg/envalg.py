@@ -97,7 +97,7 @@ class DiffOp(SparseElem):
 
     def apply(self, f):
         """Action on a ring element."""
-        f._check(self)  # ChartMismatch unless f lives on this chart
+        f._check(self)  # ChartError unless f lives on this chart
         return sum_products(self.chart, [(c, f.derive_multi(m), 1)
                                          for m, c in self.terms.items()])
 

@@ -46,7 +46,6 @@ from .vfields import VectorField
 class SchemaError(ValueError):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}" if path else message)
-        self.path = path
 
 
 def _get(data, path, key, typ, required=True, default=None):

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 
-from .charts import ChartMismatch
+from .charts import ChartError
 from .jets import Jet, delta, jet_of, jet_scalar
 from .multipoly import (
     mi_add, mi_binomials, mi_degree, mi_lower, mi_powers, mi_sub, mi_zero,
@@ -119,7 +119,7 @@ class JetField(TupleElem):
 def jf_from_pair(a, v, k):
     """The decomposable a # v: component i is a * jet_of(v_i)."""
     if a.chart is not v.chart and a.chart != v.chart:
-        raise ChartMismatch("scalar and field live on different charts")
+        raise ChartError("scalar and field live on different charts")
     return JetField._new(v.chart, k, [jet_of(c, k).scale(a) for c in v.coeffs])
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import ChartMismatch
+from .charts import ChartError
 from .jets import Jet, delta_powers
 from .jetfields import JetField
 from .multipoly import (
@@ -177,7 +177,7 @@ class SemiDirectElem(TupleElem):
         if not isinstance(v, VectorField) or not isinstance(c, CurrentElem):
             raise TypeError("expected (VectorField, CurrentElem)")
         if v.chart is not c.chart and v.chart != c.chart:
-            raise ChartMismatch("parts live on different charts")
+            raise ChartError("parts live on different charts")
         self.chart = v.chart
         self.r = c.r
         self.parts = (v, c)

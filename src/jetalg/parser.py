@@ -11,7 +11,7 @@ Grammar (integers, rationals as quotients, parameter and generator names,
 
 Denominators (both `/` and `inv`) must be invertible in the chart ring,
 i.e. divide a power of the chart denominator up to a rational factor;
-anything else raises IllegalDenominator.  Rational literals like 3/4 go
+anything else raises ValueError.  Rational literals like 3/4 go
 through the same rule (constants invert trivially).  An INT has at most
 ``sys.get_int_max_str_digits()`` digits; evaluation is ``metered``.
 """
@@ -30,17 +30,6 @@ class ExprSyntaxError(ValueError):
     def __init__(self, message, pos):
         super().__init__(f"{message} (position {pos})")
         self.pos = pos
-
-
-class UnknownSymbol(ValueError):
-    def __init__(self, name, pos):
-        super().__init__(f"unknown symbol {name!r} (position {pos})")
-        self.name = name
-        self.pos = pos
-
-
-class IllegalDenominator(ValueError):
-    pass
 
 
 # a NAME token; chart files may only name parameters and generators by it
@@ -184,7 +173,7 @@ def _invert(elem):
     try:
         return elem.invert()
     except NotInvertible:
-        raise IllegalDenominator(
+        raise ValueError(
             f"({elem}) is not invertible on chart {elem.chart.name!r}: "
             "denominators must divide a power of the chart denominator"
         ) from None
@@ -208,13 +197,13 @@ def parse_expression(src, chart):
             return chart.elem(val)
         if val in chart.allvars:
             return chart.var(val)
-        raise UnknownSymbol(val, pos)
+        raise ExprSyntaxError(f"unknown symbol {val!r}", pos)
     return _evaluate(src, leaf, _invert)
 
 
 def _const_inverse(poly):
     if poly.degree() > 0 or poly.is_zero():
-        raise IllegalDenominator(
+        raise ValueError(
             "only rational constants may be inverted in polynomial context"
         )
     c = poly.coeff((0,) * len(poly.vars))
@@ -232,5 +221,5 @@ def parse_poly(src, vars):
             return Poly.const(vars, val)
         if val in vars:
             return Poly.variable(vars, val)
-        raise UnknownSymbol(val, pos)
+        raise ExprSyntaxError(f"unknown symbol {val!r}", pos)
     return _evaluate(src, leaf, _const_inverse)

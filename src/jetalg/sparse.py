@@ -28,7 +28,7 @@ it is not None, and ``str(self)``.
 
 from __future__ import annotations
 
-from .charts import ChartMismatch, RingElem, sum_products
+from .charts import ChartError, RingElem, sum_products
 
 
 def accumulate(out, key, c):
@@ -49,7 +49,7 @@ class _Linear:
 
     def _check(self, other):
         if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch(f"{type(self).__name__}s live on different charts")
+            raise ChartError(f"{type(self).__name__}s live on different charts")
         if self.grade != other.grade:
             raise ValueError(f"orders differ: {self.grade} vs {other.grade}")
 
@@ -173,7 +173,7 @@ class TupleElem(_Linear):
             if not isinstance(p, self._part):
                 raise TypeError(f"parts must be {self._part.__name__}")
             if p.chart is not chart and p.chart != chart:
-                raise ChartMismatch("part lives on a different chart")
+                raise ChartError("part lives on a different chart")
             if grade is not None and p.grade != grade:
                 raise ValueError(f"part grade {p.grade} differs from {grade}")
         self.chart = chart

@@ -37,7 +37,7 @@ class VectorField(TupleElem):
 
     def apply(self, f):
         """Action on a ring element: sum_i f_i * df/dx_i."""
-        f._check(self)  # ChartMismatch unless f lives on this chart
+        f._check(self)  # ChartError unless f lives on this chart
         return sum_products(self.chart, [
             (c, f.derive(i), 1) for i, c in enumerate(self.coeffs) if c
         ])

@@ -9,10 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from jetalg import charts, multipoly
-from jetalg.charts import (
-    ChartMismatch, ChartSpec, GenSpec, MissingInvertibleGenerator, NonMonicRelation,
-    NotInvertible, RingElem, ZeroDenominator,
-)
+from jetalg.charts import ChartError, ChartSpec, GenSpec, NotInvertible, RingElem
 from jetalg.fileio import loads_chart
 from jetalg.fixtures import STANDARD_CHARTS, standard_chart
 from jetalg.multipoly import DEGREE_LIMIT, Poly
@@ -41,7 +38,7 @@ def test_elliptic_chart_validates(elliptic):
 
 
 def test_generator_must_divide_denominator():
-    with pytest.raises(MissingInvertibleGenerator):
+    with pytest.raises(ChartError, match="generator y must divide the denominator"):
         chart_from({"name": "bad", "params": ["x"],
                     "gens": [{"name": "y", "degree": 2, "rhs": "x^3"}],
                     "denominator": "1"})
@@ -50,7 +47,7 @@ def test_generator_must_divide_denominator():
 def test_chart_whose_second_generator_does_not_divide_g_is_refused():
     # the second generator z does not divide g = y
     vars = ("x", "y", "z")
-    with pytest.raises(MissingInvertibleGenerator, match="generator z"):
+    with pytest.raises(ChartError, match="generator z must divide"):
         ChartSpec("two", ["x"], [GenSpec("y", 2, parse_poly("x", vars[:1])),
                                  GenSpec("z", 2, parse_poly("x", vars[:2]))],
                   parse_poly("y", vars))
@@ -73,28 +70,28 @@ def test_chart_without_parameters_is_refused():
 def test_rhs_using_a_later_generator_is_refused():
     # y's rhs reads z, which is defined after y
     vars = ("x", "y", "z")
-    with pytest.raises(NonMonicRelation, match="generator y: rhs may only use"):
+    with pytest.raises(ChartError, match="generator y: rhs may only use"):
         ChartSpec("later", ["x"], [GenSpec("y", 2, parse_poly("z", vars)),
                                    GenSpec("z", 2, parse_poly("x", vars[:1]))],
                   parse_poly("y*z", vars))
 
 
 def test_relation_degree_must_be_at_least_two():
-    with pytest.raises(NonMonicRelation):
+    with pytest.raises(ChartError, match="generator y: degree must be an integer from 2"):
         chart_from({"name": "bad", "params": ["x"],
                     "gens": [{"name": "y", "degree": 1, "rhs": "x"}],
                     "denominator": "y"})
 
 
 def test_duplicate_names_rejected():
-    with pytest.raises((NonMonicRelation, ValueError)):
+    with pytest.raises(ValueError, match="duplicate variable names"):
         chart_from({"name": "bad", "params": ["x"],
                     "gens": [{"name": "x", "degree": 2, "rhs": "x"}],
                     "denominator": "x"})
 
 
 def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(ChartError, match="denominator reduces to 0"):
         chart_from({"name": "bad", "params": ["x"], "gens": [],
                     "denominator": "0"})
 
@@ -307,7 +304,7 @@ def test_invert_matches_the_search_over_separate_powers(loc_x, elliptic, p1, nam
 
 
 def test_chart_mismatch_rejected(loc_x, affine2):
-    with pytest.raises(ChartMismatch):
+    with pytest.raises(ChartError, match="different charts: 'loc_x' vs 'affine2'"):
         loc_x.param(0) + affine2.param(0)
 
 

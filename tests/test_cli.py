@@ -1032,15 +1032,32 @@ def test_transition_suite_records_a_refused_pair_and_skips_its_checks(capsys, tm
 
 
 def test_verify_json_is_the_report_json(capsys):
-    from jetalg.fixtures import standard_atlas, standard_chart
+    from jetalg.fixtures import standard_chart
     from jetalg.suites import run_verification
 
+    # taylor reads no atlas, so verify loads none: the report's atlas is null
     code, out = run(capsys, "verify", "--suite", "taylor", "--chart", "loc_x",
                     "--orders", "1", "--samples", "1", "--format", "json")
-    report = run_verification("taylor", [standard_chart("loc_x")],
-                              standard_atlas("p1"), [1], 1, 0,
-                              chart_labels=["loc_x"], atlas_label="p1")
+    report = run_verification("taylor", [standard_chart("loc_x")], None, [1], 1, 0,
+                              chart_labels=["loc_x"])
     assert code == 0 and out == report.to_json()
+    assert json.loads(out)["targets"]["atlas"] is None
+
+
+@pytest.mark.parametrize("suite,extra,want", [
+    ("taylor", (), []),
+    ("taylor", ("--atlas", "p1_pair"), ["p1_pair"]),
+    ("transition", (), ["p1"]),
+])
+def test_verify_loads_the_default_atlas_only_for_atlas_suites(
+        capsys, monkeypatch, suite, extra, want):
+    loaded = []
+    resolve = cli._resolve_atlas
+    monkeypatch.setattr(cli, "_resolve_atlas",
+                        lambda label: loaded.append(label) or resolve(label))
+    code, _ = run(capsys, "verify", "--suite", suite, "--chart", "loc_x",
+                  "--orders", "1", "--samples", "1", *extra)
+    assert code == 0 and loaded == want
 
 
 def test_reports_do_not_share_records():

@@ -18,10 +18,7 @@ from jetalg.fixtures import (
 )
 from jetalg.jetfields import jf_from_pair
 from jetalg.liealg import CurrentElem, phi
-from jetalg.parser import (
-    ExprSyntaxError, IllegalDenominator, UnknownSymbol, parse_expression,
-    parse_poly,
-)
+from jetalg.parser import ExprSyntaxError, parse_expression, parse_poly
 from jetalg.sampling import Sampler
 from jetalg.vfields import VectorField
 
@@ -70,9 +67,11 @@ def test_parse_overlap_denominators(p1):
 
 
 def test_illegal_denominator(loc_x):
-    with pytest.raises(IllegalDenominator):
+    refusal = (r"\(x \+ 1\) is not invertible on chart 'loc_x': "
+               "denominators must divide a power of the chart denominator")
+    with pytest.raises(ValueError, match=refusal):
         parse_expression("1/(x + 1)", loc_x)
-    with pytest.raises(IllegalDenominator):
+    with pytest.raises(ValueError, match=refusal):
         parse_expression("inv(x + 1)", loc_x)
 
 
@@ -89,15 +88,15 @@ def test_syntax_errors(loc_x):
 
 
 def test_unknown_symbol(loc_x):
-    with pytest.raises(UnknownSymbol) as err:
+    with pytest.raises(ExprSyntaxError, match=r"unknown symbol 'z' \(position 4\)") as err:
         parse_expression("x + z", loc_x)
-    assert err.value.name == "z"
+    assert err.value.pos == 4
 
 
 def test_parse_poly_constant_division_only():
     p = parse_poly("x^2/2 + 1/3", ("x",))
     assert p.terms[(2,)] * 2 == 1
-    with pytest.raises(IllegalDenominator):
+    with pytest.raises(ValueError, match="only rational constants may be inverted"):
         parse_poly("1/x", ("x",))
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from jetalg.charts import ChartMismatch
+from jetalg.charts import ChartError
 from jetalg.vfields import VectorField
 
 from conftest import make_sampler
@@ -20,7 +20,7 @@ def test_apply_examples(loc_x, elliptic):
 def test_apply_refuses_a_function_on_another_chart(affine2, elliptic):
     # d/dx2 on affine2: elliptic has one parameter, so deriving would fail
     # with an IndexError; the chart check comes first
-    with pytest.raises(ChartMismatch):
+    with pytest.raises(ChartError, match="different chart"):
         VectorField.coordinate(affine2, 1).apply(elliptic.gen(0))
 
 
