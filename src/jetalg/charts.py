@@ -210,6 +210,7 @@ class ChartSpec:
         self._fpow = [{0: one} for _ in self.factors]  # [k][e] -> reduced f_k^e
         self._lifts = {0: one}  # packed d -> reduced F^d
         self._kernels = {}   # (i, generators, factors) -> derive kernel
+        self._jets = {}      # the jet tables of ``jets`` and ``jetfields``
         self._build_derivative_tables()
         self._param_elems = [self.var(p) for p in self.params]
 

@@ -31,8 +31,19 @@ localization_partial_sum builds the truncated series that exhibits
 
 whose defect against 1 # (1/g) eta (localization_defect) has t-valuation
 >= m+1 and is given in closed form by localization_remainder.  Each map
-asks g for its inverse, which g keeps (the inverse memo of ``charts``), so
-a caller checking many fields against one g inverts it once.
+asks g for its inverse (the partial sum only when it builds its series
+table, below), which g keeps (the inverse memo of ``charts``), so a caller
+checking many fields against one g inverts it once.
+
+The pairs (1/g^{r+1}, delta(g)^r), r <= k, depend only on g and k.  The
+chart keeps them in its jet table cache (``ChartSpec._jets``, see ``jets``):
+one series table per order, for the latest g asked at that order, keyed by
+g's exact content, s and the numerator ``Poly``, as transition_via_iso keys
+its memo.  The table is built by the running products of a fresh build, so
+every coefficient keeps its numerators, content and s, and a partial sum of
+another field against an equal g takes no power of delta(g) or 1/g: its only
+jet products scale the components of 1 # v by the series.
+localization_remainder reads its powers 1/g^s, s <= k+1, from the same table.
 """
 
 from __future__ import annotations
@@ -159,12 +170,24 @@ def localization_partial_sum(g, v, m, k):
     r > k is zero at order k and the sum stops at min(m, k)."""
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
-    ginv, one = g.invert(), v.chart.one()
-    dg = delta(g, k)
-    items = [(ginv, jet_scalar(one, k), 1)]  # (1/g^{r+1}, delta(g)^r, 1)
-    for _ in range(min(m, k)):
-        items.append((items[-1][0] * ginv, items[-1][1] * dg, 1))
-    return jf_from_pair(one, v, k).scale_jet(Jet.combination(v.chart, k, items))
+    items = [(a, d, 1) for a, d in _series(g, k)[:min(m, k) + 1]]
+    return jf_from_pair(v.chart.one(), v, k).scale_jet(Jet.combination(v.chart, k, items))
+
+
+def _series(g, k):
+    """The pairs (1/g^{r+1}, delta(g)^r), r = 0..k, as running products
+    from g.invert() and delta(g, k): the chart's series table at order k,
+    kept for the latest g only and keyed by g's exact content (s and the
+    numerator Poly), so an equal, distinct g reads the same table."""
+    chart, key = g.chart, (g.s, g.num)
+    got = chart._jets.get(("series", k))
+    if got is None or got[0] != key:
+        ginv, dg = g.invert(), delta(g, k)
+        col = [(ginv, jet_scalar(chart.one(), k))]
+        for _ in range(k):
+            col.append((col[-1][0] * ginv, col[-1][1] * dg))
+        got = chart._jets["series", k] = (key, tuple(col))
+    return got[1]
 
 
 def localization_defect(g, v, m, k):
@@ -181,19 +204,22 @@ def localization_remainder(g, v, m, k):
 
     (the s = 0 term reads 1 # (1/g) v).  Exact at every order, and of
     t-valuation >= m+1.  The powers are running products, one per step and
-    none after the last s: a_1 = 1/g, a_s = a_{s-1} (1/g) for 1/g^s, and
+    none after the last s: a_1 = 1/g, a_s = a_{s-1} (1/g) for 1/g^s, read
+    from the series table of localization_partial_sum up to s = k+1, and
     b_1 = 1, b_2 = g, b_s = b_{s-1} g for g^{s-1}.  Reduced normal forms
     and canonical content are unique, so each equals the power exactly."""
     if m < 0:
         raise ValueError("partial sum index must be >= 0")
     chart = v.chart
     ginv = g.invert()
+    inv = [p for p, _ in _series(g, k)]  # 1/g^s at s - 1, for s <= k + 1
     items = []  # per component: (1/g^s, jet of g^{s-1} v_i, sign)
     for s in range(m + 2):  # a = 1/g^s, b = g^{s-1}
         if s < 2:
             a, b = (chart.one(), ginv) if s == 0 else (ginv, chart.one())
         else:
-            a, b = a * ginv, g if s == 2 else b * g
+            a = inv[s - 1] if s <= k + 1 else a * ginv
+            b = g if s == 2 else b * g
         sign = (-1) ** s * math.comb(m + 1, s)
         items.append([(a, jet_of(c, k), sign) for c in v.scale(b).coeffs])
     return JetField._new(chart, k, [Jet.combination(chart, k, col) for col in zip(*items)])

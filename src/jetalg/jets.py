@@ -23,10 +23,20 @@ Tables over multi-indices come from the one walk of multipoly: jet_along
 fills its derivative chain with mi_fill and delta_powers is an mi_powers
 table.
 
+Per-chart jet tables.  The delta powers depend only on the chart, the order
+k and the largest |m| asked, r, so each chart keeps them in its table cache
+``ChartSpec._jets``, which dies with the chart: one read-only table per
+(k, r) asked, built on first use by the running products of a fresh build,
+so every entry keeps its numerators, content and s.  delta_power, psi and
+taylor_identity_check read from it, and a repeated call at the same (k, r)
+makes no jet product.  jetfields keeps its localization series there too.
+
 eval_diagonal reads off the constant coefficient (evaluation at t = 0).
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .multipoly import (
     grlex_key, indexed_names, mi_add, mi_binomial, mi_check, mi_degree,
@@ -146,13 +156,20 @@ def delta(f, k):
 def delta_powers(chart, k, r):
     """{m: prod_i delta(x_i)^{m_i}} as order-k jets for every |m| <= r: one
     mi_powers table over the deltas of the parameters (computed honestly as
-    products of deltas; each equals (-1)^|m| t^m)."""
-    deltas = [delta(chart.param(i), k) for i in range(chart.nparams)]
-    return mi_powers(jet_scalar(chart.one(), k), deltas, r)
+    products of deltas; each equals (-1)^|m| t^m), built on the first call
+    for (k, r) and kept by the chart.  Returned read-only
+    (MappingProxyType); every call for (k, r) returns the same table."""
+    got = chart._jets.get(("delta", k, r))
+    if got is None:
+        deltas = [delta(chart.param(i), k) for i in range(chart.nparams)]
+        got = chart._jets["delta", k, r] = MappingProxyType(
+            mi_powers(jet_scalar(chart.one(), k), deltas, r))
+    return got
 
 
 def delta_power(chart, m, k):
-    """prod_i delta(x_i)^{m_i} as an order-k jet: entry m of delta_powers."""
+    """prod_i delta(x_i)^{m_i} as an order-k jet: entry m of the chart's
+    delta_powers table at (k, |m|)."""
     m = mi_check(m, chart.nparams)
     return delta_powers(chart, k, mi_degree(m))[m]
 
@@ -165,8 +182,9 @@ def taylor_identity_check(f, k):
 
     Each d^m f, |m| <= 2k, is made once: m! w[m] for w = j(f) at order 2k,
     and j(d^m f)/m! has t^n coefficient binom(m+n, m) w[m+n].  Formal in w,
-    the check exercises the delta powers, the convolution, sum_products and
-    ring equality (commuting partials: module docstring).  Returns True/False."""
+    the check exercises the delta powers (the chart's table at (k, k)), the
+    convolution, sum_products and ring equality (commuting partials: module
+    docstring).  Returns True/False."""
     chart, whole = f.chart, jet_of(f, 2 * k)
     w, ns = whole.terms, mi_range(chart.nparams, k)
     items_a, pairs_b = [], {}

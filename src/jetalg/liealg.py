@@ -215,8 +215,9 @@ def phi(u):
 def psi(p, k):
     """Inverse direction at jet order k >= r: the vector-field part becomes
     constant jets, and g (x) X^m d/dX_i becomes (-1)^|m| g * delta(x)^m on
-    component i (computed honestly as delta products, one table of them per
-    call; this equals g t^m)."""
+    component i (computed honestly as delta products, read from the chart's
+    delta_powers table at (k, r), which the first call builds; this equals
+    g t^m)."""
     chart = p.chart
     if p.r > k:
         raise ValueError(f"truncation {p.r} exceeds jet order {k}")

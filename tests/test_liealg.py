@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from jetalg import jets
+from jetalg.fileio import loads_chart
+from jetalg.fixtures import STANDARD_CHARTS
 from jetalg.jetfields import jf_from_pair
 from jetalg.jets import Jet, delta
 from jetalg.liealg import (
@@ -185,9 +187,12 @@ def test_polynomial_inputs_lose_nothing_at_high_order(affine2):
         assert phi(u.bracket(w)) == phi(u).bracket(phi(w))
 
 
-def test_psi_builds_one_table_of_delta_powers(affine2, monkeypatch):
-    """psi of all 18 basis terms of order 3 on affine2 makes one delta per
-    parameter and one jet product per entry of the table above the unit."""
+def test_psi_builds_one_table_of_delta_powers(monkeypatch):
+    """psi of all 18 basis terms of order 3 on a freshly loaded affine2 makes
+    one delta per parameter and one jet product per entry of the table above
+    the unit; a second psi at the same order reads the chart's table and
+    makes neither."""
+    affine2 = loads_chart(STANDARD_CHARTS["affine2"])
     k = 3
     terms = [(b, affine2.param(b[1])) for b in basis_elements(2, k)]
     p = SemiDirectElem(VectorField.zero(affine2), CurrentElem(affine2, k, terms))
@@ -198,3 +203,6 @@ def test_psi_builds_one_table_of_delta_powers(affine2, monkeypatch):
     u = psi(p, k)
     assert (calls.count("delta"), calls.count("mul")) == (2, 9)
     assert phi(u) == p
+    calls.clear()
+    assert psi(p, k) == u
+    assert (calls.count("delta"), calls.count("mul")) == (0, 0)
